@@ -43,7 +43,7 @@ struct Options {
       if (arg.rfind("--trace=", 0) == 0) {
         o.trace_path = arg.substr(std::strlen("--trace="));
       } else if (arg == "--metrics") {
-        o.metrics_path = "-";
+        o.metrics_path = std::string(1, '-');
       } else if (arg.rfind("--metrics=", 0) == 0) {
         o.metrics_path = arg.substr(std::strlen("--metrics="));
       } else if (arg.rfind("--schedule-json=", 0) == 0) {

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
                   ag.schedule().copy_count());
       if (nb.count() <= 32) {
         std::printf("\nalltoall schedule detail (rank 0):\n%s",
-                    a2a.schedule().describe().c_str());
+                    a2a.schedule().dump().c_str());
       }
     }
   });

@@ -180,11 +180,11 @@ CompiledPlan compile_alltoall_plan(const CartNeighborComm& cc,
 
 namespace {
 
-/// Shared front half of both entry points: validate the descriptors and
-/// resolve the compiled plan through the cache.
+/// Shared front half of both entry points: resolve the compiled plan
+/// through the cache.
 std::shared_ptr<const CompiledPlan> alltoall_plan(
     const CartNeighborComm& cc, std::span<const SendBlock> sends,
-    std::span<const RecvBlock> recvs, const PlanKey& key) {
+    const PlanKey& key) {
   std::shared_ptr<const CompiledPlan> plan = plan_cache_lookup(key);
   if (plan) return plan;
   std::vector<std::size_t> bytes(sends.size());
@@ -214,7 +214,7 @@ Schedule build_alltoall_schedule(const CartNeighborComm& cc,
                                  std::span<const SendBlock> sends,
                                  std::span<const RecvBlock> recvs) {
   const PlanKey key = alltoall_key_checked(cc, sends, recvs);
-  return alltoall_plan(cc, sends, recvs, key)->bind(cc, sends, recvs);
+  return alltoall_plan(cc, sends, key)->bind(cc, sends, recvs);
 }
 
 std::shared_ptr<BoundSchedule> build_alltoall_schedule_shared(
@@ -226,7 +226,7 @@ std::shared_ptr<BoundSchedule> build_alltoall_schedule_shared(
     return s;
   }
   return schedule_cache_store(
-      bkey, alltoall_plan(cc, sends, recvs, key)->bind(cc, sends, recvs));
+      bkey, alltoall_plan(cc, sends, key)->bind(cc, sends, recvs));
 }
 
 }  // namespace cartcomm

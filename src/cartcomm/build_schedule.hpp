@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "cartcomm/analysis.hpp"
 #include "cartcomm/blocks.hpp"
@@ -40,6 +41,15 @@ Schedule build_allgather_schedule(const CartNeighborComm& cc,
                                   const SendBlock& send,
                                   std::span<const RecvBlock> recvs,
                                   DimOrder order = DimOrder::increasing_ck);
+
+/// The trivial algorithm (Listing 4) for alltoall and allgather (whose
+/// send blocks are the replicated send block): one phase per non-zero
+/// neighbor of one send-receive round moving block i as given, then the
+/// zero-vector blocks by local copy. Built directly, in O(t·d), without the
+/// plan cache; the blocks' datatypes move into the schedule.
+Schedule build_trivial_schedule(const CartNeighborComm& cc,
+                                std::vector<SendBlock> sends,
+                                std::vector<RecvBlock> recvs);
 
 /// One-shot variants for the blocking non-persistent collectives: return a
 /// shared Schedule served from the bound-schedule cache (plan + rank +

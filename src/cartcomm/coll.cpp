@@ -6,7 +6,6 @@
 
 #include "cartcomm/build_schedule.hpp"
 #include "cartcomm/plan.hpp"
-#include "mpl/collectives.hpp"
 #include "mpl/error.hpp"
 #include "telemetry/plan_cache.hpp"
 
@@ -36,47 +35,39 @@ class CollBuilder {
                              std::vector<SendBlock> sends,
                              std::vector<RecvBlock> recvs, bool allgather,
                              DimOrder order, Algorithm alg) {
+    const Algorithm resolved =
+        allgather ? cc.resolve_allgather(alg)
+                  : cc.resolve_alltoall(alg, max_block_bytes(sends));
+    return {cc.comm(), resolved,
+            build_schedule(cc, std::move(sends), std::move(recvs), allgather,
+                           order, resolved)};
+  }
+
+  /// The schedule of the resolved algorithm `alg` on the given blocks.
+  static Schedule build_schedule(const CartNeighborComm& cc,
+                                 std::vector<SendBlock> sends,
+                                 std::vector<RecvBlock> recvs, bool allgather,
+                                 DimOrder order, Algorithm alg) {
     const Neighborhood& nb = cc.neighborhood();
     MPL_REQUIRE(sends.size() == static_cast<std::size_t>(nb.count()) &&
                     recvs.size() == static_cast<std::size_t>(nb.count()),
                 "cartcomm collective: one block per neighbor required");
-    PersistentColl p;
-    p.st_ = std::make_shared<detail::PersistentState>();
-    detail::PersistentState& st = *p.st_;
-    st.comm = cc.comm();
-    st.allgather = allgather;
-    st.alg = allgather ? cc.resolve_allgather(alg)
-                       : cc.resolve_alltoall(alg, max_block_bytes(sends));
-    if (st.alg == Algorithm::combining) {
-      if (allgather) {
-        st.sched = build_allgather_schedule(cc, sends.front(), recvs, order);
-      } else {
-        st.sched = build_alltoall_schedule(cc, sends, recvs);
-      }
-      return p;
+    if (alg != Algorithm::combining) {
+      return build_trivial_schedule(cc, std::move(sends), std::move(recvs));
     }
-    // Trivial plan (Listing 4): one send-receive round per neighbor, with
-    // the zero-vector blocks handled by local copies.
-    st.sends = std::move(sends);
-    st.recvs = std::move(recvs);
-    const int t = nb.count();
-    st.send_rank.resize(static_cast<std::size_t>(t));
-    st.recv_rank.resize(static_cast<std::size_t>(t));
-    for (int i = 0; i < t; ++i) {
-      if (nb.nonzeros(i) == 0) {
-        st.self_idx.push_back(i);
-        st.send_rank[static_cast<std::size_t>(i)] = mpl::PROC_NULL;
-        st.recv_rank[static_cast<std::size_t>(i)] = mpl::PROC_NULL;
-      } else {
-        st.send_rank[static_cast<std::size_t>(i)] =
-            cc.target_ranks()[static_cast<std::size_t>(i)];
-        st.recv_rank[static_cast<std::size_t>(i)] =
-            cc.source_ranks()[static_cast<std::size_t>(i)];
-      }
-    }
-    return p;
+    return allgather
+               ? build_allgather_schedule(cc, sends.front(), recvs, order)
+               : build_alltoall_schedule(cc, sends, recvs);
   }
 };
+
+PersistentColl::PersistentColl(const mpl::Comm& comm, Algorithm alg,
+                               Schedule sched)
+    : st_(std::make_shared<detail::PersistentState>()) {
+  st_->comm = comm;
+  st_->alg = alg;
+  st_->sched = std::move(sched);
+}
 
 void PersistentColl::execute() const {
   MPL_REQUIRE(st_ != nullptr,
@@ -84,31 +75,12 @@ void PersistentColl::execute() const {
   detail::PersistentState& st = *st_;
   MPL_REQUIRE(!st.in_flight,
               "PersistentColl::execute: an execution is already in flight");
-  if (st.alg == Algorithm::combining || st.sched_based) {
-    // Route through the scratch so repeated blocking executions run with
-    // zero setup and zero allocation, like the start()/wait() path.
-    st.in_flight = true;
-    Schedule::Execution e = st.sched.start(st.comm, st.scratch);
-    e.wait();
-    st.in_flight = false;
-    return;
-  }
-  // Trivial t-round algorithm (Listing 4): blocking send-receive per
-  // neighbor; deadlock-free because neighborhoods are isomorphic (and the
-  // transport is eager).
-  for (std::size_t i = 0; i < st.sends.size(); ++i) {
-    const int dst = st.send_rank[i];
-    const int src = st.recv_rank[i];
-    if (dst == mpl::PROC_NULL && src == mpl::PROC_NULL) continue;
-    st.comm.sendrecv(st.sends[i].addr, st.sends[i].count, st.sends[i].type, dst,
-                     kCartTag, st.recvs[i].addr, st.recvs[i].count,
-                     st.recvs[i].type, src, kCartTag);
-  }
-  for (const int i : st.self_idx) {
-    const std::size_t ui = static_cast<std::size_t>(i);
-    mpl::copy_typed(st.sends[ui].addr, st.sends[ui].count, st.sends[ui].type,
-                    st.recvs[ui].addr, st.recvs[ui].count, st.recvs[ui].type);
-  }
+  // Route through the scratch so repeated blocking executions run with
+  // zero setup and zero allocation, like the start()/wait() path.
+  st.in_flight = true;
+  Schedule::Execution e = st.sched.start(st.comm, st.scratch);
+  e.wait();
+  st.in_flight = false;
 }
 
 CartRequest PersistentColl::start() const {
@@ -120,89 +92,32 @@ CartRequest PersistentColl::start() const {
   st.in_flight = true;
   CartRequest r;
   r.st_ = st_;  // co-ownership: the request outlives this handle if need be
-  r.done_ = false;
-  if (st.alg == Algorithm::combining || st.sched_based) {
-    r.combining_ = true;
-    r.exec_ = st.sched.start(st.comm, st.scratch);
-    r.done_ = r.exec_.done();
-    if (r.done_) st.in_flight = false;
-    return r;
-  }
-  // Trivial plan, non-blocking: direct delivery — post every receive and
-  // send at once; the self copies run at completion. The pending table and
-  // the receive request states live in the shared state and are recycled
-  // across executions.
-  st.pending.clear();
-  st.pending_head = 0;
-  if (st.recv_slots.size() < st.recvs.size()) {
-    st.recv_slots.resize(st.recvs.size());
-  }
-  for (std::size_t i = 0; i < st.recvs.size(); ++i) {
-    if (st.recv_rank[i] != mpl::PROC_NULL) {
-      st.pending.push_back(
-          st.comm.irecv_reuse(st.recv_slots[i], st.recvs[i].addr,
-                              st.recvs[i].count, st.recvs[i].type,
-                              st.recv_rank[i], kCartTag));
-    }
-  }
-  for (std::size_t i = 0; i < st.sends.size(); ++i) {
-    if (st.send_rank[i] != mpl::PROC_NULL) {
-      st.comm.isend(st.sends[i].addr, st.sends[i].count, st.sends[i].type,
-                    st.send_rank[i], kCartTag);
-    }
-  }
+  r.exec_ = st.sched.start(st.comm, st.scratch);
+  r.done_ = r.exec_.done();
+  if (r.done_) st.in_flight = false;
   return r;
 }
 
 bool CartRequest::test() {
   if (done_) return true;
   MPL_REQUIRE(st_ != nullptr, "CartRequest::test on an empty request");
-  detail::PersistentState& st = *st_;
-  if (combining_) {
-    done_ = exec_.test();
-    if (done_) st.in_flight = false;
-    return done_;
-  }
-  while (st.pending_head < st.pending.size()) {
-    if (!st.pending[st.pending_head].test()) return false;
-    ++st.pending_head;
-  }
-  st.pending.clear();
-  st.pending_head = 0;
-  for (const int i : st.self_idx) {
-    const std::size_t ui = static_cast<std::size_t>(i);
-    mpl::copy_typed(st.sends[ui].addr, st.sends[ui].count, st.sends[ui].type,
-                    st.recvs[ui].addr, st.recvs[ui].count, st.recvs[ui].type);
-  }
-  done_ = true;
-  st.in_flight = false;
-  return true;
+  done_ = exec_.test();
+  if (done_) st_->in_flight = false;
+  return done_;
 }
 
 void CartRequest::wait() {
   if (done_) return;
   MPL_REQUIRE(st_ != nullptr, "CartRequest::wait on an empty request");
-  if (combining_) {
-    exec_.wait();
-    done_ = true;
-    st_->in_flight = false;
-    return;
-  }
-  detail::PersistentState& st = *st_;
-  for (std::size_t i = st.pending_head; i < st.pending.size(); ++i) {
-    st.pending[i].wait();
-  }
-  st.pending_head = st.pending.size();
-  // All remote requests done: this pass only runs the self copies, so
-  // completion is guaranteed.
-  const bool completed = test();
-  MPL_REQUIRE(completed, "CartRequest::wait: internal inconsistency");
+  exec_.wait();
+  done_ = true;
+  st_->in_flight = false;
 }
 
 const Schedule& PersistentColl::schedule() const {
-  MPL_REQUIRE(st_ != nullptr &&
-                  (st_->alg == Algorithm::combining || st_->sched_based),
-              "schedule(): only available for schedule-native operations");
+  MPL_REQUIRE(st_ != nullptr,
+              "schedule() on default-constructed (or moved-from) "
+              "PersistentColl");
   return st_->sched;
 }
 
@@ -210,69 +125,44 @@ const Schedule& PersistentColl::schedule() const {
 
 namespace {
 
-std::vector<SendBlock> sends_regular(const void* sendbuf, int count,
-                                     const mpl::Datatype& type, int t,
-                                     bool replicate) {
-  std::vector<SendBlock> v(static_cast<std::size_t>(t));
+// Per-neighbor block descriptors of the regular, v and w variants. `Block`
+// is SendBlock or RecvBlock, `Buf` the matching (const) buffer pointer.
+
+/// Block i at element offset i*count, or every block at the buffer start
+/// (`replicate`: the allgather send block).
+template <typename Block, typename Buf>
+std::vector<Block> blocks_regular(Buf buf, int count,
+                                  const mpl::Datatype& type, int t,
+                                  bool replicate = false) {
+  std::vector<Block> v(static_cast<std::size_t>(t));
   for (int i = 0; i < t; ++i) {
     const std::ptrdiff_t disp =
         replicate ? 0 : static_cast<std::ptrdiff_t>(i) * count * type.extent();
-    v[static_cast<std::size_t>(i)] = {at_bytes(sendbuf, disp), count, type};
+    v[static_cast<std::size_t>(i)] = {at_bytes(buf, disp), count, type};
   }
   return v;
 }
 
-std::vector<RecvBlock> recvs_regular(void* recvbuf, int count,
-                                     const mpl::Datatype& type, int t) {
-  std::vector<RecvBlock> v(static_cast<std::size_t>(t));
-  for (int i = 0; i < t; ++i) {
-    v[static_cast<std::size_t>(i)] = {
-        at_bytes(recvbuf, static_cast<std::ptrdiff_t>(i) * count * type.extent()),
-        count, type};
-  }
-  return v;
-}
-
-std::vector<SendBlock> sends_v(const void* sendbuf, std::span<const int> counts,
-                               std::span<const int> displs,
-                               const mpl::Datatype& type) {
-  std::vector<SendBlock> v(counts.size());
+template <typename Block, typename Buf>
+std::vector<Block> blocks_v(Buf buf, std::span<const int> counts,
+                            std::span<const int> displs,
+                            const mpl::Datatype& type) {
+  std::vector<Block> v(counts.size());
   for (std::size_t i = 0; i < counts.size(); ++i) {
-    v[i] = {at_bytes(sendbuf, displs[i] * type.extent()), counts[i], type};
+    v[i] = {at_bytes(buf, displs[i] * type.extent()), counts[i], type};
   }
   return v;
 }
 
-std::vector<RecvBlock> recvs_v(void* recvbuf, std::span<const int> counts,
-                               std::span<const int> displs,
-                               const mpl::Datatype& type) {
-  std::vector<RecvBlock> v(counts.size());
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    v[i] = {at_bytes(recvbuf, displs[i] * type.extent()), counts[i], type};
-  }
-  return v;
-}
-
-std::vector<SendBlock> sends_w(const void* sendbuf, std::span<const int> counts,
-                               std::span<const std::ptrdiff_t> displs,
-                               std::span<const mpl::Datatype> types) {
-  MPL_REQUIRE(counts.size() == displs.size() && counts.size() == types.size(),
-              "alltoallw: argument arity mismatch");
-  std::vector<SendBlock> v(counts.size());
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    v[i] = {at_bytes(sendbuf, displs[i]), counts[i], types[i]};
-  }
-  return v;
-}
-
-std::vector<RecvBlock> recvs_w(void* recvbuf, std::span<const int> counts,
-                               std::span<const std::ptrdiff_t> displs,
-                               std::span<const mpl::Datatype> types) {
+template <typename Block, typename Buf>
+std::vector<Block> blocks_w(Buf buf, std::span<const int> counts,
+                            std::span<const std::ptrdiff_t> displs,
+                            std::span<const mpl::Datatype> types) {
   MPL_REQUIRE(counts.size() == displs.size() && counts.size() == types.size(),
               "w-variant: argument arity mismatch");
-  std::vector<RecvBlock> v(counts.size());
+  std::vector<Block> v(counts.size());
   for (std::size_t i = 0; i < counts.size(); ++i) {
-    v[i] = {at_bytes(recvbuf, displs[i]), counts[i], types[i]};
+    v[i] = {at_bytes(buf, displs[i]), counts[i], types[i]};
   }
   return v;
 }
@@ -280,8 +170,8 @@ std::vector<RecvBlock> recvs_w(void* recvbuf, std::span<const int> counts,
 /// Blocking one-shot execution for the non-persistent entry points. The
 /// combining path goes through the bound-schedule cache (plan + rank +
 /// buffer addresses), so a repeated call with the same arguments skips
-/// schedule construction entirely; the trivial path has no schedule to
-/// cache and reuses the persistent machinery.
+/// schedule construction entirely; the trivial schedule has nothing to
+/// compile and is built per call.
 std::shared_ptr<BoundSchedule> run_oneshot(const CartNeighborComm& cc,
                                            std::vector<SendBlock> sends,
                                            std::vector<RecvBlock> recvs,
@@ -299,9 +189,9 @@ std::shared_ptr<BoundSchedule> run_oneshot(const CartNeighborComm& cc,
     e.wait();
     return bound;
   }
-  CollBuilder::make(cc, std::move(sends), std::move(recvs), allgather, order,
-                    Algorithm::trivial)
-      .execute();
+  CollBuilder::build_schedule(cc, std::move(sends), std::move(recvs),
+                              allgather, order, resolved)
+      .execute(cc.comm());
   return nullptr;
 }
 
@@ -353,8 +243,9 @@ void run_oneshot_regular(const CartNeighborComm& cc, const void* sendbuf,
   }
   const int t = cc.neighborhood().count();
   std::shared_ptr<BoundSchedule> bound = run_oneshot(
-      cc, sends_regular(sendbuf, sendcount, sendtype, t, allgather),
-      recvs_regular(recvbuf, recvcount, recvtype, t), allgather, order, alg);
+      cc, blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, allgather),
+      blocks_regular<RecvBlock>(recvbuf, recvcount, recvtype, t), allgather,
+      order, alg);
   if (!bound || !plan_cache_enabled()) {
     m.bound.reset();
     return;
@@ -383,8 +274,8 @@ PersistentColl alltoall_init(const void* sendbuf, int sendcount,
                              const CartNeighborComm& cc, Algorithm alg) {
   const int t = cc.neighbor_count();
   return CollBuilder::make(
-      cc, sends_regular(sendbuf, sendcount, sendtype, t, false),
-      recvs_regular(recvbuf, recvcount, recvtype, t), false,
+      cc, blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t),
+      blocks_regular<RecvBlock>(recvbuf, recvcount, recvtype, t), false,
       cc.allgather_order(), alg);
 }
 
@@ -396,9 +287,10 @@ PersistentColl alltoallv_init(const void* sendbuf,
                               std::span<const int> rdispls,
                               const mpl::Datatype& recvtype,
                               const CartNeighborComm& cc, Algorithm alg) {
-  return CollBuilder::make(cc, sends_v(sendbuf, sendcounts, sdispls, sendtype),
-                           recvs_v(recvbuf, recvcounts, rdispls, recvtype),
-                           false, cc.allgather_order(), alg);
+  return CollBuilder::make(
+      cc, blocks_v<SendBlock>(sendbuf, sendcounts, sdispls, sendtype),
+      blocks_v<RecvBlock>(recvbuf, recvcounts, rdispls, recvtype), false,
+      cc.allgather_order(), alg);
 }
 
 PersistentColl alltoallw_init(const void* sendbuf,
@@ -410,9 +302,9 @@ PersistentColl alltoallw_init(const void* sendbuf,
                               std::span<const mpl::Datatype> recvtypes,
                               const CartNeighborComm& cc, Algorithm alg) {
   return CollBuilder::make(
-      cc, sends_w(sendbuf, sendcounts, sdispls_bytes, sendtypes),
-      recvs_w(recvbuf, recvcounts, rdispls_bytes, recvtypes), false,
-      cc.allgather_order(), alg);
+      cc, blocks_w<SendBlock>(sendbuf, sendcounts, sdispls_bytes, sendtypes),
+      blocks_w<RecvBlock>(recvbuf, recvcounts, rdispls_bytes, recvtypes),
+      false, cc.allgather_order(), alg);
 }
 
 void alltoall(const void* sendbuf, int sendcount, const mpl::Datatype& sendtype,
@@ -427,9 +319,9 @@ void alltoallv(const void* sendbuf, std::span<const int> sendcounts,
                void* recvbuf, std::span<const int> recvcounts,
                std::span<const int> rdispls, const mpl::Datatype& recvtype,
                const CartNeighborComm& cc, Algorithm alg) {
-  run_oneshot(cc, sends_v(sendbuf, sendcounts, sdispls, sendtype),
-              recvs_v(recvbuf, recvcounts, rdispls, recvtype), false,
-              cc.allgather_order(), alg);
+  run_oneshot(cc, blocks_v<SendBlock>(sendbuf, sendcounts, sdispls, sendtype),
+              blocks_v<RecvBlock>(recvbuf, recvcounts, rdispls, recvtype),
+              false, cc.allgather_order(), alg);
 }
 
 void alltoallw(const void* sendbuf, std::span<const int> sendcounts,
@@ -439,9 +331,10 @@ void alltoallw(const void* sendbuf, std::span<const int> sendcounts,
                std::span<const std::ptrdiff_t> rdispls_bytes,
                std::span<const mpl::Datatype> recvtypes,
                const CartNeighborComm& cc, Algorithm alg) {
-  run_oneshot(cc, sends_w(sendbuf, sendcounts, sdispls_bytes, sendtypes),
-              recvs_w(recvbuf, recvcounts, rdispls_bytes, recvtypes), false,
-              cc.allgather_order(), alg);
+  run_oneshot(
+      cc, blocks_w<SendBlock>(sendbuf, sendcounts, sdispls_bytes, sendtypes),
+      blocks_w<RecvBlock>(recvbuf, recvcounts, rdispls_bytes, recvtypes),
+      false, cc.allgather_order(), alg);
 }
 
 // -- allgather family ---------------------------------------------------------
@@ -452,8 +345,8 @@ PersistentColl allgather_init(const void* sendbuf, int sendcount,
                               const CartNeighborComm& cc, Algorithm alg) {
   const int t = cc.neighbor_count();
   return CollBuilder::make(
-      cc, sends_regular(sendbuf, sendcount, sendtype, t, true),
-      recvs_regular(recvbuf, recvcount, recvtype, t), true,
+      cc, blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
+      blocks_regular<RecvBlock>(recvbuf, recvcount, recvtype, t), true,
       cc.allgather_order(), alg);
 }
 
@@ -464,11 +357,10 @@ PersistentColl allgatherv_init(const void* sendbuf, int sendcount,
                                const mpl::Datatype& recvtype,
                                const CartNeighborComm& cc, Algorithm alg) {
   const int t = cc.neighbor_count();
-  std::vector<SendBlock> sends(static_cast<std::size_t>(t),
-                               SendBlock{sendbuf, sendcount, sendtype});
-  return CollBuilder::make(cc, std::move(sends),
-                           recvs_v(recvbuf, recvcounts, displs, recvtype), true,
-                           cc.allgather_order(), alg);
+  return CollBuilder::make(
+      cc, blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
+      blocks_v<RecvBlock>(recvbuf, recvcounts, displs, recvtype), true,
+      cc.allgather_order(), alg);
 }
 
 PersistentColl allgatherw_init(const void* sendbuf, int sendcount,
@@ -478,11 +370,9 @@ PersistentColl allgatherw_init(const void* sendbuf, int sendcount,
                                std::span<const mpl::Datatype> recvtypes,
                                const CartNeighborComm& cc, Algorithm alg) {
   const int t = cc.neighbor_count();
-  std::vector<SendBlock> sends(static_cast<std::size_t>(t),
-                               SendBlock{sendbuf, sendcount, sendtype});
   return CollBuilder::make(
-      cc, std::move(sends),
-      recvs_w(recvbuf, recvcounts, rdispls_bytes, recvtypes), true,
+      cc, blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
+      blocks_w<RecvBlock>(recvbuf, recvcounts, rdispls_bytes, recvtypes), true,
       cc.allgather_order(), alg);
 }
 
@@ -500,11 +390,10 @@ void allgatherv(const void* sendbuf, int sendcount,
                 const mpl::Datatype& recvtype, const CartNeighborComm& cc,
                 Algorithm alg) {
   const int t = cc.neighbor_count();
-  std::vector<SendBlock> sends(static_cast<std::size_t>(t),
-                               SendBlock{sendbuf, sendcount, sendtype});
-  run_oneshot(cc, std::move(sends),
-              recvs_v(recvbuf, recvcounts, displs, recvtype), true,
-              cc.allgather_order(), alg);
+  run_oneshot(
+      cc, blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
+      blocks_v<RecvBlock>(recvbuf, recvcounts, displs, recvtype), true,
+      cc.allgather_order(), alg);
 }
 
 void allgatherw(const void* sendbuf, int sendcount,
@@ -514,11 +403,10 @@ void allgatherw(const void* sendbuf, int sendcount,
                 std::span<const mpl::Datatype> recvtypes,
                 const CartNeighborComm& cc, Algorithm alg) {
   const int t = cc.neighbor_count();
-  std::vector<SendBlock> sends(static_cast<std::size_t>(t),
-                               SendBlock{sendbuf, sendcount, sendtype});
-  run_oneshot(cc, std::move(sends),
-              recvs_w(recvbuf, recvcounts, rdispls_bytes, recvtypes), true,
-              cc.allgather_order(), alg);
+  run_oneshot(
+      cc, blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
+      blocks_w<RecvBlock>(recvbuf, recvcounts, rdispls_bytes, recvtypes), true,
+      cc.allgather_order(), alg);
 }
 
 }  // namespace cartcomm

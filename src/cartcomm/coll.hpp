@@ -30,34 +30,17 @@ class PersistentColl;
 namespace detail {
 
 /// Everything one persistent operation owns: the communicator handle, the
-/// resolved plan (schedule or trivial block/rank tables) and the reusable
-/// execution working set. Shared (refcounted) between the PersistentColl
-/// and every CartRequest started from it, so an in-flight execution keeps
+/// schedule of the resolved algorithm and the reusable execution working
+/// set. Shared (refcounted) between the PersistentColl and every
+/// CartRequest started from it, so an in-flight execution keeps
 /// the schedule, its temp pools and the communicator alive even when the
 /// PersistentColl itself is destroyed first — executing a stale handle is
 /// an assertion, never a use-after-free.
 struct PersistentState {
   mpl::Comm comm;
   Algorithm alg = Algorithm::trivial;
-  bool allgather = false;
-  /// Executes through `sched` regardless of `alg`. Set by the reducing
-  /// collectives, whose *trivial* algorithm is also schedule-native (the
-  /// fold program needs the executor); movement collectives leave it false
-  /// and use the block/rank tables below for the trivial path.
-  bool sched_based = false;
-  Schedule sched;            // combining (and sched_based trivial)
-  ExecutionScratch scratch;  // combining: reused request table + slots
-  // Trivial plan: per-neighbor blocks and partner ranks (Listing 4).
-  std::vector<SendBlock> sends;
-  std::vector<RecvBlock> recvs;
-  std::vector<int> send_rank;
-  std::vector<int> recv_rank;
-  std::vector<int> self_idx;  // zero-vector neighbors (local copies)
-  // Trivial persistent working set: pending table (head cursor marks the
-  // completed prefix) and recycled receive request states.
-  std::vector<mpl::Request> pending;
-  std::size_t pending_head = 0;
-  std::vector<std::shared_ptr<mpl::detail::ReqState>> recv_slots;
+  Schedule sched;
+  ExecutionScratch scratch;  // reused request table + receive slots
   // At most one execution of an operation may be in flight (the schedule's
   // buffers and tag are shared); enforced by assertion.
   bool in_flight = false;
@@ -85,8 +68,7 @@ class CartRequest {
  private:
   friend class PersistentColl;
   std::shared_ptr<detail::PersistentState> st_;  // co-owned operation state
-  Schedule::Execution exec_;                     // combining path
-  bool combining_ = false;
+  Schedule::Execution exec_;
   bool done_ = true;
 };
 
@@ -104,9 +86,9 @@ class PersistentColl {
 
   /// Begin a non-blocking execution; complete it with CartRequest::wait().
   /// At most one execution of a given operation may be in flight (the
-  /// schedule's buffers and tag are shared). The trivial plan posts all
-  /// rounds eagerly (direct delivery); the combining plan advances its
-  /// phases inside test()/wait().
+  /// schedule's buffers and tag are shared). The schedule advances its
+  /// phases inside test()/wait(): the trivial algorithm one neighbor per
+  /// phase, the combining algorithm one dimension per phase.
   [[nodiscard]] CartRequest start() const;
 
   /// The algorithm this operation was bound to (automatic is resolved at
@@ -115,15 +97,15 @@ class PersistentColl {
     return st_ ? st_->alg : Algorithm::trivial;
   }
 
-  /// The precomputed schedule (valid when algorithm() ==
-  /// Algorithm::combining, and for every reducing collective — their
-  /// trivial algorithm is schedule-native too); used by tests and
+  /// The precomputed schedule of the resolved algorithm; used by tests and
   /// benchmarks for introspection.
   [[nodiscard]] const Schedule& schedule() const;
 
  private:
   friend class CollBuilder;
   friend class ReduceBuilder;
+
+  PersistentColl(const mpl::Comm& comm, Algorithm alg, Schedule sched);
 
   std::shared_ptr<detail::PersistentState> st_;
 };

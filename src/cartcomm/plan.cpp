@@ -43,6 +43,7 @@ Schedule CompiledPlan::bind_impl(const CartNeighborComm& cc,
 
   ScheduleBuilder builder;
   builder.set_grid(grid);
+  builder.reserve(phase_rounds_.size(), rounds_.size(), R.size());
   std::byte* temp = builder.allocate_temp(temp_bytes_);
 
   auto append = [&](mpl::TypeBuilder& tb, const PlanPlacement& p) {
@@ -88,7 +89,7 @@ Schedule CompiledPlan::bind_impl(const CartNeighborComm& cc,
     mpl::TypeBuilder sb, rb;
     append(sb, c.src);
     append(rb, c.dst);
-    builder.add_copy(sb.build(), rb.build());
+    builder.add_copy({sb.build(), rb.build()});
   }
   if (op != nullptr) {
     // Resolve the fold program against the same buffers. The reduce entry

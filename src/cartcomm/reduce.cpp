@@ -52,7 +52,7 @@ CartNeighborComm with_self(const CartNeighborComm& cc) {
 
 /// Number of contribution blocks folded into this process's result: the
 /// on-mesh sources, with multiplicity. On a torus this is nb.count() on
-/// every process (the old cart_reduce return value).
+/// every process.
 int contribution_blocks(const CartNeighborComm& cc) {
   int n = 0;
   for (const int r : cc.source_ranks()) {
@@ -99,8 +99,7 @@ int run_reduce_oneshot(const CartNeighborComm& cc, const void* sendbuf,
 }  // namespace
 
 /// Internal factory assembling persistent reducing collectives (the
-/// counterpart of CollBuilder in coll.cpp). Both algorithms execute
-/// through the schedule, so the state is always sched_based.
+/// counterpart of CollBuilder in coll.cpp).
 class ReduceBuilder {
  public:
   static PersistentColl make(const CartNeighborComm& cc, const void* sendbuf,
@@ -111,15 +110,10 @@ class ReduceBuilder {
     const std::vector<SendBlock> sends =
         reduce_sends(sendbuf, count, type, variant, cc.neighborhood().count());
     const RecvBlock recv{recvbuf, count, type};
-    PersistentColl p;
-    p.st_ = std::make_shared<detail::PersistentState>();
-    detail::PersistentState& st = *p.st_;
-    st.comm = cc.comm();
-    st.alg = resolve_reduce(cc, op, alg);
-    st.sched_based = true;
-    st.sched = build_reduce_schedule(cc, sends, recv, op, variant,
-                                     st.alg == Algorithm::combining, order);
-    return p;
+    const Algorithm resolved = resolve_reduce(cc, op, alg);
+    return {cc.comm(), resolved,
+            build_reduce_schedule(cc, sends, recv, op, variant,
+                                  resolved == Algorithm::combining, order)};
   }
 };
 

@@ -33,12 +33,9 @@
 // identity element. recvbuf must not alias sendbuf.
 #pragma once
 
-#include <type_traits>
-
 #include "cartcomm/cart_comm.hpp"
 #include "cartcomm/coll.hpp"
 #include "mpl/datatype.hpp"
-#include "mpl/op.hpp"
 #include "mpl/reduce.hpp"
 
 namespace cartcomm {
@@ -85,45 +82,5 @@ PersistentColl cart_reduce_scatter_block_init(
     const mpl::ReduceOp& op, const CartNeighborComm& cc,
     Algorithm alg = Algorithm::automatic,
     DimOrder order = DimOrder::increasing_ck);
-
-namespace detail {
-
-/// Map the mpl::op functor tags (and arbitrary T(T,T) callables) onto
-/// ReduceOps. Known tags get the built-in op with the correct identity;
-/// unknown callables are wrapped as a commutative user op with identity
-/// T{} — the behavior the old template had for every op.
-template <typename T, typename BinOp>
-mpl::ReduceOp reduce_op_for(BinOp combine) {
-  if constexpr (std::is_same_v<BinOp, mpl::op::plus>) {
-    return mpl::ReduceOp::sum<T>();
-  } else if constexpr (std::is_same_v<BinOp, mpl::op::prod>) {
-    return mpl::ReduceOp::prod<T>();
-  } else if constexpr (std::is_same_v<BinOp, mpl::op::min>) {
-    return mpl::ReduceOp::min<T>();
-  } else if constexpr (std::is_same_v<BinOp, mpl::op::max>) {
-    return mpl::ReduceOp::max<T>();
-  } else {
-    return mpl::ReduceOp::make<T>(
-        "user", [combine](T a, T b) { return combine(a, b); },
-        /*commutative=*/true, T{});
-  }
-}
-
-}  // namespace detail
-
-/// Back-compat typed wrapper over cart_neighbor_reduce. Known mpl::op tags
-/// carry their proper identity element, so a process with zero on-mesh
-/// sources now receives the identity (e.g. lowest<T> for max) instead of
-/// the old T{} zero-fill.
-template <typename T, typename BinOp>
-int cart_reduce(const T* sendbuf, T* recvbuf, int count, BinOp combine,
-                const CartNeighborComm& cc,
-                Algorithm alg = Algorithm::automatic,
-                DimOrder order = DimOrder::increasing_ck) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return cart_neighbor_reduce(sendbuf, recvbuf, count, mpl::Datatype::of<T>(),
-                              detail::reduce_op_for<T>(combine), cc, alg,
-                              order);
-}
 
 }  // namespace cartcomm

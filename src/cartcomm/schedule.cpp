@@ -37,11 +37,8 @@ void Schedule::execute(const mpl::Comm& comm) const {
   // with non-blocking operations and wait for the whole phase. Blocking
   // execution is exactly a non-blocking execution driven to completion,
   // so all instrumentation lives in Execution.
-  start(comm).wait();
-}
-
-Schedule::Execution Schedule::start(const mpl::Comm& comm) const {
-  return Execution(this, comm, nullptr);
+  ExecutionScratch scratch;
+  start(comm, scratch).wait();
 }
 
 Schedule::Execution Schedule::start(const mpl::Comm& comm,
@@ -52,15 +49,13 @@ Schedule::Execution Schedule::start(const mpl::Comm& comm,
 Schedule::Execution::Execution(const Schedule* s, const mpl::Comm& comm,
                                ExecutionScratch* scratch)
     : sched_(s), comm_(comm), scratch_(scratch), done_(false) {
-  if (scratch_) {
-    // Fresh execution over retained capacity: requests of the previous
-    // execution are complete (its wait() returned), slots stay populated
-    // for recycling.
-    scratch_->pending.clear();
-    scratch_->pending_round.clear();
-    scratch_->head = 0;
-    scratch_->next_slot = 0;
-  }
+  // Fresh execution over retained capacity: requests of the previous
+  // execution are complete (its wait() returned), slots stay populated for
+  // recycling.
+  scratch_->pending.clear();
+  scratch_->pending_round.clear();
+  scratch_->head = 0;
+  scratch_->next_slot = 0;
   trace::RankTrace* tr = comm.proc().trace();
   if (tr && tr->active()) {
     tr_ = tr;
@@ -142,7 +137,7 @@ void Schedule::Execution::apply_folds(int below) {
 }
 
 void Schedule::Execution::post_phase() {
-  ExecutionScratch& s = sc();
+  ExecutionScratch& s = *scratch_;
   // Post phases until one has pending receives (or all work is done).
   while (s.pending.empty()) {
     // Phase boundary: everything up to (excluding) the next phase to post
@@ -169,24 +164,18 @@ void Schedule::Execution::post_phase() {
         tr_->set_round(j);
         if (tr_->metrics_on()) tr_->on_round(comm_.state()->ctx);
       }
-      if (r.recvrank != mpl::PROC_NULL && r.recvtype.valid() &&
-          r.recvtype.size() > 0) {
-        if (scratch_) {
-          // Persistent mode: receives recycle the request states kept in
-          // the scratch's slot table (indexed by posting order).
-          if (s.slots.size() <= s.next_slot) s.slots.resize(s.next_slot + 1);
-          s.pending.push_back(comm_.irecv_reuse(s.slots[s.next_slot++],
-                                                mpl::BOTTOM, 1, r.recvtype,
-                                                r.recvrank, kCartTag));
-        } else {
-          s.pending.push_back(
-              comm_.irecv(mpl::BOTTOM, 1, r.recvtype, r.recvrank, kCartTag));
-        }
+      if (r.recvrank != mpl::PROC_NULL && r.recv_bytes() > 0) {
+        // Receives recycle the request states kept in the scratch's slot
+        // table (indexed by posting order).
+        if (s.slots.size() <= s.next_slot) s.slots.resize(s.next_slot + 1);
+        s.pending.push_back(comm_.irecv_reuse(s.slots[s.next_slot++],
+                                              r.recvbuf, r.recvcount,
+                                              r.recvtype, r.recvrank,
+                                              kCartTag));
         s.pending_round.push_back(j);
       }
-      if (r.sendrank != mpl::PROC_NULL && r.sendtype.valid() &&
-          r.sendtype.size() > 0) {
-        comm_.isend(mpl::BOTTOM, 1, r.sendtype, r.sendrank, kCartTag);
+      if (r.sendrank != mpl::PROC_NULL && r.send_bytes() > 0) {
+        comm_.isend(r.sendbuf, r.sendcount, r.sendtype, r.sendrank, kCartTag);
       }
     }
     if (tr_) tr_->set_round(-1);
@@ -207,16 +196,18 @@ void Schedule::Execution::finish_copies() {
     const double v0 = comm_.model_enabled() ? comm_.proc().clock().now() : 0.0;
     const double w0 =
         (tr_ && tr_->tracing()) ? comm_.proc().tracer()->wall_now() : 0.0;
-    mpl::copy_typed(mpl::BOTTOM, 1, c.src, mpl::BOTTOM, 1, c.dst);
-    if (comm_.model_enabled()) comm_.proc().clock().local_copy(c.src.size());
+    const std::size_t bytes = c.src.pack_size(c.srccount);
+    mpl::copy_typed(c.srcbuf, c.srccount, c.src, c.dstbuf, c.dstcount, c.dst);
+    if (comm_.model_enabled()) comm_.proc().clock().local_copy(bytes);
     if (tr_) {
-      if (tr_->metrics_on()) tr_->on_copy(comm_.state()->ctx, c.src.size());
+      if (tr_->metrics_on()) tr_->on_copy(comm_.state()->ctx, bytes);
       if (tr_->tracing()) {
         trace::Event e;
         e.kind = trace::EventKind::copy;
         e.ctx = comm_.state()->ctx;
-        e.bytes = c.src.size();
-        e.blocks = static_cast<std::uint32_t>(c.src.block_count());
+        e.bytes = bytes;
+        e.blocks =
+            static_cast<std::uint32_t>(c.src.flat_block_count(c.srccount));
         e.v_start = v0;
         e.v_end = comm_.model_enabled() ? comm_.proc().clock().now() : 0.0;
         e.w_start = w0;
@@ -242,7 +233,7 @@ void Schedule::Execution::finish_copies() {
 // Complete pending receives in posting order (deterministic virtual-clock
 // accounting), restoring each one's round scope for its recv_complete event.
 void Schedule::Execution::drain_pending() {
-  ExecutionScratch& s = sc();
+  ExecutionScratch& s = *scratch_;
   for (std::size_t i = s.head; i < s.pending.size(); ++i) {
     if (publish_point_) {
       // phase_ already names the NEXT phase; the pending receives belong
@@ -261,7 +252,7 @@ void Schedule::Execution::drain_pending() {
 
 bool Schedule::Execution::test() {
   if (done_) return true;
-  ExecutionScratch& s = sc();
+  ExecutionScratch& s = *scratch_;
   // Complete any finished receives of the current phase (in order, so the
   // virtual-clock accounting stays deterministic). A head cursor marks the
   // completed prefix — no O(n) erase from the front of the table.
@@ -289,7 +280,7 @@ void Schedule::Execution::wait() {
 long long Schedule::send_bytes() const {
   long long bytes = 0;
   for (const ScheduleRound& r : rounds_) {
-    if (r.sendtype.valid()) bytes += static_cast<long long>(r.sendtype.size());
+    bytes += static_cast<long long>(r.send_bytes());
   }
   return bytes;
 }
@@ -333,19 +324,18 @@ std::string Schedule::dump() const {
       }
       os << "send->";
       put_partner(os, r.sendrank, r.send_boundary);
-      os << " [" << (r.sendtype.valid() ? r.sendtype.block_count() : 0)
-         << " blk, " << (r.sendtype.valid() ? r.sendtype.size() : 0)
-         << " B]  " << (r.reduce ? "reduce<-" : "recv<-");
+      os << " [" << r.send_blocks() << " blk, " << r.send_bytes() << " B]  "
+         << (r.reduce ? "reduce<-" : "recv<-");
       put_partner(os, r.recvrank, r.recv_boundary);
-      os << " [" << (r.recvtype.valid() ? r.recvtype.block_count() : 0)
-         << " blk, " << (r.recvtype.valid() ? r.recvtype.size() : 0) << " B]\n";
+      os << " [" << r.recv_blocks() << " blk, " << r.recv_bytes() << " B]\n";
     }
   }
   if (!copies_.empty()) {
     os << "  copy phase (" << copies_.size() << " copies)\n";
     for (std::size_t c = 0; c < copies_.size(); ++c) {
-      os << "    copy " << c << ": " << copies_[c].src.block_count()
-         << " blk, " << copies_[c].src.size() << " B\n";
+      const ScheduleCopy& cp = copies_[c];
+      os << "    copy " << c << ": " << cp.src.flat_block_count(cp.srccount)
+         << " blk, " << cp.src.pack_size(cp.srccount) << " B\n";
     }
   }
   if (!folds_.empty()) {
@@ -368,10 +358,10 @@ std::size_t Schedule::temp_bytes() const noexcept {
 
 namespace {
 
-// Append the blocks of absolute datatype `t` to the builder (absolute
-// types are relative to BOTTOM, so a zero base displacement re-uses them).
-void append_absolute(mpl::TypeBuilder& tb, const mpl::Datatype& t) {
-  if (t.valid() && t.size() > 0) tb.append(mpl::BOTTOM, 1, t);
+// Append what one direction of a round moves to an absolute type.
+void append_absolute(mpl::TypeBuilder& tb, const void* buf, int count,
+                     const mpl::Datatype& t) {
+  if (t.valid() && t.pack_size(count) > 0) tb.append(buf, count, t);
 }
 
 // Are two round-generating offsets congruent on the grid (same partner on
@@ -413,12 +403,16 @@ std::vector<ScheduleRound> coalesce_phase(const mpl::CartGrid& grid,
       continue;
     }
     mpl::TypeBuilder sb, rb;
-    append_absolute(sb, prior->sendtype);
-    append_absolute(sb, r.sendtype);
-    append_absolute(rb, prior->recvtype);
-    append_absolute(rb, r.recvtype);
+    append_absolute(sb, prior->sendbuf, prior->sendcount, prior->sendtype);
+    append_absolute(sb, r.sendbuf, r.sendcount, r.sendtype);
+    append_absolute(rb, prior->recvbuf, prior->recvcount, prior->recvtype);
+    append_absolute(rb, r.recvbuf, r.recvcount, r.recvtype);
     prior->sendtype = sb.build();
     prior->recvtype = rb.build();
+    prior->sendbuf = mpl::BOTTOM;
+    prior->sendcount = 1;
+    prior->recvbuf = mpl::BOTTOM;
+    prior->recvcount = 1;
   }
   return out;
 }
@@ -460,6 +454,9 @@ Schedule Schedule::merge(std::vector<Schedule> parts, bool coalesce) {
     out.send_blocks_ += p.send_blocks_;
     for (auto& c : p.copies_) out.copies_.push_back(std::move(c));
     for (auto& pool : p.temp_pools_) out.temp_pools_.push_back(std::move(pool));
+    for (auto& pool : p.offset_pools_) {
+      out.offset_pools_.push_back(std::move(pool));
+    }
   }
   if (!parts.empty()) out.grid_ = parts.front().grid_;
   return out;

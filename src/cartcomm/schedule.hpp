@@ -1,15 +1,16 @@
 // Precomputed communication schedules (Section 3).
 //
-// A Schedule is the executable form of a message-combining plan: d+1
-// phases of send-receive rounds. Each round carries the ranks of the two
+// A Schedule is the executable form of every algorithm: phases of
+// send-receive rounds. A combining round carries the ranks of the two
 // partners and one absolute-address structured datatype per direction
 // describing all blocks grouped into that round (the paper's zero-copy
-// representation: no packing into intermediate staging buffers is ever
-// done by the executor — blocks move directly between the user buffers and
-// the schedule's in-transit slots via derived datatypes). Executing a
-// schedule is exactly Listing 5: non-blocking send/receive of all rounds
-// of a phase, then wait, phase by phase. A final non-communication phase
-// performs local copies (self blocks, duplicated allgather targets).
+// representation: the executor never packs into staging buffers — blocks
+// move between the user buffers and the schedule's in-transit slots via
+// derived datatypes); a trivial (Listing 4) round moves one caller block
+// as given. Executing a schedule is exactly Listing 5: non-blocking
+// send/receive of all rounds of a phase, then wait, phase by phase. A
+// final non-communication phase performs local copies (self blocks,
+// duplicated allgather targets).
 #pragma once
 
 #include <chrono>
@@ -38,18 +39,22 @@ namespace cartcomm {
 /// Reserved tag for schedule traffic (the paper's CARTTAG).
 inline constexpr int kCartTag = 7771;
 
-/// One send-receive round: exchange with fixed partners, all blocks of the
-/// round described by one datatype per direction.
+/// One send-receive round: exchange with fixed partners, each direction
+/// moving `count` elements of `type` at `buf`. Combining rounds describe
+/// all their blocks by one absolute type (buf = BOTTOM, count = 1); a
+/// trivial round carries the caller's own block descriptor.
 struct ScheduleRound {
   int sendrank = mpl::PROC_NULL;
   int recvrank = mpl::PROC_NULL;
-  mpl::Datatype sendtype;  ///< absolute (use with mpl::BOTTOM); may be empty
-  mpl::Datatype recvtype;  ///< absolute; may be empty
+  mpl::Datatype sendtype;  ///< may be empty (nothing sent)
+  mpl::Datatype recvtype;  ///< may be empty (nothing received)
   /// Relative offset generating this round (c*e_k). Used by merge() to
   /// decide coalescing in a process-independent way: every process must
   /// fuse the same rounds or FIFO message pairing would break at mesh
   /// boundaries, so the decision is keyed on offsets, never on ranks.
-  std::vector<int> offset;
+  /// Views storage owned by the schedule (ScheduleBuilder::add_round copies
+  /// the offset it is given).
+  std::span<const int> offset;
   /// Provenance of a PROC_NULL partner: set by the schedule builders when
   /// the round's offset leaves a non-periodic mesh from this process, so
   /// the executor and the verifier can distinguish an intentional
@@ -62,12 +67,36 @@ struct ScheduleRound {
   /// (see ScheduleFold) instead of being final data. Rendered distinctly
   /// by dump().
   bool reduce = false;
+  /// The buffers and counts the datatypes apply to (see above).
+  const void* sendbuf = mpl::BOTTOM;
+  int sendcount = 1;
+  void* recvbuf = mpl::BOTTOM;
+  int recvcount = 1;
+
+  [[nodiscard]] std::size_t send_bytes() const {
+    return sendtype.valid() ? sendtype.pack_size(sendcount) : 0;
+  }
+  [[nodiscard]] std::size_t recv_bytes() const {
+    return recvtype.valid() ? recvtype.pack_size(recvcount) : 0;
+  }
+  [[nodiscard]] std::size_t send_blocks() const {
+    return sendtype.valid() ? sendtype.flat_block_count(sendcount) : 0;
+  }
+  [[nodiscard]] std::size_t recv_blocks() const {
+    return recvtype.valid() ? recvtype.flat_block_count(recvcount) : 0;
+  }
 };
 
-/// A local data movement (e.g. the self block): copy through absolute types.
+/// A local data movement (e.g. the self block): `srccount` elements of
+/// `src` at `srcbuf` into the destination. Combining schedules copy through
+/// absolute types (BOTTOM/1); a trivial copy names the caller's blocks.
 struct ScheduleCopy {
   mpl::Datatype src;
   mpl::Datatype dst;
+  const void* srcbuf = mpl::BOTTOM;
+  int srccount = 1;
+  void* dstbuf = mpl::BOTTOM;
+  int dstcount = 1;
 };
 
 /// One step of a reducing schedule's fold program: combine `count` op
@@ -96,6 +125,13 @@ struct ExecutionScratch;
 /// usage of Section 2), or built on the fly by the non-persistent calls.
 class Schedule {
  public:
+  // Move-only: rounds reference the schedule's own pools by address.
+  Schedule() = default;
+  Schedule(Schedule&&) noexcept = default;
+  Schedule& operator=(Schedule&&) noexcept = default;
+  Schedule(const Schedule&) = delete;
+  Schedule& operator=(const Schedule&) = delete;
+
   /// Run the schedule (Listing 5): all rounds of a phase concurrently with
   /// non-blocking operations, phases in order; local copies last.
   void execute(const mpl::Comm& comm) const;
@@ -106,13 +142,11 @@ class Schedule {
   /// library's progress engine; at most one execution of a given schedule
   /// may be in flight at a time (rounds share the schedule's tag and
   /// buffers). This is the non-blocking/persistent mode the paper
-  /// anticipates for the MPI Forum's persistent collectives.
-  [[nodiscard]] Execution start(const mpl::Comm& comm) const;
-
-  /// Like start(), but the execution works out of the caller-owned scratch
-  /// (see ExecutionScratch): repeated executions of one schedule reuse the
-  /// request table and recycle receive request states instead of
-  /// allocating. At most one execution may use a given scratch at a time.
+  /// anticipates for the MPI Forum's persistent collectives. The execution
+  /// works out of the caller-owned scratch (see ExecutionScratch):
+  /// repeated executions of one schedule reuse the request table and
+  /// recycle receive request states instead of allocating. At most one
+  /// execution may use a given scratch at a time.
   [[nodiscard]] Execution start(const mpl::Comm& comm,
                                 ExecutionScratch& scratch) const;
 
@@ -159,9 +193,6 @@ class Schedule {
   /// schedule_explorer example, and golden-output tests.
   [[nodiscard]] std::string dump() const;
 
-  /// Back-compat alias for dump().
-  [[nodiscard]] std::string describe() const { return dump(); }
-
   /// Concatenate several schedules phase-wise into one (rounds of equal
   /// phase index run concurrently) — the schedule-combination facility
   /// discussed in Section 3.4 for overlap-avoiding halo exchanges. With
@@ -178,6 +209,10 @@ class Schedule {
   std::vector<int> phase_rounds_;   // rounds per communication phase
   std::vector<ScheduleCopy> copies_;
   mpl::CartGrid grid_;              // for offset congruence in merge()
+  // Round offsets (ScheduleRound::offset views these). Pools are filled
+  // append-only within their reserved capacity and never reallocated, so
+  // the views survive moves; merge() adopts them with the temp pools.
+  std::vector<std::vector<int>> offset_pools_;
   // In-transit parking slots. Datatypes reference these buffers by absolute
   // address, so pools are heap-allocated once and never reallocated; merge()
   // adopts the pools of its parts to keep those addresses alive.
@@ -233,16 +268,12 @@ class Schedule::Execution {
   void drain_pending();
   void begin_phase_scope(int phase);
   void end_phase_scope();
-  [[nodiscard]] ExecutionScratch& sc() noexcept {
-    return scratch_ ? *scratch_ : own_;
-  }
 
   const Schedule* sched_ = nullptr;
   mpl::Comm comm_;
   std::size_t phase_ = 0;       // next phase to post
   std::size_t round_base_ = 0;  // first round index of that phase
-  ExecutionScratch* scratch_ = nullptr;  // caller-owned (persistent mode)
-  ExecutionScratch own_;                 // fallback for one-shot executions
+  ExecutionScratch* scratch_ = nullptr;  // caller-owned working set
   bool done_ = true;
   std::size_t next_fold_ = 0;  // applied prefix of the fold program
 
@@ -276,7 +307,18 @@ class ScheduleBuilder {
     return s_.temp_pools_.back().data();
   }
 
+  /// Reserve room for a build of known size: `phases` phases of `rounds`
+  /// rounds in total with `ndims`-dimensional offsets, all of the offsets
+  /// in one allocation.
+  void reserve(std::size_t phases, std::size_t rounds, std::size_t ndims) {
+    s_.phase_rounds_.reserve(s_.phase_rounds_.size() + phases);
+    s_.rounds_.reserve(s_.rounds_.size() + rounds);
+    s_.offset_pools_.emplace_back().reserve(rounds * ndims);
+  }
+
+  /// Append a round; its offset is copied into schedule-owned storage.
   void add_round(ScheduleRound r, long long blocks_sent) {
+    r.offset = keep_offset(r.offset);
     s_.rounds_.push_back(std::move(r));
     s_.send_blocks_ += blocks_sent;
     ++open_phase_rounds_;
@@ -287,9 +329,7 @@ class ScheduleBuilder {
     open_phase_rounds_ = 0;
   }
 
-  void add_copy(mpl::Datatype src, mpl::Datatype dst) {
-    s_.copies_.push_back({std::move(src), std::move(dst)});
-  }
+  void add_copy(ScheduleCopy c) { s_.copies_.push_back(std::move(c)); }
 
   /// Attach the reduction operator (marks the schedule as reducing).
   void set_op(mpl::ReduceOp op) { s_.op_ = std::move(op); }
@@ -304,6 +344,18 @@ class ScheduleBuilder {
   }
 
  private:
+  std::span<const int> keep_offset(std::span<const int> off) {
+    std::vector<std::vector<int>>& pools = s_.offset_pools_;
+    if (pools.empty() ||
+        pools.back().capacity() - pools.back().size() < off.size()) {
+      pools.emplace_back().reserve(off.size());  // unreserved build
+    }
+    std::vector<int>& pool = pools.back();
+    const std::size_t at = pool.size();
+    pool.insert(pool.end(), off.begin(), off.end());
+    return {pool.data() + at, off.size()};
+  }
+
   Schedule s_;
   int open_phase_rounds_ = 0;
 };

@@ -250,10 +250,31 @@ std::size_t Datatype::block_count() const { return node().blocks.size(); }
 
 std::span<const TypeBlock> Datatype::blocks() const { return node().blocks; }
 
+std::size_t Datatype::flat_block_count(int count) const {
+  const TypeNode& n = node();
+  if (count <= 0 || n.blocks.empty()) return 0;
+  // Element blocks are already merged, so only the seam between the last
+  // block of one element and the first block of the next can join.
+  const TypeBlock& first = n.blocks.front();
+  const TypeBlock& last = n.blocks.back();
+  const bool seam_joins = last.disp + static_cast<std::ptrdiff_t>(last.len) ==
+                          first.disp + (n.ub - n.lb);
+  const auto c = static_cast<std::size_t>(count);
+  return n.blocks.size() * c - (seam_joins ? c - 1 : 0);
+}
+
 void Datatype::flatten(std::ptrdiff_t base_disp, int count,
                        std::vector<TypeBlock>& out) const {
   const TypeNode& n = node();
   const std::ptrdiff_t ext = n.ub - n.lb;
+  if (n.dense() && count > 0) {
+    // The elements tile one contiguous range: the per-element loop would
+    // merge them into exactly this block.
+    detail::push_merged(out, TypeBlock{base_disp + n.lb,
+                                       n.blocks[0].len *
+                                           static_cast<std::size_t>(count)});
+    return;
+  }
   for (int i = 0; i < count; ++i) {
     const std::ptrdiff_t shift = base_disp + static_cast<std::ptrdiff_t>(i) * ext;
     for (const TypeBlock& b : n.blocks) {

@@ -122,6 +122,10 @@ class Datatype {
   /// Number of (merged) contiguous blocks per element.
   [[nodiscard]] std::size_t block_count() const;
 
+  /// Number of contiguous blocks that `count` consecutive elements flatten
+  /// to (the size flatten() appends to an empty vector), in O(1).
+  [[nodiscard]] std::size_t flat_block_count(int count) const;
+
   /// Flattened per-element blocks (displacements relative to the base address).
   [[nodiscard]] std::span<const TypeBlock> blocks() const;
 

@@ -157,11 +157,12 @@ class ReduceOp {
   template <typename T>
   static std::string type_tag() {
     static_assert(std::is_trivially_copyable_v<T>);
-    std::string t = std::is_floating_point_v<T> ? "f"
-                    : std::is_integral_v<T>
-                        ? (std::is_signed_v<T> ? "i" : "u")
-                        : "x";
-    return t + std::to_string(sizeof(T));
+    std::string t(1, std::is_floating_point_v<T> ? 'f'
+                     : std::is_integral_v<T>
+                         ? (std::is_signed_v<T> ? 'i' : 'u')
+                         : 'x');
+    t += std::to_string(sizeof(T));
+    return t;
   }
 
   template <typename T, typename F>
@@ -172,7 +173,9 @@ class ReduceOp {
     std::memcpy(st->identity.data(), &identity, sizeof(T));
     st->elem = sizeof(T);
     st->commutative = true;
-    st->name = std::string(base) + "." + type_tag<T>();
+    st->name = base;
+    st->name += '.';
+    st->name += type_tag<T>();
     st->digest = state_digest(*st, /*salt=*/0);
     ReduceOp op;
     op.st_ = std::move(st);

@@ -283,19 +283,13 @@ void HaloExchange::exchange() const {
 }
 
 long long HaloExchange::send_bytes() const {
-  if (mode_ == HaloMode::combined) return combined_.send_bytes();
-  if (op_.algorithm() == cartcomm::Algorithm::combining) {
-    return op_.schedule().send_bytes();
-  }
-  return -1;  // trivial plan: no schedule to introspect
+  return mode_ == HaloMode::combined ? combined_.send_bytes()
+                                     : op_.schedule().send_bytes();
 }
 
 int HaloExchange::rounds() const {
-  if (mode_ == HaloMode::combined) return combined_.rounds();
-  if (op_.algorithm() == cartcomm::Algorithm::combining) {
-    return op_.schedule().rounds();
-  }
-  return -1;
+  return mode_ == HaloMode::combined ? combined_.rounds()
+                                     : op_.schedule().rounds();
 }
 
 }  // namespace stencil

@@ -55,7 +55,7 @@ class HaloExchange {
 
   /// Per-process communicated volume in bytes (for the ablation study).
   [[nodiscard]] long long send_bytes() const;
-  /// Send-receive rounds of the plan (0 for the trivial-algorithm plan).
+  /// Send-receive rounds of the plan.
   [[nodiscard]] int rounds() const;
 
  private:

@@ -126,11 +126,13 @@ struct Interval {
   int round = -1;
 };
 
-void collect_intervals(const mpl::Datatype& t, int round,
-                       std::vector<Interval>& out) {
+// The memory `count` elements of `t` at `buf` cover (absolute addresses).
+void collect_intervals(const void* buf, int count, const mpl::Datatype& t,
+                       int round, std::vector<Interval>& out) {
   if (!t.valid()) return;
-  for (const mpl::TypeBlock& b : t.blocks()) {
-    if (b.len == 0) continue;
+  std::vector<mpl::TypeBlock> blocks;
+  t.flatten(reinterpret_cast<std::ptrdiff_t>(buf), count, blocks);
+  for (const mpl::TypeBlock& b : blocks) {
     out.push_back({b.disp, b.disp + static_cast<std::ptrdiff_t>(b.len), round});
   }
 }
@@ -155,15 +157,11 @@ ScheduleSummary summarize(const Schedule& s, const CartNeighborComm& cc) {
     rs.recvrank = r.recvrank;
     rs.send_boundary = r.send_boundary;
     rs.recv_boundary = r.recv_boundary;
-    if (r.sendtype.valid()) {
-      rs.send_bytes = static_cast<long long>(r.sendtype.size());
-      rs.send_blocks = static_cast<int>(r.sendtype.block_count());
-    }
-    if (r.recvtype.valid()) {
-      rs.recv_bytes = static_cast<long long>(r.recvtype.size());
-      rs.recv_blocks = static_cast<int>(r.recvtype.block_count());
-    }
-    rs.offset = r.offset;
+    rs.send_bytes = static_cast<long long>(r.send_bytes());
+    rs.recv_bytes = static_cast<long long>(r.recv_bytes());
+    rs.send_blocks = static_cast<int>(r.send_blocks());
+    rs.recv_blocks = static_cast<int>(r.recv_blocks());
+    rs.offset.assign(r.offset.begin(), r.offset.end());
     sum.rounds.push_back(std::move(rs));
   }
   return sum;
@@ -316,8 +314,12 @@ VerifyReport verify_schedule(const Schedule& s, const CartNeighborComm& cc,
                            /*is_send=*/false);
       // Mirror the executor: a round only moves data when the partner
       // exists and the datatype is non-empty.
-      if (r.recvrank != mpl::PROC_NULL) collect_intervals(r.recvtype, j, recv_iv);
-      if (r.sendrank != mpl::PROC_NULL) collect_intervals(r.sendtype, j, send_iv);
+      if (r.recvrank != mpl::PROC_NULL) {
+        collect_intervals(r.recvbuf, r.recvcount, r.recvtype, j, recv_iv);
+      }
+      if (r.sendrank != mpl::PROC_NULL) {
+        collect_intervals(r.sendbuf, r.sendcount, r.sendtype, j, send_iv);
+      }
     }
 
     // (c) receive-receive disjointness: all receives of a phase land
@@ -362,17 +364,39 @@ VerifyReport verify_schedule(const Schedule& s, const CartNeighborComm& cc,
     for (int k = 0; k < grid.ndims(); ++k) {
       if (!grid.periodic(k)) fully_periodic = false;
     }
-    if (kind == ScheduleKind::reduce_trivial) {
-      // Closed form of the trivial reducing schedule: one phase of one
-      // round per non-zero neighbor vector, one block sent per round whose
-      // target is on the mesh.
+    if (kind == ScheduleKind::trivial || kind == ScheduleKind::reduce_trivial) {
+      // Closed forms of the trivial schedules: one round per non-zero
+      // neighbor vector, one block sent per round whose target is on the
+      // mesh. The movement schedule runs each round in its own phase and
+      // copies the zero-vector blocks; the reducing one runs all rounds in
+      // one phase and folds the zero-vector blocks instead.
+      const bool movement = kind == ScheduleKind::trivial;
       const int expected_rounds = nb.trivial_rounds();
-      const int expected_phases = expected_rounds > 0 ? 1 : 0;
+      const int expected_phases =
+          movement ? expected_rounds : (expected_rounds > 0 ? 1 : 0);
+      const char* what = movement ? "trivial" : "trivial reducing";
       if (s.phases() != expected_phases) {
         add_issue(rep, VerifyIssue::Code::round_count, rank, -1, -1,
                   "expected " + std::to_string(expected_phases) +
-                  " phases for a trivial reducing schedule, schedule has " +
+                  " phases for a " + what + " schedule, schedule has " +
                   std::to_string(s.phases()));
+      }
+      if (movement) {
+        for (std::size_t ph = 0; ph < phase_rounds.size(); ++ph) {
+          if (phase_rounds[ph] != 1) {
+            add_issue(rep, VerifyIssue::Code::round_count, rank,
+                      static_cast<int>(ph), -1,
+                      "expected one round per trivial phase, phase has " +
+                      std::to_string(phase_rounds[ph]));
+          }
+        }
+        const int expected_copies = nb.count() - expected_rounds;
+        if (s.copy_count() != expected_copies) {
+          add_issue(rep, VerifyIssue::Code::structure, rank, -1, -1,
+                    "expected one local copy per zero vector (" +
+                    std::to_string(expected_copies) + "), schedule has " +
+                    std::to_string(s.copy_count()));
+        }
       }
       if (s.rounds() != expected_rounds) {
         add_issue(rep, VerifyIssue::Code::round_count, rank, -1, -1,

@@ -42,7 +42,9 @@ namespace cartcomm {
 /// `unknown` skips the formula checks (e.g. for merged schedules).
 /// `reduce`/`reduce_scatter` are the message-combining reducing schedules
 /// (the allgather tree in reverse: same phase/round/volume closed forms,
-/// phases in reversed dimension order); `reduce_trivial` is the one-phase
+/// phases in reversed dimension order); `trivial` is the Listing 4
+/// alltoall/allgather schedule (one phase of one round per non-zero
+/// neighbor, zero vectors copied) and `reduce_trivial` the one-phase
 /// trivial reducing schedule.
 enum class ScheduleKind {
   unknown,
@@ -51,6 +53,7 @@ enum class ScheduleKind {
   reduce,
   reduce_scatter,
   reduce_trivial,
+  trivial,
 };
 
 /// Address-free structural digest of one round, exchangeable across ranks.

@@ -6,8 +6,9 @@
 //
 //   (1) the message-combining alltoall/allgather agree element-exactly
 //       with the trivial (direct) algorithms and with the analytic oracle,
-//   (2) the combining schedules pass the static verifier, locally
-//       (verify_schedule) and globally across ranks (verify_global).
+//   (2) the combining and trivial schedules pass the static verifier,
+//       locally (verify_schedule) and globally across ranks
+//       (verify_global).
 //
 // Every iteration derives its own seed from the base seed; a failure
 // prints a one-line replay recipe and appends the seed to
@@ -94,7 +95,8 @@ FuzzCase draw_case(std::mt19937_64& rng) {
 }
 
 /// Run one fuzz case: combining vs trivial vs oracle for alltoall and
-/// allgather, plus static verification of the combining schedules.
+/// allgather, plus static verification of the combining and trivial
+/// schedules.
 void run_case(const FuzzCase& fc) {
   const Neighborhood nb(fc.d, fc.offsets);
   const int t = nb.count();
@@ -158,7 +160,7 @@ void run_case(const FuzzCase& fc) {
       }
     }
 
-    // -- static verification of the combining schedules --------------------
+    // -- static verification of the executed schedules ---------------------
     std::vector<cartcomm::SendBlock> sends(static_cast<std::size_t>(t));
     std::vector<cartcomm::RecvBlock> recvs(static_cast<std::size_t>(t));
     for (int i = 0; i < t; ++i) {
@@ -172,6 +174,15 @@ void run_case(const FuzzCase& fc) {
     const cartcomm::VerifyReport ra =
         cartcomm::verify_schedule(a2a, cc, cartcomm::ScheduleKind::alltoall);
     EXPECT_TRUE(ra.ok()) << ra.to_string();
+    for (int i = 0; i < t; ++i) {
+      recvs[static_cast<std::size_t>(i)] = {
+          &triv[static_cast<std::size_t>(i) * m], m, ty};
+    }
+    const cartcomm::Schedule a2a_triv =
+        cartcomm::build_trivial_schedule(cc, sends, recvs);
+    const cartcomm::VerifyReport rat = cartcomm::verify_schedule(
+        a2a_triv, cc, cartcomm::ScheduleKind::trivial);
+    EXPECT_TRUE(rat.ok()) << rat.to_string();
 
     const cartcomm::SendBlock ag_send{ag_sb.data(), m, ty};
     for (int i = 0; i < t; ++i) {
@@ -183,14 +194,26 @@ void run_case(const FuzzCase& fc) {
     const cartcomm::VerifyReport rg =
         cartcomm::verify_schedule(ag, cc, cartcomm::ScheduleKind::allgather);
     EXPECT_TRUE(rg.ok()) << rg.to_string();
+    for (int i = 0; i < t; ++i) {
+      sends[static_cast<std::size_t>(i)] = ag_send;
+      recvs[static_cast<std::size_t>(i)] = {
+          &ag_triv[static_cast<std::size_t>(i) * m], m, ty};
+    }
+    const cartcomm::Schedule ag_triv_sched =
+        cartcomm::build_trivial_schedule(cc, sends, recvs);
+    const cartcomm::VerifyReport rgt = cartcomm::verify_schedule(
+        ag_triv_sched, cc, cartcomm::ScheduleKind::trivial);
+    EXPECT_TRUE(rgt.ok()) << rgt.to_string();
 
     // Cross-rank: every rank fused the same rounds, all sends are paired.
-    const auto summaries =
-        cartcomm::gather_summaries(cc.comm(), cartcomm::summarize(a2a, cc));
-    if (world.rank() == 0) {
-      const cartcomm::VerifyReport global =
-          cartcomm::verify_global(summaries, cc.grid());
-      EXPECT_TRUE(global.ok()) << global.to_string();
+    for (const cartcomm::Schedule* s : {&a2a, &a2a_triv, &ag_triv_sched}) {
+      const auto summaries =
+          cartcomm::gather_summaries(cc.comm(), cartcomm::summarize(*s, cc));
+      if (world.rank() == 0) {
+        const cartcomm::VerifyReport global =
+            cartcomm::verify_global(summaries, cc.grid());
+        EXPECT_TRUE(global.ok()) << global.to_string();
+      }
     }
   });
 }

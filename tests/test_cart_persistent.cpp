@@ -2,6 +2,7 @@
 // interaction with changing buffer contents (the Listing 3 usage).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <thread>
@@ -99,15 +100,41 @@ TEST(Persistent, TrivialPlanAlsoReusable) {
   });
 }
 
-TEST(Persistent, ScheduleIntrospectionRequiresCombining) {
+TEST(Persistent, ScheduleIntrospectionCoversTrivial) {
+  // The trivial algorithm runs as a Schedule too: one phase of one round
+  // per non-zero neighbor, in neighbor order, moving the caller's block as
+  // given; the zero vector is the copy phase.
   mpl::run(4, [](mpl::Comm& world) {
     const std::vector<int> dims{2, 2};
-    auto cc = cartcomm::cart_neighborhood_create(world, dims, {},
-                                                 Neighborhood::von_neumann(2));
-    std::vector<int> sb(4), rb(4);
+    const Neighborhood nb = Neighborhood::von_neumann(2, /*self=*/true);
+    auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
+    const int t = nb.count();
+    std::vector<int> sb(static_cast<std::size_t>(t)), rb(static_cast<std::size_t>(t));
     auto op = cartcomm::alltoall_init(sb.data(), 1, kInt, rb.data(), 1, kInt,
                                       cc, Algorithm::trivial);
-    EXPECT_THROW(static_cast<void>(op.schedule()), mpl::Error);
+    const cartcomm::Schedule& s = op.schedule();
+    EXPECT_EQ(s.phases(), t - 1);
+    EXPECT_EQ(s.rounds(), t - 1);
+    EXPECT_EQ(s.send_block_count(), t - 1);
+    EXPECT_EQ(s.send_bytes(), static_cast<long long>((t - 1) * sizeof(int)));
+    EXPECT_EQ(s.copy_count(), 1);
+    EXPECT_EQ(s.temp_bytes(), 0u);
+    for (const int n : s.phase_rounds()) EXPECT_EQ(n, 1);
+    std::size_t j = 0;
+    for (int i = 0; i < t; ++i) {
+      if (nb.nonzeros(i) == 0) continue;
+      const std::size_t ui = static_cast<std::size_t>(i);
+      const cartcomm::ScheduleRound& r = s.round_list()[j++];
+      EXPECT_TRUE(std::ranges::equal(r.offset, nb.offset(i))) << "neighbor " << i;
+      EXPECT_EQ(r.sendrank, cc.target_ranks()[ui]);
+      EXPECT_EQ(r.recvrank, cc.source_ranks()[ui]);
+      EXPECT_EQ(r.sendbuf, &sb[ui]);
+      EXPECT_EQ(r.recvbuf, &rb[ui]);
+      EXPECT_EQ(r.sendcount, 1);
+      EXPECT_EQ(r.recvcount, 1);
+      EXPECT_EQ(r.sendtype, kInt);
+      EXPECT_EQ(r.recvtype, kInt);
+    }
   });
 }
 
@@ -365,6 +392,36 @@ TEST(PersistentSteadyState, CombiningExecuteAllocationFree) {
     const std::uint64_t misses_after = pool.stats().misses;
     // Zero-setup steady state: every buffer comes from the primed freelist
     // and every receive reuses its recycled request state.
+    EXPECT_EQ(misses_after, misses_before) << "rank " << world.rank();
+  });
+}
+
+TEST(PersistentSteadyState, TrivialExecuteAllocationFree) {
+  mpl::run(9, [](mpl::Comm& world) {
+    const std::vector<int> dims{3, 3};
+    const Neighborhood nb = Neighborhood::moore(2);
+    auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
+    const int t = nb.count();
+    const int m = 8;
+    std::vector<int> sb(static_cast<std::size_t>(t) * m, world.rank());
+    std::vector<int> rb(static_cast<std::size_t>(t) * m);
+    auto op = cartcomm::alltoall_init(sb.data(), m, kInt, rb.data(), m, kInt,
+                                      cc, Algorithm::trivial);
+    ASSERT_EQ(op.algorithm(), Algorithm::trivial);
+    auto& pool = mpl::this_proc()->pool();
+    {
+      std::vector<mpl::detail::Buffer> prime;
+      for (int i = 0; i < 48; ++i) prime.push_back(pool.acquire(1 << 16));
+      for (auto& b : prime) pool.recycle(std::move(b));
+    }
+    for (int i = 0; i < 3; ++i) op.execute();  // warm the scratch tables
+    mpl::barrier(world);
+    const std::uint64_t misses_before = pool.stats().misses;
+    for (int i = 0; i < 10; ++i) {
+      op.execute();
+      mpl::barrier(world);
+    }
+    const std::uint64_t misses_after = pool.stats().misses;
     EXPECT_EQ(misses_after, misses_before) << "rank " << world.rank();
   });
 }

@@ -21,7 +21,8 @@ TEST(CartReduce, SumOverMooreNeighborhood) {
     auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
     const int mine[2] = {world.rank(), 1};
     int out[2] = {-1, -1};
-    const int blocks = cartcomm::cart_reduce(mine, out, 2, mpl::op::plus{}, cc);
+    const int blocks = cartcomm::cart_neighbor_reduce(
+        mine, out, 2, mpl::Datatype::of<int>(), mpl::ReduceOp::sum<int>(), cc);
     EXPECT_EQ(blocks, 9);
     // Sum of all source ranks (with multiplicity) and the neighbor count.
     int expect = 0;
@@ -38,7 +39,9 @@ TEST(CartReduce, MaxExcludesSelfWithoutZeroVector) {
     auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
     const int mine = world.rank() * 10;
     int out = -1;
-    const int blocks = cartcomm::cart_reduce(&mine, &out, 1, mpl::op::max{}, cc);
+    const int blocks = cartcomm::cart_neighbor_reduce(
+        &mine, &out, 1, mpl::Datatype::of<int>(), mpl::ReduceOp::max<int>(),
+        cc);
     EXPECT_EQ(blocks, 2);
     const int left = (world.rank() + 3) % 4 * 10;
     const int right = (world.rank() + 1) % 4 * 10;
@@ -56,8 +59,9 @@ TEST(CartReduce, StencilAverageOnMesh) {
     auto cc = cartcomm::cart_neighborhood_create(world, dims, periods, nb);
     const double mine = 1.0;
     double sum = 0.0;
-    const int blocks =
-        cartcomm::cart_reduce(&mine, &sum, 1, mpl::op::plus{}, cc);
+    const int blocks = cartcomm::cart_neighbor_reduce(
+        &mine, &sum, 1, mpl::Datatype::of<double>(),
+        mpl::ReduceOp::sum<double>(), cc);
     int live = 0;
     for (int s : cc.source_ranks()) live += (s != mpl::PROC_NULL);
     EXPECT_EQ(blocks, live);
@@ -79,10 +83,12 @@ TEST(CartReduce, CombiningMatchesTrivialOnMoore) {
     auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
     const int mine[3] = {world.rank(), world.rank() * world.rank(), 1};
     int a[3], b[3];
-    const int na = cartcomm::cart_reduce(mine, a, 3, mpl::op::plus{}, cc,
-                                         cartcomm::Algorithm::trivial);
-    const int nb2 = cartcomm::cart_reduce(mine, b, 3, mpl::op::plus{}, cc,
-                                          cartcomm::Algorithm::combining);
+    const int na = cartcomm::cart_neighbor_reduce(
+        mine, a, 3, mpl::Datatype::of<int>(), mpl::ReduceOp::sum<int>(), cc,
+        cartcomm::Algorithm::trivial);
+    const int nb2 = cartcomm::cart_neighbor_reduce(
+        mine, b, 3, mpl::Datatype::of<int>(), mpl::ReduceOp::sum<int>(), cc,
+        cartcomm::Algorithm::combining);
     EXPECT_EQ(na, 9);
     EXPECT_EQ(nb2, 9);
     for (int j = 0; j < 3; ++j) EXPECT_EQ(a[j], b[j]);
@@ -96,14 +102,17 @@ TEST(CartReduce, CombiningAllDimensionOrders) {
     auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
     const double mine = world.rank() + 1.5;
     double ref = 0.0;
-    cartcomm::cart_reduce(&mine, &ref, 1, mpl::op::plus{}, cc,
-                          cartcomm::Algorithm::trivial);
+    cartcomm::cart_neighbor_reduce(
+        &mine, &ref, 1, mpl::Datatype::of<double>(),
+        mpl::ReduceOp::sum<double>(), cc, cartcomm::Algorithm::trivial);
     for (const auto order :
          {cartcomm::DimOrder::natural, cartcomm::DimOrder::increasing_ck,
           cartcomm::DimOrder::decreasing_ck}) {
       double out = 0.0;
-      cartcomm::cart_reduce(&mine, &out, 1, mpl::op::plus{}, cc,
-                            cartcomm::Algorithm::combining, order);
+      cartcomm::cart_neighbor_reduce(
+          &mine, &out, 1, mpl::Datatype::of<double>(),
+          mpl::ReduceOp::sum<double>(), cc, cartcomm::Algorithm::combining,
+          order);
       EXPECT_DOUBLE_EQ(out, ref);
     }
   });
@@ -117,10 +126,12 @@ TEST(CartReduce, CombiningHandlesRepetitions) {
     auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
     const long long mine = 1 + world.rank();
     long long a = 0, b = 0;
-    cartcomm::cart_reduce(&mine, &a, 1, mpl::op::plus{}, cc,
-                          cartcomm::Algorithm::trivial);
-    cartcomm::cart_reduce(&mine, &b, 1, mpl::op::plus{}, cc,
-                          cartcomm::Algorithm::combining);
+    cartcomm::cart_neighbor_reduce(
+        &mine, &a, 1, mpl::Datatype::of<long long>(),
+        mpl::ReduceOp::sum<long long>(), cc, cartcomm::Algorithm::trivial);
+    cartcomm::cart_neighbor_reduce(
+        &mine, &b, 1, mpl::Datatype::of<long long>(),
+        mpl::ReduceOp::sum<long long>(), cc, cartcomm::Algorithm::combining);
     EXPECT_EQ(a, b);
   });
 }
@@ -140,10 +151,12 @@ TEST(CartReduce, CombiningRandomizedAgainstTrivial) {
       auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
       const int mine = world.rank() * 7 + 1;
       int a = 0, b = 0;
-      cartcomm::cart_reduce(&mine, &a, 1, mpl::op::plus{}, cc,
-                            cartcomm::Algorithm::trivial);
-      cartcomm::cart_reduce(&mine, &b, 1, mpl::op::plus{}, cc,
-                            cartcomm::Algorithm::combining);
+      cartcomm::cart_neighbor_reduce(
+          &mine, &a, 1, mpl::Datatype::of<int>(), mpl::ReduceOp::sum<int>(), cc,
+          cartcomm::Algorithm::trivial);
+      cartcomm::cart_neighbor_reduce(
+          &mine, &b, 1, mpl::Datatype::of<int>(), mpl::ReduceOp::sum<int>(), cc,
+          cartcomm::Algorithm::combining);
       EXPECT_EQ(a, b) << "trial " << trial << " rank " << world.rank();
     });
   }
@@ -162,10 +175,12 @@ TEST(CartReduce, CombiningMatchesTrivialOnMesh) {
       auto cc = cartcomm::cart_neighborhood_create(world, dims, periods, nb);
       const long long mine[2] = {world.rank() * 131 + 7, 1};
       long long a[2] = {-1, -1}, b[2] = {-1, -1};
-      const int na = cartcomm::cart_reduce(mine, a, 2, mpl::op::plus{}, cc,
-                                           cartcomm::Algorithm::trivial);
-      const int nc = cartcomm::cart_reduce(mine, b, 2, mpl::op::plus{}, cc,
-                                           cartcomm::Algorithm::combining);
+      const int na = cartcomm::cart_neighbor_reduce(
+          mine, a, 2, mpl::Datatype::of<long long>(),
+          mpl::ReduceOp::sum<long long>(), cc, cartcomm::Algorithm::trivial);
+      const int nc = cartcomm::cart_neighbor_reduce(
+          mine, b, 2, mpl::Datatype::of<long long>(),
+          mpl::ReduceOp::sum<long long>(), cc, cartcomm::Algorithm::combining);
       EXPECT_EQ(na, nc);
       EXPECT_EQ(a[0], b[0]) << "rank " << world.rank();
       EXPECT_EQ(a[1], b[1]) << "rank " << world.rank();
@@ -208,8 +223,10 @@ TEST(CartReduce, MinMaxIdentityWhenAllSourcesOffMesh) {
     auto cc = cartcomm::cart_neighborhood_create(world, dims, periods, nb);
     const int mine = -5 - world.rank();
     int mx = 123, mn = 123;
-    const int bx = cartcomm::cart_reduce(&mine, &mx, 1, mpl::op::max{}, cc);
-    const int bn = cartcomm::cart_reduce(&mine, &mn, 1, mpl::op::min{}, cc);
+    const int bx = cartcomm::cart_neighbor_reduce(
+        &mine, &mx, 1, mpl::Datatype::of<int>(), mpl::ReduceOp::max<int>(), cc);
+    const int bn = cartcomm::cart_neighbor_reduce(
+        &mine, &mn, 1, mpl::Datatype::of<int>(), mpl::ReduceOp::min<int>(), cc);
     if (world.rank() == 0) {
       EXPECT_EQ(bx, 0);
       EXPECT_EQ(mx, std::numeric_limits<int>::lowest());
@@ -394,7 +411,9 @@ TEST(CartReduce, AutomaticPrefersCombiningOnTorus) {
                                                  Neighborhood::moore(2));
     const int mine = 2;
     int out = 0;
-    const int blocks = cartcomm::cart_reduce(&mine, &out, 1, mpl::op::plus{}, cc);
+    const int blocks = cartcomm::cart_neighbor_reduce(
+        &mine, &out, 1, mpl::Datatype::of<int>(), mpl::ReduceOp::sum<int>(),
+        cc);
     EXPECT_EQ(blocks, 9);
     EXPECT_EQ(out, 18);
   });
@@ -424,11 +443,13 @@ TEST(CartReduce, CombiningVolumeMatchesTreeAndBeatsTrivial) {
         const telemetry::RankTelemetry* tm = world.telemetry();
         ASSERT_NE(tm, nullptr);
         const std::uint64_t b0 = tm->bytes_sent();
-        cartcomm::cart_reduce(mine.data(), out.data(), m, mpl::op::plus{}, cc,
-                              cartcomm::Algorithm::combining);
+        cartcomm::cart_neighbor_reduce(
+            mine.data(), out.data(), m, mpl::Datatype::of<int>(),
+            mpl::ReduceOp::sum<int>(), cc, cartcomm::Algorithm::combining);
         const std::uint64_t b1 = tm->bytes_sent();
-        cartcomm::cart_reduce(mine.data(), out.data(), m, mpl::op::plus{}, cc,
-                              cartcomm::Algorithm::trivial);
+        cartcomm::cart_neighbor_reduce(
+            mine.data(), out.data(), m, mpl::Datatype::of<int>(),
+            mpl::ReduceOp::sum<int>(), cc, cartcomm::Algorithm::trivial);
         const std::uint64_t b2 = tm->bytes_sent();
         const int t = nb.count();
         std::vector<int> ag(static_cast<std::size_t>(t) * m, 0);
@@ -477,8 +498,10 @@ TEST(CartReduce, DeterministicUnderFaultInjection) {
           const double mine = 0.1 * (world.rank() + 1);
           double r = 0.0;
           for (int rep = 0; rep < 3; ++rep) {
-            cartcomm::cart_reduce(&mine, &r, 1, mpl::op::plus{}, cc,
-                                  cartcomm::Algorithm::combining);
+            cartcomm::cart_neighbor_reduce(
+                &mine, &r, 1, mpl::Datatype::of<double>(),
+                mpl::ReduceOp::sum<double>(), cc,
+                cartcomm::Algorithm::combining);
           }
           res[static_cast<std::size_t>(world.rank())] = r;
           clocks[static_cast<std::size_t>(world.rank())] = world.vclock();
@@ -502,10 +525,14 @@ TEST(CartReduce, EmptyNeighborhoodZeroFills) {
     const Neighborhood nb(1, std::vector<int>{});
     auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
     double out = 42.0;
-    EXPECT_EQ(cartcomm::cart_reduce(&out, &out, 0, mpl::op::plus{}, cc), 0);
+    EXPECT_EQ(cartcomm::cart_neighbor_reduce(
+        &out, &out, 0, mpl::Datatype::of<double>(),
+        mpl::ReduceOp::sum<double>(), cc), 0);
     int iout = 7;
     const int mine = 3;
-    EXPECT_EQ(cartcomm::cart_reduce(&mine, &iout, 1, mpl::op::plus{}, cc), 0);
+    EXPECT_EQ(cartcomm::cart_neighbor_reduce(
+        &mine, &iout, 1, mpl::Datatype::of<int>(), mpl::ReduceOp::sum<int>(),
+        cc), 0);
     EXPECT_EQ(iout, 0);  // zero-filled
   });
 }

@@ -227,6 +227,48 @@ TEST(Datatype, FlattenShiftsAndMerges) {
   EXPECT_EQ(blocks[0].len, 4 * sizeof(int));
 }
 
+TEST(Datatype, FlattenDenseCountMergesWithPrecedingBlock) {
+  // A dense type with count > 1 flattens to one block, and that block joins
+  // an adjacent preceding block exactly like a per-element append would.
+  const Datatype t = Datatype::contiguous(4, Datatype::of<int>());
+  const std::size_t el = 4 * sizeof(int);
+  std::vector<TypeBlock> blocks{{40, 60}};  // ends at 100: adjacent
+  t.flatten(100, 3, blocks);
+  ASSERT_EQ(blocks.size(), 1u);
+  EXPECT_EQ(blocks[0], (TypeBlock{40, 60 + 3 * el}));
+
+  blocks = {{0, 8}};  // ends at 8: a gap before 100
+  t.flatten(100, 3, blocks);
+  ASSERT_EQ(blocks.size(), 2u);
+  EXPECT_EQ(blocks[0], (TypeBlock{0, 8}));
+  EXPECT_EQ(blocks[1], (TypeBlock{100, 3 * el}));
+
+  blocks.clear();
+  t.flatten(100, 0, blocks);
+  EXPECT_TRUE(blocks.empty());
+}
+
+TEST(Datatype, FlatBlockCountMatchesFlatten) {
+  const Datatype i = Datatype::of<int>();
+  const Datatype vec = Datatype::vector(3, 1, 2, i);
+  const std::vector<Datatype> types{
+      i,
+      Datatype::contiguous(5, i),
+      // The last block of one element abuts the next element's first.
+      vec,
+      // The same blocks with a gap at every seam.
+      Datatype::resized(vec, 0, 6 * sizeof(int)),
+      Datatype::vector(2, 2, 3, i),
+  };
+  for (const Datatype& t : types) {
+    for (int count : {0, 1, 2, 7}) {
+      std::vector<TypeBlock> blocks;
+      t.flatten(12, count, blocks);
+      EXPECT_EQ(t.flat_block_count(count), blocks.size()) << "count " << count;
+    }
+  }
+}
+
 TEST(Datatype, PackOrderFollowsTypemapNotAddressOrder) {
   // Blocks listed in decreasing address order must pack in list order.
   const std::vector<int> lens{1, 1};

@@ -21,9 +21,11 @@ namespace {
 // f(global coords); after an exchange every ghost cell must hold the value
 // the owning process wrote.
 int cell_value(std::span<const int> gcoord) {
-  int v = 17;
-  for (int c : gcoord) v = v * 1009 + c;
-  return v;
+  // Unsigned arithmetic wraps where int would overflow (17 * 1009^3 >
+  // INT_MAX); the conversion back to int is modular.
+  unsigned v = 17;
+  for (int c : gcoord) v = v * 1009u + static_cast<unsigned>(c);
+  return static_cast<int>(v);
 }
 
 struct HaloCase {

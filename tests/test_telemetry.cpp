@@ -87,7 +87,9 @@ TEST(TelemetryHistogram, BucketBoundaries) {
     const std::size_t i = Histogram::bucket_index(v);
     ASSERT_LT(i, Histogram::kBuckets) << v;
     EXPECT_LE(v, Histogram::bucket_upper(i)) << v;
-    if (i > 0) EXPECT_GT(v, Histogram::bucket_upper(i - 1)) << v;
+    if (i > 0) {
+      EXPECT_GT(v, Histogram::bucket_upper(i - 1)) << v;
+    }
   }
   for (std::size_t i = 1; i < Histogram::kBuckets; ++i) {
     EXPECT_GT(Histogram::bucket_upper(i), Histogram::bucket_upper(i - 1));

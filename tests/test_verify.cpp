@@ -51,25 +51,22 @@ SweepResult build_and_summarize(const std::vector<int>& dims,
     std::vector<int> recvbuf(static_cast<std::size_t>(t) * m, 0);
     const mpl::Datatype block =
         mpl::Datatype::contiguous(m, mpl::Datatype::of<int>());
+    std::vector<cartcomm::SendBlock> sends(static_cast<std::size_t>(t));
+    std::vector<cartcomm::RecvBlock> recvs(static_cast<std::size_t>(t));
+    for (int i = 0; i < t; ++i) {
+      sends[static_cast<std::size_t>(i)] = {
+          sendbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
+      recvs[static_cast<std::size_t>(i)] = {
+          recvbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
+    }
     cartcomm::Schedule sched;
     if (kind == ScheduleKind::alltoall) {
-      std::vector<cartcomm::SendBlock> sends(static_cast<std::size_t>(t));
-      std::vector<cartcomm::RecvBlock> recvs(static_cast<std::size_t>(t));
-      for (int i = 0; i < t; ++i) {
-        sends[static_cast<std::size_t>(i)] = {
-            sendbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
-        recvs[static_cast<std::size_t>(i)] = {
-            recvbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
-      }
       sched = cartcomm::build_alltoall_schedule(cc, sends, recvs);
+    } else if (kind == ScheduleKind::allgather) {
+      sched = cartcomm::build_allgather_schedule(cc, sends.front(), recvs,
+                                                 order);
     } else {
-      cartcomm::SendBlock send{sendbuf.data(), 1, block};
-      std::vector<cartcomm::RecvBlock> recvs(static_cast<std::size_t>(t));
-      for (int i = 0; i < t; ++i) {
-        recvs[static_cast<std::size_t>(i)] = {
-            recvbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
-      }
-      sched = cartcomm::build_allgather_schedule(cc, send, recvs, order);
+      sched = cartcomm::build_trivial_schedule(cc, sends, recvs);
     }
     const int r = world.rank();
     out.local[static_cast<std::size_t>(r)] =
@@ -112,7 +109,8 @@ TEST(VerifyPositive, AllTestGridsVerifyClean) {
        Neighborhood(2, {2, 0, 0, 1, -1, -1, 0, 0, 2, 0, 1, 2})},  // irregular
   };
   for (const Config& c : configs) {
-    for (const auto kind : {ScheduleKind::alltoall, ScheduleKind::allgather}) {
+    for (const auto kind : {ScheduleKind::alltoall, ScheduleKind::allgather,
+                            ScheduleKind::trivial}) {
       SweepResult r = build_and_summarize(c.dims, c.periods, c.nb, kind);
       for (const VerifyReport& rep : r.local) {
         EXPECT_TRUE(rep.ok()) << rep.to_string();
@@ -219,11 +217,14 @@ TEST(VerifyPositive, ClosedFormDivergenceIsFlagged) {
   // Build the allgather schedule in one dimension order but verify it
   // against another: the per-phase Sigma_k C_k structure check must flag
   // the divergence (C_0 = 3 != C_1 = 1 makes the orders distinguishable).
+  // Checked against the trivial closed form (one phase per non-zero
+  // neighbor), its d phases diverge too.
   const Neighborhood nb(2, {1, 0, -1, 0, 2, 0, 0, 1, 0, 0});
   const std::vector<int> dims = {4, 3}, periods = {1, 1};
   const int p = product(dims);
   const int t = nb.count();
   std::vector<VerifyReport> local(static_cast<std::size_t>(p));
+  std::vector<VerifyReport> as_trivial(static_cast<std::size_t>(p));
   mpl::run(p, [&](mpl::Comm& world) {
     auto cc = cartcomm::cart_neighborhood_create(world, dims, periods, nb);
     std::vector<int> sendbuf(4, 1);
@@ -240,9 +241,14 @@ TEST(VerifyPositive, ClosedFormDivergenceIsFlagged) {
         cc, send, recvs, cartcomm::DimOrder::decreasing_ck);
     local[static_cast<std::size_t>(world.rank())] = cartcomm::verify_schedule(
         sched, cc, ScheduleKind::allgather, cartcomm::DimOrder::increasing_ck);
+    as_trivial[static_cast<std::size_t>(world.rank())] =
+        cartcomm::verify_schedule(sched, cc, ScheduleKind::trivial);
   });
   for (const VerifyReport& rep : local) {
     EXPECT_FALSE(rep.ok());
+    EXPECT_TRUE(rep.has(VerifyIssue::Code::round_count)) << rep.to_string();
+  }
+  for (const VerifyReport& rep : as_trivial) {
     EXPECT_TRUE(rep.has(VerifyIssue::Code::round_count)) << rep.to_string();
   }
 }
@@ -386,8 +392,9 @@ TEST(VerifyNegativeLocal, ExecutionRefusesNullPartnerWithoutProvenance) {
     int payload = 0;
     mpl::TypeBuilder tb;
     tb.append_bytes(&payload, sizeof payload);
+    const int offset[] = {0};
     b.add_round({mpl::PROC_NULL, mpl::PROC_NULL, tb.build(), mpl::Datatype(),
-                 {0}, /*send_boundary=*/false, /*recv_boundary=*/false},
+                 offset, /*send_boundary=*/false, /*recv_boundary=*/false},
                 0);
     b.end_phase();
     const cartcomm::Schedule sched = b.finish();

@@ -1,8 +1,9 @@
 // Sweep a family of grids and neighborhoods, build the message-combining
-// alltoall and allgather schedules on every rank, and statically verify
-// them — single-rank structural checks (verify_schedule) plus the
-// cross-rank deadlock-freedom/pairing proof (verify_global) — without
-// moving any payload. Exits non-zero when any invariant fails.
+// alltoall and allgather schedules and the trivial (Listing 4) schedule on
+// every rank, and statically verify them — single-rank structural checks
+// (verify_schedule) plus the cross-rank deadlock-freedom/pairing proof
+// (verify_global) — without moving any payload. Exits non-zero when any
+// invariant fails.
 //
 //   verify_schedule [--verbose]
 //
@@ -76,32 +77,32 @@ int run_case(const Case& c, cartcomm::ScheduleKind kind, bool verbose) {
     std::vector<int> recvbuf(static_cast<std::size_t>(t) * m, 0);
     const mpl::Datatype block =
         mpl::Datatype::contiguous(m, mpl::Datatype::of<int>());
+    std::vector<cartcomm::SendBlock> sends(static_cast<std::size_t>(t));
+    std::vector<cartcomm::RecvBlock> recvs(static_cast<std::size_t>(t));
+    for (int i = 0; i < t; ++i) {
+      sends[static_cast<std::size_t>(i)] = {
+          sendbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
+      recvs[static_cast<std::size_t>(i)] = {
+          recvbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
+    }
     cartcomm::Schedule sched;
-    if (kind == cartcomm::ScheduleKind::alltoall) {
-      std::vector<cartcomm::SendBlock> sends(static_cast<std::size_t>(t));
-      std::vector<cartcomm::RecvBlock> recvs(static_cast<std::size_t>(t));
-      for (int i = 0; i < t; ++i) {
-        sends[static_cast<std::size_t>(i)] = {
-            sendbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
-        recvs[static_cast<std::size_t>(i)] = {
-            recvbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
-      }
-      sched = cartcomm::build_alltoall_schedule(cc, sends, recvs);
-    } else {
-      cartcomm::SendBlock send{sendbuf.data(), 1, block};
-      std::vector<cartcomm::RecvBlock> recvs(static_cast<std::size_t>(t));
-      for (int i = 0; i < t; ++i) {
-        recvs[static_cast<std::size_t>(i)] = {
-            recvbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
-      }
-      sched = cartcomm::build_allgather_schedule(cc, send, recvs);
+    switch (kind) {
+      case cartcomm::ScheduleKind::alltoall:
+        sched = cartcomm::build_alltoall_schedule(cc, sends, recvs);
+        break;
+      case cartcomm::ScheduleKind::allgather:
+        sched = cartcomm::build_allgather_schedule(cc, sends.front(), recvs);
+        break;
+      default:
+        sched = cartcomm::build_trivial_schedule(cc, sends, recvs);
+        break;
     }
     const int r = world.rank();
     local[static_cast<std::size_t>(r)] = cartcomm::verify_schedule(sched, cc, kind);
     summaries[static_cast<std::size_t>(r)] = cartcomm::summarize(sched, cc);
     if (verbose && r == 0) {
       std::lock_guard lk(describe_mtx);
-      description = sched.describe();
+      description = sched.dump();
     }
   });
 
@@ -140,9 +141,12 @@ int main(int argc, char** argv) {
   int checked = 0;
   for (const Case& c : sweep_cases()) {
     for (const auto kind : {cartcomm::ScheduleKind::alltoall,
-                            cartcomm::ScheduleKind::allgather}) {
+                            cartcomm::ScheduleKind::allgather,
+                            cartcomm::ScheduleKind::trivial}) {
       const char* kname =
-          kind == cartcomm::ScheduleKind::alltoall ? "alltoall " : "allgather";
+          kind == cartcomm::ScheduleKind::alltoall    ? "alltoall "
+          : kind == cartcomm::ScheduleKind::allgather ? "allgather"
+                                                      : "trivial  ";
       std::cout << "  " << kname << "  " << c.name << " ... " << std::flush;
       const int before = total_issues;
       std::cout << '\n';
