@@ -199,9 +199,8 @@ std::shared_ptr<const CompiledPlan> allgather_plan(const CartNeighborComm& cc,
                                                    std::size_t m,
                                                    DimOrder order,
                                                    const PlanKey& key) {
-  std::shared_ptr<const CompiledPlan> plan = plan_cache_lookup(key);
-  if (plan) return plan;
-  return plan_cache_store(key, compile_allgather_plan(cc, m, order));
+  return plan_cache_get(key,
+                        [&] { return compile_allgather_plan(cc, m, order); });
 }
 
 }  // namespace

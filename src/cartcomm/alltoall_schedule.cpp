@@ -185,11 +185,11 @@ namespace {
 std::shared_ptr<const CompiledPlan> alltoall_plan(
     const CartNeighborComm& cc, std::span<const SendBlock> sends,
     const PlanKey& key) {
-  std::shared_ptr<const CompiledPlan> plan = plan_cache_lookup(key);
-  if (plan) return plan;
-  std::vector<std::size_t> bytes(sends.size());
-  for (std::size_t i = 0; i < sends.size(); ++i) bytes[i] = sends[i].bytes();
-  return plan_cache_store(key, compile_alltoall_plan(cc, bytes));
+  return plan_cache_get(key, [&] {
+    std::vector<std::size_t> bytes(sends.size());
+    for (std::size_t i = 0; i < sends.size(); ++i) bytes[i] = sends[i].bytes();
+    return compile_alltoall_plan(cc, bytes);
+  });
 }
 
 PlanKey alltoall_key_checked(const CartNeighborComm& cc,

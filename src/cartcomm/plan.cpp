@@ -230,6 +230,8 @@ PlanKey make_reduce_key(const CartNeighborComm& cc, ReduceVariant variant,
 namespace {
 
 struct CacheEntry {
+  /// Null while the first caller to miss this key is still compiling it;
+  /// other callers wait on the shard's cv_ instead of compiling again.
   std::shared_ptr<const CompiledPlan> plan;
   std::uint64_t tick = 0;  // last-touch stamp for approximate LRU
 };
@@ -240,6 +242,8 @@ struct KeyHash {
 
 struct PlanCacheShard {
   mpl::detail::PlanCacheMutex mtx_;
+  /// Signalled whenever an in-progress entry is filled or abandoned.
+  mpl::detail::CheckedCondVar cv_;
   std::unordered_map<PlanKey, CacheEntry, KeyHash> map_ MPL_GUARDED_BY(mtx_);
 };
 
@@ -355,7 +359,7 @@ std::shared_ptr<const CompiledPlan> plan_cache_lookup(const PlanKey& key) {
   PlanCacheShard& sh = shard_for(key.hash);
   mpl::detail::CheckedLock lock(sh.mtx_);
   auto it = sh.map_.find(key);
-  if (it == sh.map_.end()) {
+  if (it == sh.map_.end() || !it->second.plan) {
     telemetry::on_plan_cache_miss();
     return nullptr;
   }
@@ -365,38 +369,76 @@ std::shared_ptr<const CompiledPlan> plan_cache_lookup(const PlanKey& key) {
   return it->second.plan;
 }
 
-std::shared_ptr<const CompiledPlan> plan_cache_store(const PlanKey& key,
-                                                     CompiledPlan&& plan) {
-  auto sp = std::make_shared<const CompiledPlan>(std::move(plan));
-  if (!plan_cache_enabled()) return sp;  // caller keeps the sole reference
+PlanClaim plan_cache_claim(const PlanKey& key) {
+  if (!plan_cache_enabled()) return {};  // bypass: not counted
   PlanCacheShard& sh = shard_for(key.hash);
   mpl::detail::CheckedLock lock(sh.mtx_);
-  auto [it, inserted] = sh.map_.try_emplace(key);
-  if (!inserted) return it->second.plan;  // concurrent compile: first wins
-  it->second.plan = sp;
-  it->second.tick = tick_source().fetch_add(1, std::memory_order_relaxed) + 1;
-  telemetry::on_plan_cache_insert();
-  const std::size_t cap = per_shard_cap();
-  while (cap != 0 && sh.map_.size() > cap) {
-    auto victim = sh.map_.end();
-    for (auto e = sh.map_.begin(); e != sh.map_.end(); ++e) {
-      if (e == it) continue;  // never evict the plan being published
-      if (victim == sh.map_.end() || e->second.tick < victim->second.tick) {
-        victim = e;
-      }
-    }
-    if (victim == sh.map_.end()) break;
-    sh.map_.erase(victim);
-    telemetry::on_plan_cache_evict();
+  auto it = sh.map_.end();
+  // Another caller is compiling this key: wait for its plan. An abandoned
+  // compile erases the entry, and the first waiter to see that claims the
+  // key for itself below.
+  sh.cv_.wait(lock, [&]() MPL_REQUIRES(sh.mtx_) {
+    it = sh.map_.find(key);
+    return it == sh.map_.end() || it->second.plan != nullptr;
+  });
+  if (it == sh.map_.end()) {
+    sh.map_.try_emplace(key);  // in progress: this caller compiles
+    telemetry::on_plan_cache_miss();
+    return {nullptr, true};
   }
+  it->second.tick = tick_source().fetch_add(1, std::memory_order_relaxed) + 1;
+  telemetry::on_plan_cache_hit();
+  return {it->second.plan, false};
+}
+
+std::shared_ptr<const CompiledPlan> plan_cache_publish(const PlanKey& key,
+                                                       CompiledPlan&& plan) {
+  auto sp = std::make_shared<const CompiledPlan>(std::move(plan));
+  PlanCacheShard& sh = shard_for(key.hash);
+  {
+    mpl::detail::CheckedLock lock(sh.mtx_);
+    auto it = sh.map_.find(key);
+    // The entry is gone only if plan_cache_clear() ran meanwhile: hand the
+    // plan to this caller alone.
+    if (it == sh.map_.end()) return sp;
+    if (it->second.plan) return it->second.plan;  // refilled after a clear
+    it->second.plan = sp;
+    it->second.tick = tick_source().fetch_add(1, std::memory_order_relaxed) + 1;
+    telemetry::on_plan_cache_insert();
+    const std::size_t cap = per_shard_cap();
+    while (cap != 0 && sh.map_.size() > cap) {
+      auto victim = sh.map_.end();
+      for (auto e = sh.map_.begin(); e != sh.map_.end(); ++e) {
+        // Never evict the plan being published or a compile in progress.
+        if (e == it || !e->second.plan) continue;
+        if (victim == sh.map_.end() || e->second.tick < victim->second.tick) {
+          victim = e;
+        }
+      }
+      if (victim == sh.map_.end()) break;
+      sh.map_.erase(victim);
+      telemetry::on_plan_cache_evict();
+    }
+  }
+  sh.cv_.notify_all();
   return sp;
+}
+
+void plan_cache_abandon(const PlanKey& key) {
+  PlanCacheShard& sh = shard_for(key.hash);
+  {
+    mpl::detail::CheckedLock lock(sh.mtx_);
+    auto it = sh.map_.find(key);
+    if (it != sh.map_.end() && !it->second.plan) sh.map_.erase(it);
+  }
+  sh.cv_.notify_all();
 }
 
 std::size_t plan_cache_size() {
   std::size_t n = 0;
   for (PlanCacheShard& sh : shards()) {
     mpl::detail::CheckedLock lock(sh.mtx_);
-    n += sh.map_.size();
+    for (const auto& [key, e] : sh.map_) n += e.plan ? 1 : 0;
   }
   return n;
 }
@@ -404,9 +446,12 @@ std::size_t plan_cache_size() {
 void plan_cache_clear() {
   std::uint64_t dropped = 0;
   for (PlanCacheShard& sh : shards()) {
-    mpl::detail::CheckedLock lock(sh.mtx_);
-    dropped += sh.map_.size();
-    sh.map_.clear();
+    {
+      mpl::detail::CheckedLock lock(sh.mtx_);
+      for (const auto& [key, e] : sh.map_) dropped += e.plan ? 1 : 0;
+      sh.map_.clear();
+    }
+    sh.cv_.notify_all();  // waiters on a cleared compile claim the key
   }
   telemetry::on_plan_cache_drop(dropped);
   for (SchedCacheShard& sh : sched_shards()) {

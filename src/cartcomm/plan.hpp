@@ -218,19 +218,54 @@ enum class ReduceVariant : std::uint8_t { reduce = 0, reduce_scatter = 1 };
 // Process-global (ranks are threads of one process) and sharded by key
 // hash; each shard is a small map under its own CheckedMutex at
 // LockLevel::plan_cache (a leaf — compilation and binding happen outside
-// the lock). Lookup/store are the cache interface used by the
-// build_*_schedule entry points; the remaining functions are test and
-// tooling knobs. First insert wins: concurrent misses on the same key
-// both compile, and the loser adopts the winner's plan.
+// the lock). plan_cache_get is the interface used by the build_*_schedule
+// entry points; the remaining functions are its parts and test and
+// tooling knobs. Each key compiles once: the first caller to miss
+// publishes an in-progress entry, and concurrent callers for the same key
+// wait for its plan and count a hit, so misses equal distinct keys.
 
-/// Cached plan for `key`, or null on a miss (or when the cache is off).
+/// Cached plan for `key`, or null on a miss or while the key is still
+/// compiling (or when the cache is off). Never waits and never compiles.
 [[nodiscard]] std::shared_ptr<const CompiledPlan> plan_cache_lookup(
     const PlanKey& key);
 
-/// Publish a freshly compiled plan; returns the canonical shared plan
-/// (an earlier concurrent insert wins over `plan`).
-[[nodiscard]] std::shared_ptr<const CompiledPlan> plan_cache_store(
+/// Outcome of plan_cache_claim: a cached plan (a hit), or no plan with
+/// `publish` set (a miss: the caller compiles the key and must finish with
+/// plan_cache_publish or plan_cache_abandon), or neither (cache off).
+struct PlanClaim {
+  std::shared_ptr<const CompiledPlan> plan;
+  bool publish = false;
+};
+
+/// Look `key` up, waiting while another caller compiles it. On a miss,
+/// publishes an in-progress entry owned by this caller.
+[[nodiscard]] PlanClaim plan_cache_claim(const PlanKey& key);
+
+/// Fill this caller's in-progress entry and wake the waiters; returns the
+/// canonical shared plan.
+[[nodiscard]] std::shared_ptr<const CompiledPlan> plan_cache_publish(
     const PlanKey& key, CompiledPlan&& plan);
+
+/// Erase this caller's in-progress entry after a failed compile; the
+/// waiters wake and one of them claims the key.
+void plan_cache_abandon(const PlanKey& key);
+
+/// The plan for `key`, running `compile()` (returning a CompiledPlan) only
+/// if no caller has compiled or is compiling it. With the cache off, every
+/// call compiles and nothing is counted.
+template <typename Compile>
+[[nodiscard]] std::shared_ptr<const CompiledPlan> plan_cache_get(
+    const PlanKey& key, Compile&& compile) {
+  PlanClaim c = plan_cache_claim(key);
+  if (c.plan) return std::move(c.plan);
+  if (!c.publish) return std::make_shared<const CompiledPlan>(compile());
+  try {
+    return plan_cache_publish(key, compile());
+  } catch (...) {
+    plan_cache_abandon(key);
+    throw;
+  }
+}
 
 /// Cache toggle: defaults to on, initial value from MPL_PLAN_CACHE
 /// (0/false disables). The programmatic setter overrides the environment.

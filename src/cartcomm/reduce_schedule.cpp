@@ -384,11 +384,10 @@ std::shared_ptr<const CompiledPlan> reduce_plan(const CartNeighborComm& cc,
                                                 ReduceVariant variant,
                                                 bool combining,
                                                 DimOrder order) {
-  std::shared_ptr<const CompiledPlan> plan = plan_cache_lookup(a.key);
-  if (plan) return plan;
-  return plan_cache_store(
-      a.key, compile_reduce_plan(cc, variant, combining, order, a.block_bytes,
-                                 a.fold_elems));
+  return plan_cache_get(a.key, [&] {
+    return compile_reduce_plan(cc, variant, combining, order, a.block_bytes,
+                               a.fold_elems);
+  });
 }
 
 }  // namespace

@@ -31,10 +31,7 @@ void copy_typed(const void* src, int scount, const Datatype& stype, void* dst,
   const std::size_t nbytes = stype.pack_size(scount);
   MPL_REQUIRE(nbytes == rtype.pack_size(rcount),
               "copy_typed: size mismatch between source and destination types");
-  if (nbytes == 0) return;
-  std::vector<std::byte> tmp(nbytes);
-  stype.pack(src, scount, tmp.data());
-  rtype.unpack(tmp.data(), dst, rcount);
+  stype.copy_to(src, scount, dst, rcount, rtype);
 }
 
 void barrier(const Comm& comm) {

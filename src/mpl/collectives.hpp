@@ -15,7 +15,8 @@
 namespace mpl {
 
 /// Copy `scount` elements of `stype` at `src` to `rcount` elements of
-/// `rtype` at `dst` (through a packed intermediate; sizes must match).
+/// `rtype` at `dst` in one pass, with no intermediate buffer (sizes must
+/// match; see Datatype::copy_to).
 void copy_typed(const void* src, int scount, const Datatype& stype, void* dst,
                 int rcount, const Datatype& rtype);
 

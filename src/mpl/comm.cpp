@@ -1,7 +1,6 @@
 #include "mpl/comm.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <thread>
 
@@ -99,16 +98,13 @@ void Comm::isend_core(Channel ch, const void* buf, int count,
   Proc& self = proc();
   if (dest == PROC_NULL) return;
 
-  detail::Message msg;
+  // Only the header is built here; deliver() moves the bytes.
+  detail::MsgHeader msg;
   msg.ctx = channel_ctx(state_->ctx, ch);
   msg.src = rank_;
   msg.tag = tag;
-  // Payload storage comes from this process's pool and is recycled back
-  // here by the receiver after the unpack (zero-allocation steady state).
-  msg.payload = self.pool().acquire(type.pack_size(count));
-  msg.pool = &self.pool();
-  type.pack(buf, count, msg.payload.data());
   msg.from_self = (dest == rank_);
+  const std::size_t bytes = type.pack_size(count);
 
   trace::RankTrace* tr = self.trace();
   const bool tracing = tr && tr->tracing();
@@ -143,8 +139,9 @@ void Comm::isend_core(Channel ch, const void* buf, int count,
 
   // Production telemetry (independent of the tracer, so the receive fast
   // path stays enabled): size histogram + counters, plus fault tallies.
-  if (telemetry::RankTelemetry* tm = self.telem()) {
-    tm->on_send(msg.payload.size());
+  telemetry::RankTelemetry* tm = self.telem();
+  if (tm) {
+    tm->on_send(bytes);
     if (drops > 0) tm->on_fault_retries(static_cast<std::uint64_t>(drops));
     if (fdelay > 0.0) tm->on_fault_delay();
   }
@@ -169,7 +166,7 @@ void Comm::isend_core(Channel ch, const void* buf, int count,
           e.peer = dest;
           e.tag = tag;
           e.ctx = msg.ctx;
-          e.bytes = msg.payload.size();
+          e.bytes = bytes;
           e.v_start = vr0;
           e.v_end = self.clock().now();
           e.w_start = wr0;
@@ -202,7 +199,7 @@ void Comm::isend_core(Channel ch, const void* buf, int count,
     }
     msg.depart = msg.from_self
                      ? self.clock().now()
-                     : self.clock().post_send(msg.payload.size(), blocks);
+                     : self.clock().post_send(bytes, blocks);
     // Injected delay jitter is in-network time: it postpones the arrival
     // (receiver-side idle), not the sender's clock or its send port.
     if (fdelay > 0.0) {
@@ -214,7 +211,7 @@ void Comm::isend_core(Channel ch, const void* buf, int count,
   }
   if (tr && tr->active()) {
     if (tr->metrics_on()) {
-      tr->on_send(state_->ctx, msg.payload.size(),
+      tr->on_send(state_->ctx, bytes,
                   static_cast<std::uint32_t>(blocks), msg.from_self);
     }
     if (tracing) {
@@ -223,7 +220,7 @@ void Comm::isend_core(Channel ch, const void* buf, int count,
       e.peer = dest;
       e.tag = tag;
       e.ctx = msg.ctx;
-      e.bytes = msg.payload.size();
+      e.bytes = bytes;
       e.blocks = static_cast<std::uint32_t>(blocks);
       e.v_start = v0;
       e.v_end = self.clock().enabled() ? self.clock().now() : 0.0;
@@ -240,7 +237,7 @@ void Comm::isend_core(Channel ch, const void* buf, int count,
             cfg.o_block * static_cast<double>(blocks);
         if (blocks > 1) {
           e.comp[static_cast<int>(trace::Component::G_pack)] =
-              cfg.G_pack * static_cast<double>(msg.payload.size());
+              cfg.G_pack * static_cast<double>(bytes);
         }
       }
       if (self.clock().enabled()) {
@@ -249,7 +246,12 @@ void Comm::isend_core(Channel ch, const void* buf, int count,
       tr->record(std::move(e));
     }
   }
-  state_->members[static_cast<std::size_t>(dest)]->mailbox().deliver(std::move(msg));
+  // Staging (a pooled payload for an unmatched message) is the one extra
+  // copy left in the transport; it is counted here, on the sender.
+  const bool staged =
+      state_->members[static_cast<std::size_t>(dest)]->mailbox().deliver(
+          msg, buf, count, type, self.pool());
+  if (staged && tm) tm->on_staged(bytes);
 }
 
 Request Comm::irecv_on(Channel ch, void* buf, int count, const Datatype& type,
@@ -458,16 +460,14 @@ Status Comm::sendrecv_on(Channel ch, const void* sendbuf, int sendcount,
 // ---------------------------------------------------------------------------
 
 void Comm::internal_send(const void* data, std::size_t bytes, int dest) const {
-  Proc& self = proc();
-  detail::Message msg;
+  static const Datatype kByte = Datatype::bytes(1);
+  detail::MsgHeader msg;
   msg.ctx = state_->ctx | kInternalCtxBit;
   msg.src = rank_;
   msg.tag = kInternalTag;
-  msg.payload = self.pool().acquire(bytes);
-  msg.pool = &self.pool();
-  std::memcpy(msg.payload.data(), data, bytes);
   msg.from_self = (dest == rank_);
-  state_->members[static_cast<std::size_t>(dest)]->mailbox().deliver(std::move(msg));
+  state_->members[static_cast<std::size_t>(dest)]->mailbox().deliver(
+      msg, data, static_cast<int>(bytes), kByte, proc().pool());
 }
 
 void Comm::internal_recv(void* data, std::size_t bytes, int src) const {

@@ -288,8 +288,10 @@ void Datatype::pack(const void* base, int count, std::byte* out) const {
   const std::ptrdiff_t ext = n.ub - n.lb;
   const char* cbase = static_cast<const char*>(base);
   if (n.dense()) {
-    std::memcpy(out, cbase + n.lb,
-                static_cast<std::size_t>(ext) * static_cast<std::size_t>(count));
+    // Zero bytes may come with null buffers (count 0), which memcpy forbids.
+    const std::size_t nbytes =
+        static_cast<std::size_t>(ext) * static_cast<std::size_t>(count);
+    if (nbytes > 0) std::memcpy(out, cbase + n.lb, nbytes);
     return;
   }
   for (int i = 0; i < count; ++i) {
@@ -306,8 +308,9 @@ void Datatype::unpack(const std::byte* in, void* base, int count) const {
   const std::ptrdiff_t ext = n.ub - n.lb;
   char* cbase = static_cast<char*>(base);
   if (n.dense()) {
-    std::memcpy(cbase + n.lb, in,
-                static_cast<std::size_t>(ext) * static_cast<std::size_t>(count));
+    const std::size_t nbytes =
+        static_cast<std::size_t>(ext) * static_cast<std::size_t>(count);
+    if (nbytes > 0) std::memcpy(cbase + n.lb, in, nbytes);
     return;
   }
   for (int i = 0; i < count; ++i) {
@@ -327,7 +330,7 @@ std::size_t Datatype::unpack_partial(const std::byte* in, std::size_t nbytes,
   std::size_t left = std::min(nbytes, pack_size(count));
   const std::size_t consumed = left;
   if (n.dense()) {
-    std::memcpy(cbase + n.lb, in, left);
+    if (left > 0) std::memcpy(cbase + n.lb, in, left);
     return consumed;
   }
   for (int i = 0; i < count && left > 0; ++i) {
@@ -341,6 +344,82 @@ std::size_t Datatype::unpack_partial(const std::byte* in, std::size_t nbytes,
     }
   }
   return consumed;
+}
+
+namespace {
+
+// Walks the flattened blocks of `count` elements of one layout, in pack
+// order, handing out one contiguous run at a time. A dense layout is a
+// single run covering every element.
+class RunCursor {
+ public:
+  RunCursor(const TypeNode& n, std::byte* base, int count)
+      : n_(n), base_(base), ext_(n.ub - n.lb), count_(count) {}
+
+  /// Next run; `len` is 0 only once every element is exhausted.
+  void next(std::byte*& p, std::size_t& len) {
+    len = 0;
+    if (elem_ >= count_ || n_.blocks.empty()) return;
+    if (n_.dense()) {
+      p = base_ + n_.lb;
+      len = n_.size * static_cast<std::size_t>(count_);
+      elem_ = count_;
+      return;
+    }
+    const TypeBlock& b = n_.blocks[blk_];
+    p = base_ + b.disp + static_cast<std::ptrdiff_t>(elem_) * ext_;
+    len = b.len;
+    if (++blk_ == n_.blocks.size()) {
+      blk_ = 0;
+      ++elem_;
+    }
+  }
+
+ private:
+  const TypeNode& n_;
+  std::byte* base_;
+  std::ptrdiff_t ext_;
+  int count_;
+  int elem_ = 0;
+  std::size_t blk_ = 0;
+};
+
+}  // namespace
+
+std::size_t Datatype::copy_to(const void* src, int scount, void* dst,
+                              int dcount, const Datatype& dtype,
+                              std::size_t limit) const {
+  const TypeNode& sn = node();
+  const TypeNode& dn = dtype.node();
+  const std::size_t total =
+      std::min({limit, pack_size(scount), dtype.pack_size(dcount)});
+  if (total == 0) return 0;  // an empty side may be a null buffer
+  // memmove, not memcpy: a self-message may name the same bytes on both
+  // sides, which the staged pack-then-unpack tolerated.
+  if (sn.dense() && dn.dense()) {
+    std::memmove(static_cast<std::byte*>(dst) + dn.lb,
+                 static_cast<const std::byte*>(src) + sn.lb, total);
+    return total;
+  }
+  // The source cursor only reads through its pointer.
+  RunCursor s(sn, static_cast<std::byte*>(const_cast<void*>(src)), scount);
+  RunCursor d(dn, static_cast<std::byte*>(dst), dcount);
+  std::byte* sp = nullptr;
+  std::byte* dp = nullptr;
+  std::size_t slen = 0;
+  std::size_t dlen = 0;
+  for (std::size_t left = total; left > 0;) {
+    if (slen == 0) s.next(sp, slen);
+    if (dlen == 0) d.next(dp, dlen);
+    const std::size_t take = std::min({left, slen, dlen});
+    std::memmove(dp, sp, take);
+    sp += take;
+    dp += take;
+    slen -= take;
+    dlen -= take;
+    left -= take;
+  }
+  return total;
 }
 
 void TypeBuilder::append(const void* addr, int count, const Datatype& t) {

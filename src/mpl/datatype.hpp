@@ -148,6 +148,17 @@ class Datatype {
   std::size_t unpack_partial(const std::byte* in, std::size_t nbytes,
                              void* base, int count) const;
 
+  /// Copy `scount` elements at `src` straight into `dcount` elements of
+  /// `dtype` at `dst` in a single pass, with no staging buffer: the two
+  /// flattened block lists are walked with one cursor each, and bytes pair
+  /// up in pack order. Copies min(limit, pack_size(scount),
+  /// dtype.pack_size(dcount)) bytes and returns that count; the result is
+  /// byte-for-byte what pack() followed by dtype.unpack_partial() would
+  /// write. Two dense layouts collapse to one copy.
+  std::size_t copy_to(const void* src, int scount, void* dst, int dcount,
+                      const Datatype& dtype,
+                      std::size_t limit = SIZE_MAX) const;
+
   friend bool operator==(const Datatype& a, const Datatype& b) noexcept {
     return a.node_ == b.node_;
   }

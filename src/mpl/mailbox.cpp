@@ -14,58 +14,116 @@ namespace mpl {
 using detail::Message;
 using detail::ReqState;
 
-bool Mailbox::matches(const ReqState& r, const Message& m) {
+bool Mailbox::matches(const ReqState& r, const detail::MsgHeader& m) {
   return r.ctx == m.ctx &&
          (r.match_src == ANY_SOURCE || r.match_src == m.src) &&
          (r.match_tag == ANY_TAG || r.match_tag == m.tag);
 }
 
-// Fill the completion fields of a matched (request, message) pair and hand
-// the payload buffer back to its origin pool. Runs with NO lock held: the
-// pairing was fixed under the mailbox mutex, so the unpack (a potentially
-// large datatype scatter) must not serialize other senders or the owner.
-// Does NOT set r.done — the caller publishes completion afterwards.
+namespace {
+
+std::string truncation_error(std::size_t incoming, std::size_t capacity) {
+  return "mpl: message truncated (incoming " + std::to_string(incoming) +
+         " bytes, receive capacity " + std::to_string(capacity) + " bytes)";
+}
+
+// Fill the completion fields of a receive matched by a message of
+// `incoming` bytes. MPI truncation semantics: an incoming message longer
+// than the posted receive is an error, surfaced at the *receiver's*
+// wait/test call. The message still crossed the wire, so the model
+// accounts its full cost; only the copy into the (too small) user buffer
+// is suppressed — the return value says whether to copy.
+bool accept(ReqState& r, const detail::MsgHeader& h, std::size_t incoming) {
+  const std::size_t capacity = r.type.pack_size(r.count);
+  r.depart = h.depart;
+  r.arrive_wall = h.arrive_wall;
+  r.from_self = h.from_self;
+  r.status = Status{h.src, h.tag, incoming};
+  if (incoming <= capacity) return true;
+  r.error = truncation_error(incoming, capacity);
+  r.truncated = true;
+  return false;
+}
+
+}  // namespace
+
+std::shared_ptr<ReqState> Mailbox::take_posted(const detail::MsgHeader& h) {
+  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
+    if (matches(**it, h)) {
+      std::shared_ptr<ReqState> r = std::move(*it);
+      posted_.erase(it);  // preserves posting order of the remainder
+      any_posted_.store(!posted_.empty(), std::memory_order_relaxed);
+      return r;
+    }
+  }
+  return nullptr;
+}
+
+// Complete a receive from a staged payload and hand the buffer back to its
+// origin pool. Runs with NO lock held: the pairing was fixed under the
+// mailbox mutex, so the unpack (a potentially large datatype scatter) must
+// not serialize other senders or the owner. Does NOT set r.done — the
+// caller publishes completion afterwards.
 void Mailbox::complete(ReqState& r, Message& m) {
   const std::size_t incoming = m.payload.size();
-  const std::size_t capacity = r.type.pack_size(r.count);
-  r.depart = m.depart;
-  r.arrive_wall = m.arrive_wall;
-  r.from_self = m.from_self;
-  // MPI truncation semantics: an incoming message longer than the posted
-  // receive is an error, surfaced at the *receiver's* wait/test call. The
-  // message still crossed the wire, so the model accounts its full cost;
-  // only the unpack into the (too small) user buffer is suppressed.
-  if (incoming > capacity) {
-    r.status = Status{m.src, m.tag, incoming};
-    r.error = "mpl: message truncated (incoming " + std::to_string(incoming) +
-              " bytes, receive capacity " + std::to_string(capacity) +
-              " bytes)";
-    r.truncated = true;
-  } else {
-    const std::size_t got =
-        r.type.unpack_partial(m.payload.data(), incoming, r.base, r.count);
-    r.status = Status{m.src, m.tag, got};
+  if (accept(r, m, incoming)) {
+    r.type.unpack_partial(m.payload.data(), incoming, r.base, r.count);
   }
   m.release();
 }
 
-void Mailbox::deliver(Message msg) {
-  if (tracer_) msg.arrive_wall = tracer_->wall_now();
-  activity_.fetch_add(1, std::memory_order_relaxed);
-
-  // Phase 1 (locked): match-and-dequeue only. The pairing decision is what
-  // needs mutual exclusion; the unpack does not.
-  std::shared_ptr<ReqState> match;
+void Mailbox::publish(ReqState& r) {
+  // Storing `done` under the mutex is what makes the owner's predicated
+  // cv_ wait lost-wakeup-free; the release order still pairs with the
+  // lock-free acquire loads in poll_done()/test().
   bool wake = false;
   {
     detail::CheckedLock lock(mtx_);
-    for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-      if (matches(**it, msg)) {
-        match = std::move(*it);
-        posted_.erase(it);  // preserves posting order of the remainder
-        break;
-      }
+    r.done.store(true, std::memory_order_release);
+    wake = wait_kind_ == WaitKind::any ||
+           (wait_kind_ == WaitKind::request && wait_req_ == &r);
+  }
+  if (wake) cv_.notify_one();
+}
+
+bool Mailbox::deliver(detail::MsgHeader h, const void* buf, int count,
+                      const Datatype& type, detail::BufferPool& pool) {
+  if (tracer_) h.arrive_wall = tracer_->wall_now();
+  activity_.fetch_add(1, std::memory_order_relaxed);
+
+  // Match first, before any byte moves. A hit never overtakes an older
+  // message: a posted receive can never have a matching message older
+  // than itself in unexpected_ or claimed_, because post_recv scans both
+  // before it parks a receive in posted_, and every later arrival checks
+  // posted_ before it is queued. So per-(sender, ctx) FIFO order holds.
+  // With no receive posted at all there is nothing to match, and the lock
+  // is skipped: under fan-in most messages arrive unmatched, and a second
+  // acquisition of the contended mutex per message would cost more than
+  // the direct path saves.
+  std::shared_ptr<ReqState> match;
+  if (any_posted_.load(std::memory_order_relaxed)) {
+    detail::CheckedLock lock(mtx_);
+    match = take_posted(h);
+  }
+  if (match) {
+    // Single copy, sender's layout straight into the posted layout.
+    // Nobody else can touch either buffer: the sender is inside its send,
+    // and the dequeued receive is invisible until published.
+    if (accept(*match, h, type.pack_size(count))) {
+      type.copy_to(buf, count, match->base, match->count, match->type);
     }
+    publish(*match);
+    return false;
+  }
+
+  // Miss: stage the bytes in a pooled payload (outside the lock), then
+  // match again — a receive posted meanwhile takes the payload.
+  Message msg{h, pool.acquire(type.pack_size(count)), &pool};
+  type.pack(buf, count, msg.payload.data());
+  bool wake = false;
+  {
+    detail::CheckedLock lock(mtx_);
+    match = take_posted(msg);
     if (!match) {
       wake = wait_kind_ == WaitKind::any ||
              (wait_kind_ == WaitKind::probe && msg.ctx == probe_ctx_ &&
@@ -76,23 +134,11 @@ void Mailbox::deliver(Message msg) {
   }
   if (!match) {
     if (wake) cv_.notify_one();
-    return;
+    return true;
   }
-
-  // Phase 2 (unlocked): unpack the payload and recycle the buffer.
   complete(*match, msg);
-
-  // Phase 3 (locked): publish completion and decide whether the owner
-  // needs a wakeup. Storing `done` under the mutex is what makes the
-  // owner's predicated cv_ wait lost-wakeup-free; the release order still
-  // pairs with the lock-free acquire loads in poll_done()/test().
-  {
-    detail::CheckedLock lock(mtx_);
-    match->done.store(true, std::memory_order_release);
-    wake = wait_kind_ == WaitKind::any ||
-           (wait_kind_ == WaitKind::request && wait_req_ == match.get());
-  }
-  if (wake) cv_.notify_one();
+  publish(*match);
+  return true;
 }
 
 namespace {
@@ -180,6 +226,7 @@ void Mailbox::post_recv(const std::shared_ptr<ReqState>& r) {
     }
     if (it == unexpected_.end()) {
       posted_.push_back(r);
+      any_posted_.store(true, std::memory_order_relaxed);
       return;
     }
     msg = std::move(*it);
@@ -228,9 +275,7 @@ bool Mailbox::try_recv_now(std::uint64_t ctx, int src, int tag,
   const std::size_t capacity = type.pack_size(count);
   if (incoming > capacity) {
     msg.release();
-    throw Error("mpl: message truncated (incoming " +
-                std::to_string(incoming) + " bytes, receive capacity " +
-                std::to_string(capacity) + " bytes)");
+    throw Error(truncation_error(incoming, capacity));
   }
   const std::size_t got =
       type.unpack_partial(msg.payload.data(), incoming, base, count);

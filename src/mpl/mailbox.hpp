@@ -1,19 +1,23 @@
 // Per-process message matching.
 //
 // Each simulated process owns one Mailbox. Senders deliver messages
-// directly (the transport is eager: the payload is packed by the sender
-// and copied once); the mailbox matches them against posted receives using
-// MPI semantics: (context, source, tag) with wildcards, FIFO per
-// (sender, context) pair, matching in arrival/posting order.
+// directly and eagerly (a send completes at post time); the mailbox
+// matches them against posted receives using MPI semantics: (context,
+// source, tag) with wildcards, FIFO per (sender, context) pair, matching
+// in arrival/posting order.
 //
-// Delivery is two-phase (see DESIGN.md, "Transport hot path"): the
-// mailbox mutex covers only match-and-dequeue; the datatype unpack of a
-// matched payload runs outside the lock, and the completion flag is then
-// published under a short re-acquisition. Wakeups are targeted: the
-// mailbox records what its owner is blocked on (a specific request, a
-// wait_any predicate, or a probe) and a deliverer signals the condvar only
-// when its completion can satisfy that wait — a mailbox whose owner is
-// busy computing sees no notify at all.
+// Delivery is match-first (see DESIGN.md, "Transport hot path"): the
+// sender looks for a matching posted receive before it moves any bytes.
+// On a hit it copies once, from its own buffer straight into the posted
+// one. On a miss it packs into a pooled payload that waits in the
+// unexpected queue, and the receive that later matches it unpacks it —
+// the one case that still copies twice. The mailbox mutex covers only
+// match-and-dequeue; every copy runs outside the lock, and the completion
+// flag is then published under a short re-acquisition. Wakeups are
+// targeted: the mailbox records what its owner is blocked on (a specific
+// request, a wait_any predicate, or a probe) and a deliverer signals the
+// condvar only when its completion can satisfy that wait — a mailbox
+// whose owner is busy computing sees no notify at all.
 #pragma once
 
 #include <atomic>
@@ -29,6 +33,7 @@
 
 #include "mpl/annotations.hpp"
 #include "mpl/checked.hpp"
+#include "mpl/datatype.hpp"
 #include "mpl/fault.hpp"
 #include "mpl/pool.hpp"
 #include "mpl/request.hpp"
@@ -49,21 +54,26 @@ inline constexpr int PROC_NULL = -1;
 
 namespace detail {
 
-/// A packed in-flight message. The payload buffer is borrowed from the
-/// sending process's BufferPool and returned there by release() once the
-/// receiver has unpacked it; a message that is never received just frees
-/// the buffer on destruction.
-struct Message {
+/// Envelope and model stamps of a message: everything the receiver learns
+/// about it except the bytes themselves.
+struct MsgHeader {
   std::uint64_t ctx = 0;
   int src = -1;
   int tag = -1;
-  Buffer payload;
-  BufferPool* pool = nullptr;  // origin pool; null for unpooled payloads
   double depart = 0.0;  // sender virtual-clock stamp
   double arrive_wall = -1.0;  // wall time of mailbox delivery (tracing only)
   bool from_self = false;
+};
 
-  /// Hand the payload back to its origin pool (no-op when unpooled).
+/// A staged (unmatched) in-flight message. The payload buffer is borrowed
+/// from the sending process's BufferPool and returned there by release()
+/// once the receiver has unpacked it; a message that is never received
+/// just frees the buffer on destruction.
+struct Message : MsgHeader {
+  Buffer payload;
+  BufferPool* pool = nullptr;  // origin pool
+
+  /// Hand the payload back to its origin pool.
   /// Must not be called while holding a mailbox lock.
   void release() {
     if (pool) {
@@ -115,12 +125,18 @@ class Mailbox {
   /// from any thread holding no tracked lock.
   void dump_pending(std::ostream& os) MPL_EXCLUDES(mtx_);
 
-  /// Deliver a message (called by the sending thread). If a matching
-  /// receive is posted it is dequeued under the lock, its payload unpacked
-  /// after release, and the request completed; otherwise the message is
-  /// queued as unexpected. Wakes the owner only when the owner's recorded
-  /// wait can be satisfied by this delivery.
-  void deliver(detail::Message msg) MPL_EXCLUDES(mtx_);
+  /// Deliver `count` elements of `type` at `buf` under header `h` (called
+  /// by the sending thread; the only way a message enters a mailbox). If a
+  /// matching receive is posted it is dequeued under the lock and the
+  /// bytes are copied straight into it after release. Otherwise they are
+  /// packed into a buffer from `pool` (the sender's) outside the lock, and
+  /// matching runs again — a receive posted meanwhile takes the payload —
+  /// before the message is queued as unexpected. Returns true when the
+  /// bytes were staged in a pooled payload. Wakes the owner only when the
+  /// owner's recorded wait can be satisfied by this delivery.
+  bool deliver(detail::MsgHeader h, const void* buf, int count,
+               const Datatype& type, detail::BufferPool& pool)
+      MPL_EXCLUDES(mtx_);
 
   /// Post a receive (called by the owning thread). May complete
   /// immediately against an unexpected message (unpacked outside the
@@ -206,14 +222,20 @@ class Mailbox {
     probe,    ///< wait_probe on (probe_ctx_, probe_src_, probe_tag_)
   };
 
-  static bool matches(const detail::ReqState& r, const detail::Message& m);
-  /// Unpack a matched (request, message) pair and recycle the payload to
-  /// its origin pool. Must run with the mailbox lock released: the unpack
-  /// is the expensive phase-2 of delivery, and recycling to the pool while
-  /// holding the mailbox would couple every sender to this receiver's
-  /// pool contention (BufferPool::recycle additionally asserts no mailbox
-  /// lock is held under MPL_CHECKED).
+  static bool matches(const detail::ReqState& r, const detail::MsgHeader& m);
+  /// Dequeue the oldest posted receive matching `h`, or null.
+  std::shared_ptr<detail::ReqState> take_posted(const detail::MsgHeader& h)
+      MPL_REQUIRES(mtx_);
+  /// Unpack a matched (request, staged message) pair and recycle the
+  /// payload to its origin pool. Must run with the mailbox lock released:
+  /// the unpack is the expensive phase-2 of delivery, and recycling to the
+  /// pool while holding the mailbox would couple every sender to this
+  /// receiver's pool contention (BufferPool::recycle additionally asserts
+  /// no mailbox lock is held under MPL_CHECKED).
   void complete(detail::ReqState& r, detail::Message& m) MPL_EXCLUDES(mtx_);
+  /// Publish a deliverer's completion of `r` (done under the lock) and
+  /// wake the owner if it waits on it.
+  void publish(detail::ReqState& r) MPL_EXCLUDES(mtx_);
 
   [[nodiscard]] bool aborting() const noexcept {
     return abort_flag_ && abort_flag_->load(std::memory_order_relaxed);
@@ -283,6 +305,16 @@ class Mailbox {
   std::uint64_t probe_ctx_ MPL_GUARDED_BY(mtx_) = 0;  // WaitKind::probe
   int probe_src_ MPL_GUARDED_BY(mtx_) = ANY_SOURCE;
   int probe_tag_ MPL_GUARDED_BY(mtx_) = ANY_TAG;
+
+  /// !posted_.empty(), republished under mtx_ whenever posted_ changes and
+  /// read without the lock by deliver() to skip its first match when no
+  /// receive is posted. Relaxed: a stale read only changes which path a
+  /// message takes, because the locked match after staging is
+  /// authoritative. On a cache line of its own: the owner writes it on
+  /// every post and match, and on a line shared with fields every sender
+  /// reads (tracer_, the queues) it made bench_transport's fan-in slower
+  /// than having no hint at all.
+  alignas(64) std::atomic<bool> any_posted_{false};
 };
 
 }  // namespace mpl

@@ -1,13 +1,15 @@
-// Pooled payload buffers for the eager transport.
+// Pooled payload buffers for messages that find no posted receive.
 //
-// Every message the transport moves used to carry a freshly allocated
-// std::vector<std::byte>; at large p the per-message malloc/free (plus the
-// vector's zero-fill) dominated the simulator's wall-clock hot path. A
-// Buffer is a plain uninitialised byte block with a logical length, and a
-// BufferPool is a per-process freelist of them: the sender acquires from
-// its own process's pool, the buffer travels inside the Message, and the
-// receiver recycles it back to the *origin* pool after unpacking, so
-// steady-state traffic allocates nothing.
+// Delivery is match-first (mailbox.hpp): a send whose receive is already
+// posted copies straight into it and never touches a pool. Only a message
+// that has to wait in the receiver's unexpected queue is staged, and its
+// bytes need a home of their own until a receive claims them. A fresh
+// std::vector<std::byte> per staged message would pay a malloc/free and a
+// zero-fill each time, so a Buffer is a plain uninitialised byte block with
+// a logical length, and a BufferPool is a per-process freelist of them: the
+// sender acquires from its own process's pool, the buffer travels inside
+// the Message, and the receiver recycles it back to the *origin* pool
+// after unpacking, so steady-state staged traffic allocates nothing.
 //
 // Lifetime rules (see DESIGN.md, "Transport hot path"):
 //   - acquire() is called by the owning process only, with no locks held.

@@ -36,6 +36,7 @@ void gather_metrics(
   for (const auto& tm : telems) {
     s.msgs_sent += tm->msgs_sent();
     s.bytes_sent += tm->bytes_sent();
+    s.staged_bytes += tm->staged_bytes();
     s.msgs_recv += tm->msgs_recv();
     s.bytes_recv += tm->bytes_recv();
     s.waits += tm->waits();
@@ -296,6 +297,14 @@ void run(int nprocs, const std::function<void(Comm&)>& fn,
   if (auto first_error = errors.first()) std::rethrow_exception(first_error);
 
   // All process threads joined: the per-rank rings are safe to read.
+  if (telem_armed && rt.tracer.metrics_armed()) {
+    for (int r = 0; r < nprocs; ++r) {
+      rt.tracer.rank(r)->set_telemetry(
+          {{"staged_bytes",
+            static_cast<double>(
+                telems[static_cast<std::size_t>(r)]->staged_bytes())}});
+    }
+  }
   const std::string trace_error = rt.tracer.flush();
   if (!trace_error.empty()) throw Error(trace_error);
 

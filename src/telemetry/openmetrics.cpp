@@ -62,6 +62,11 @@ void write_openmetrics(std::ostream& os, const MetricsSnapshot& snap) {
           snap.msgs_sent);
   counter(os, "mpl_bytes_sent", "Payload bytes sent across all ranks.",
           snap.bytes_sent);
+  counter(os, "mpl_staged_bytes",
+          "Sent bytes staged in a pooled payload because no receive was "
+          "posted yet (the rest were copied once, straight into the "
+          "receive).",
+          snap.staged_bytes);
   counter(os, "mpl_msgs_recv", "Messages received across all ranks.",
           snap.msgs_recv);
   counter(os, "mpl_bytes_recv", "Payload bytes received across all ranks.",

@@ -38,6 +38,7 @@ struct MetricsSnapshot {
   int nprocs = 0;
   std::uint64_t msgs_sent = 0;
   std::uint64_t bytes_sent = 0;
+  std::uint64_t staged_bytes = 0;
   std::uint64_t msgs_recv = 0;
   std::uint64_t bytes_recv = 0;
   std::uint64_t waits = 0;

@@ -51,6 +51,9 @@ class RankTelemetry {
     add(bytes_sent_, bytes);
     msg_bytes_.record(bytes);
   }
+  /// Bytes of a sent message that no posted receive matched, so they were
+  /// staged in a pooled payload (the transport's one extra copy).
+  void on_staged(std::uint64_t bytes) noexcept { add(staged_bytes_, bytes); }
   void on_recv(std::uint64_t bytes) noexcept {
     bump(msgs_recv_);
     add(bytes_recv_, bytes);
@@ -79,6 +82,7 @@ class RankTelemetry {
   [[nodiscard]] int rank() const noexcept { return rank_; }
   [[nodiscard]] std::uint64_t msgs_sent() const noexcept { return get(msgs_sent_); }
   [[nodiscard]] std::uint64_t bytes_sent() const noexcept { return get(bytes_sent_); }
+  [[nodiscard]] std::uint64_t staged_bytes() const noexcept { return get(staged_bytes_); }
   [[nodiscard]] std::uint64_t msgs_recv() const noexcept { return get(msgs_recv_); }
   [[nodiscard]] std::uint64_t bytes_recv() const noexcept { return get(bytes_recv_); }
   [[nodiscard]] std::uint64_t waits() const noexcept { return get(waits_); }
@@ -117,6 +121,7 @@ class RankTelemetry {
   int rank_;
   std::atomic<std::uint64_t> msgs_sent_{0};
   std::atomic<std::uint64_t> bytes_sent_{0};
+  std::atomic<std::uint64_t> staged_bytes_{0};
   std::atomic<std::uint64_t> msgs_recv_{0};
   std::atomic<std::uint64_t> bytes_recv_{0};
   std::atomic<std::uint64_t> waits_{0};

@@ -280,7 +280,17 @@ void Tracer::write_metrics_json(std::ostream& os) const {
       os << '"' << named[i].first << "\": ";
       put_num(os, named[i].second);
     }
-    os << "},\n \"per_comm\": [";
+    os << "},\n";
+    if (!rt.telemetry().empty()) {
+      os << " \"telemetry\": {";
+      for (std::size_t i = 0; i < rt.telemetry().size(); ++i) {
+        if (i) os << ", ";
+        os << '"' << rt.telemetry()[i].first << "\": ";
+        put_num(os, rt.telemetry()[i].second);
+      }
+      os << "},\n";
+    }
+    os << " \"per_comm\": [";
     // Deterministic order: sort contexts.
     std::vector<std::uint64_t> ctxs;
     ctxs.reserve(rt.by_comm().size());

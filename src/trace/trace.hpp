@@ -319,6 +319,17 @@ class RankTrace {
     return per_phase_;
   }
 
+  /// Per-rank totals owned by the telemetry layer (e.g. staged bytes),
+  /// handed over after the run for the metrics JSON. Empty when telemetry
+  /// was not armed; the trace layer never counts these itself.
+  void set_telemetry(std::vector<std::pair<const char*, double>> named) {
+    telemetry_ = std::move(named);
+  }
+  [[nodiscard]] const std::vector<std::pair<const char*, double>>& telemetry()
+      const noexcept {
+    return telemetry_;
+  }
+
  private:
   Counters& comm_counters(std::uint64_t ctx) { return by_comm_[ctx]; }
 
@@ -334,6 +345,7 @@ class RankTrace {
     ++hist_[static_cast<std::size_t>(b)];
   }
 
+  std::vector<std::pair<const char*, double>> telemetry_;
   int rank_;
   std::size_t capacity_;
   bool trace_armed_;

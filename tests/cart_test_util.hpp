@@ -13,8 +13,12 @@
 namespace carttest {
 
 /// Deterministic element value for block `idx` sent by `origin_rank`.
+/// Computed modulo 2^32 (unsigned), so large indices wrap instead of
+/// overflowing a signed int.
 inline int pattern(int origin_rank, int idx, int elem) {
-  return origin_rank * 73856093 + idx * 19349663 + elem * 83492791;
+  return static_cast<int>(static_cast<unsigned>(origin_rank) * 73856093u +
+                          static_cast<unsigned>(idx) * 19349663u +
+                          static_cast<unsigned>(elem) * 83492791u);
 }
 
 /// Pattern for allgather (one block per origin, independent of target idx).

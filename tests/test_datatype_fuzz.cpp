@@ -2,7 +2,8 @@
 // nested datatypes are checked against an independent reference
 // interpreter that walks the constructor tree and enumerates the typemap
 // directly. pack/unpack round-trips and size/extent/flatten results must
-// agree exactly.
+// agree exactly, and the direct typed-to-typed copy must agree with pack
+// followed by unpack.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -177,6 +178,50 @@ TEST_P(DatatypeFuzz, EngineAgreesWithReferenceInterpreter) {
       } else {
         ASSERT_EQ(obase[p], 0xEE) << "trial " << trial << " disp " << p;
       }
+    }
+  }
+}
+
+TEST_P(DatatypeFuzz, DirectCopyMatchesPackThenUnpack) {
+  // The single-pass typed-to-typed copy must write exactly what pack into
+  // a staging buffer followed by unpack_partial writes — same bytes, same
+  // untouched gaps, same byte count — for random layout pairs, element
+  // counts and byte limits (full, partial, and cut mid-block).
+  std::mt19937 rng(GetParam() * 7919u);
+  std::uniform_int_distribution<int> count_dist(1, 3);
+  // Room for `count` elements of `t`, addressed from the returned base.
+  auto field_for = [](const Datatype& t, int count) {
+    return static_cast<std::size_t>(
+               t.extent() * (count - 1) + t.extent()) + 16;
+  };
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto [st, sref] = random_type(rng, 3);
+    const auto [dt, dref] = random_type(rng, 3);
+    const int scount = count_dist(rng);
+    const int dcount = count_dist(rng);
+    const std::size_t full =
+        std::min(st.pack_size(scount), dt.pack_size(dcount));
+    std::uniform_int_distribution<std::size_t> limit_dist(0, full);
+    for (const std::size_t limit : {full, limit_dist(rng), std::size_t{1}}) {
+      std::vector<unsigned char> src(field_for(st, scount));
+      for (std::size_t i = 0; i < src.size(); ++i) {
+        src[i] = static_cast<unsigned char>(i * 37 + 11);
+      }
+      const unsigned char* sbase = src.data() - st.lb();
+      std::vector<unsigned char> want(field_for(dt, dcount), 0xEE);
+      std::vector<unsigned char> got(want);
+      unsigned char* wbase = want.data() - dt.lb();
+      unsigned char* gbase = got.data() - dt.lb();
+
+      std::vector<std::byte> packed(st.pack_size(scount));
+      st.pack(sbase, scount, packed.data());
+      const std::size_t n = std::min(limit, packed.size());
+      const std::size_t want_n =
+          dt.unpack_partial(packed.data(), n, wbase, dcount);
+      const std::size_t got_n =
+          st.copy_to(sbase, scount, gbase, dcount, dt, limit);
+      ASSERT_EQ(got_n, want_n) << "trial " << trial << " limit " << limit;
+      ASSERT_EQ(got, want) << "trial " << trial << " limit " << limit;
     }
   }
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cart_test_util.hpp"
+#include "telemetry/telemetry.hpp"
 
 using cartcomm::Algorithm;
 using cartcomm::Neighborhood;
@@ -336,6 +337,70 @@ TEST_F(FaultRun, SameSeedBitIdenticalVclocks) {
   }
   EXPECT_EQ(dump1, dump2);
   EXPECT_FALSE(dump1.empty());
+}
+
+TEST_F(FaultRun, DirectAndStagedDeliveryReplayBitIdentical) {
+  // Drops, delays and stragglers over a ring exchange whose even rounds
+  // post every receive before the sends (direct delivery) and whose odd
+  // rounds send first (staged delivery). The virtual clocks are a pure
+  // function of the seed whichever path each message took.
+  FaultConfig f;
+  f.seed = 5;
+  f.drop = 0.25;
+  f.delay = 4e-6;
+  f.delay_prob = 0.5;
+  f.straggler_frac = 0.5;
+  f.straggler = 1e-6;
+  constexpr int kRanks = 4;
+  constexpr int kRounds = 8;
+  constexpr int kInts = 32;
+
+  auto faulted_clocks = [&f]() {
+    std::vector<double> clocks(kRanks, -1.0);
+    std::vector<std::uint64_t> staged(kRanks, 0);
+    mpl::RunOptions opts;
+    opts.net = mpl::NetConfig::omnipath();
+    opts.faults = f;
+    opts.telemetry.enabled = true;
+    mpl::run(
+        kRanks,
+        [&](mpl::Comm& c) {
+          const mpl::Datatype kInt = mpl::Datatype::of<int>();
+          const int right = (c.rank() + 1) % kRanks;
+          const int left = (c.rank() + kRanks - 1) % kRanks;
+          std::vector<int> out(kInts), in(kInts, -1);
+          for (int round = 0; round < kRounds; ++round) {
+            for (int i = 0; i < kInts; ++i) {
+              out[static_cast<std::size_t>(i)] = c.rank() * 1000 + round + i;
+            }
+            mpl::Request r;
+            if (round % 2 == 0) {
+              r = c.irecv(in.data(), kInts, kInt, left, round);
+              c.hard_sync();
+              c.send(out.data(), kInts, kInt, right, round);
+            } else {
+              c.send(out.data(), kInts, kInt, right, round);
+              c.hard_sync();
+              r = c.irecv(in.data(), kInts, kInt, left, round);
+            }
+            r.wait();
+            ASSERT_EQ(in[1], left * 1000 + round + 1);
+          }
+          clocks[static_cast<std::size_t>(c.rank())] = c.vclock();
+          staged[static_cast<std::size_t>(c.rank())] =
+              c.telemetry()->staged_bytes();
+        },
+        opts);
+    for (const std::uint64_t b : staged) {
+      EXPECT_EQ(b, (kRounds / 2) * kInts * sizeof(int)) << "odd rounds only";
+    }
+    return clocks;
+  };
+
+  const std::vector<double> clocks1 = faulted_clocks();
+  const std::vector<double> clocks2 = faulted_clocks();
+  EXPECT_EQ(clocks1, clocks2);
+  for (const double v : clocks1) EXPECT_GT(v, 0.0);
 }
 
 // ---------------------------------------------------------------------------

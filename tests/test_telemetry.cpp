@@ -263,21 +263,19 @@ TEST_F(TelemetryRun, MailboxWorkloadRecordsContention) {
   mpl::run(2, [](mpl::Comm& world) {
     std::vector<int> buf(16, world.rank());
     const int peer = 1 - world.rank();
+    // Send, sync, then receive: every message finds no posted receive and
+    // is staged through the sender's pool.
     for (int i = 0; i < 2000; ++i) {
-      if (world.rank() == 0) {
-        world.send(buf.data(), 16, kInt, peer, 5);
-        world.recv(buf.data(), 16, kInt, peer, 5);
-      } else {
-        world.recv(buf.data(), 16, kInt, peer, 5);
-        world.send(buf.data(), 16, kInt, peer, 5);
-      }
+      world.send(buf.data(), 16, kInt, peer, 5);
+      world.hard_sync();
+      world.recv(buf.data(), 16, kInt, peer, 5);
     }
   }, opts);
   const telemetry::ContentionTotals t = telemetry::contention_totals();
   const int mailbox = static_cast<int>(mpl::detail::LockLevel::mailbox);
   const int pool = static_cast<int>(mpl::detail::LockLevel::buffer_pool);
-  // Every delivery takes the receiver's mailbox lock and the sender's
-  // pool lock; 2000 round trips cannot fail to register.
+  // Every delivery takes the receiver's mailbox lock, and every staged
+  // one the sender's pool lock; 2000 round trips cannot fail to register.
   EXPECT_GT(t.acquisitions[mailbox], 1000u);
   EXPECT_GT(t.acquisitions[pool], 1000u);
   EXPECT_FALSE(telemetry::contention_enabled()) << "run() must disarm";
@@ -542,6 +540,51 @@ TEST_F(TelemetryExport, RunWritesOpenMetricsFile) {
             std::string::npos)
       << text;
   EXPECT_EQ(text.rfind("# EOF\n"), text.size() - 6);
+}
+
+TEST_F(TelemetryExport, StagedBytesReachOpenMetricsAndMetricsJson) {
+  // Rank 0 sends before rank 1 posts (16 ints staged); rank 1 sends into
+  // a receive rank 0 already posted (direct, nothing staged). Both
+  // exporters carry the one sender-side count.
+  const std::string om = ::testing::TempDir() + "telemetry_staged.om";
+  const std::string js = ::testing::TempDir() + "telemetry_staged.json";
+  std::remove(om.c_str());
+  std::remove(js.c_str());
+  mpl::RunOptions opts;
+  opts.telemetry.openmetrics_path = om;
+  opts.trace.metrics_path = js;
+  mpl::run(2, [](mpl::Comm& c) {
+    std::vector<int> buf(16, c.rank());
+    if (c.rank() == 0) {
+      c.send(buf.data(), 16, kInt, 1, 0);
+      mpl::Request r = c.irecv(buf.data(), 16, kInt, 1, 1);
+      c.hard_sync();
+      r.wait();
+    } else {
+      c.hard_sync();
+      c.send(buf.data(), 16, kInt, 0, 1);
+      c.recv(buf.data(), 16, kInt, 0, 0);
+    }
+  }, opts);
+
+  auto slurp = [](const std::string& path) {
+    std::ifstream is(path);
+    std::stringstream buf;
+    buf << is.rdbuf();
+    return buf.str();
+  };
+  const std::string text = slurp(om);
+  EXPECT_NE(text.find("mpl_staged_bytes_total 64\n"), std::string::npos)
+      << text;
+  const std::string json = slurp(js);
+  EXPECT_NE(json.find("{\"rank\": 0,"), std::string::npos) << json;
+  const std::size_t r0 = json.find("\"telemetry\": {\"staged_bytes\": 64}");
+  const std::size_t r1 = json.find("\"telemetry\": {\"staged_bytes\": 0}");
+  EXPECT_NE(r0, std::string::npos) << json;
+  EXPECT_NE(r1, std::string::npos) << json;
+  EXPECT_LT(r0, r1) << "rank 0 staged, rank 1 did not";
+  std::remove(om.c_str());
+  std::remove(js.c_str());
 }
 
 TEST_F(TelemetryExport, EnvConfigOverlays) {

@@ -1,6 +1,6 @@
 // Regression tests for the transport hot path: many-sender mailbox
 // contention (run under TSan in CI), per-(sender,ctx) FIFO matching,
-// payload-buffer pooling, test_any fairness, the G_pack accounting split
+// payload-buffer pooling, match-first (direct) delivery, test_any fairness, the G_pack accounting split
 // between post and completion, truncation cost accounting, and bitwise
 // determinism of model runs.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "cartcomm/cartcomm.hpp"
 #include "mpl/mpl.hpp"
 #include "mpl/pool.hpp"
+#include "telemetry/telemetry.hpp"
 
 using mpl::Comm;
 using mpl::Datatype;
@@ -133,26 +134,211 @@ TEST(TransportStress, PerSenderFifoUnderContention) {
 // -- payload-buffer pooling --------------------------------------------------
 
 TEST(TransportPool, RoundTripTrafficRecyclesBuffers) {
-  // In a ping-pong the receiver hands each payload buffer back to the
-  // sender's pool before the next send, so steady-state rounds allocate
-  // nothing: the pool must report freelist hits and recycles on both ends.
+  // A message sent before its receive is posted is staged in a payload
+  // buffer from the sender's pool, and the receiver hands that buffer back
+  // after unpacking, so steady-state rounds allocate nothing: the pool
+  // must report freelist hits and recycles on both ends. Each round sends,
+  // then syncs before receiving, so every message takes the staged path;
+  // the closing sync orders the recycle before the next round's acquire.
   constexpr int kRounds = 64;
   mpl::run(2, [](Comm& c) {
     std::vector<int> buf(64, c.rank());
+    const int peer = 1 - c.rank();
     for (int r = 0; r < kRounds; ++r) {
-      if (c.rank() == 0) {
-        c.send(buf.data(), 64, kInt, 1, 0);
-        c.recv(buf.data(), 64, kInt, 1, 0);
-      } else {
-        c.recv(buf.data(), 64, kInt, 0, 0);
-        c.send(buf.data(), 64, kInt, 0, 0);
-      }
+      c.send(buf.data(), 64, kInt, peer, 0);
+      c.hard_sync();  // both messages queued unmatched
+      c.recv(buf.data(), 64, kInt, peer, 0);
+      c.hard_sync();
     }
     const auto s = mpl::this_proc()->pool().stats();
     EXPECT_GT(s.hits, 0u) << "steady-state sends never hit the freelist";
     EXPECT_GT(s.recycled, 0u) << "receivers never returned a buffer";
     EXPECT_GE(s.hits + s.misses, static_cast<std::uint64_t>(kRounds));
   });
+}
+
+// -- match-first delivery ----------------------------------------------------
+
+namespace {
+
+std::uint64_t pool_acquires() {
+  const auto s = mpl::this_proc()->pool().stats();
+  return s.hits + s.misses;
+}
+
+mpl::RunOptions with_telemetry() {
+  mpl::RunOptions opts;
+  opts.telemetry.enabled = true;
+  return opts;
+}
+
+}  // namespace
+
+TEST(TransportDirect, PostedReceiveTakesTheSendWithoutThePool) {
+  // A receive posted before the send is matched by the sender, which
+  // copies straight into it: nothing is acquired from the pool and no
+  // byte is staged.
+  mpl::run(
+      2,
+      [](Comm& c) {
+        std::vector<int> buf(64, c.rank() + 1);
+        const std::uint64_t before = pool_acquires();
+        if (c.rank() == 0) {
+          c.hard_sync();  // the receive is posted
+          c.send(buf.data(), 64, kInt, 1, 3);
+        } else {
+          Request r = c.irecv(buf.data(), 64, kInt, 0, 3);
+          c.hard_sync();
+          const Status st = r.wait();
+          EXPECT_EQ(st.bytes, 64 * sizeof(int));
+          for (int v : buf) ASSERT_EQ(v, 1);
+        }
+        c.hard_sync();
+        EXPECT_EQ(pool_acquires(), before);
+        EXPECT_EQ(c.telemetry()->staged_bytes(), 0u);
+      },
+      with_telemetry());
+}
+
+TEST(TransportDirect, UnmatchedSendStagesEveryByte) {
+  // The converse: a send that finds no posted receive stages all of its
+  // bytes, and the sender-side counter says exactly how many.
+  mpl::run(
+      2,
+      [](Comm& c) {
+        std::vector<int> buf(64, c.rank() + 1);
+        const std::uint64_t before = pool_acquires();
+        if (c.rank() == 0) {
+          c.send(buf.data(), 64, kInt, 1, 3);
+          c.send(buf.data(), 16, kInt, 1, 4);
+          c.hard_sync();
+          EXPECT_EQ(c.telemetry()->staged_bytes(), 80 * sizeof(int));
+          EXPECT_EQ(c.telemetry()->bytes_sent(), 80 * sizeof(int));
+          EXPECT_EQ(pool_acquires(), before + 2);
+        } else {
+          c.hard_sync();  // both messages queued unmatched
+          c.recv(buf.data(), 64, kInt, 0, 3);
+          c.recv(buf.data(), 16, kInt, 0, 4);
+          for (int v : buf) ASSERT_EQ(v, 1);
+          EXPECT_EQ(c.telemetry()->staged_bytes(), 0u);
+        }
+      },
+      with_telemetry());
+}
+
+TEST(TransportDirect, TruncationThrowsAtWaitAndChargesTheWire) {
+  // A direct hit on a too-small receive copies nothing, surfaces the
+  // truncation at the receiver's wait, and still charges the wire cost of
+  // the actual incoming bytes.
+  mpl::RunOptions opts = with_telemetry();
+  opts.net = exact_model();
+  const NetConfig& cfg = opts.net;
+  mpl::run(
+      2,
+      [&](Comm& c) {
+        if (c.rank() == 0) {
+          std::array<int, 8> big{1, 2, 3, 4, 5, 6, 7, 8};
+          c.hard_sync();
+          c.send(big.data(), 8, kInt, 1, 0);
+          EXPECT_EQ(c.telemetry()->staged_bytes(), 0u);
+        } else {
+          std::array<int, 4> small{-1, -1, -1, -1};
+          Request r = c.irecv(small.data(), 4, kInt, 0, 0);
+          c.hard_sync();
+          EXPECT_THROW(r.wait(), mpl::Error);
+          for (int v : small) EXPECT_EQ(v, -1) << "truncated receive written";
+          const double depart = cfg.o + cfg.o_block;  // dense, 1 block
+          EXPECT_NEAR(c.vclock(), depart + cfg.L + cfg.G * 32, 1e-15);
+        }
+      },
+      opts);
+}
+
+TEST(TransportDirect, TypedLayoutsMatchPackThenUnpack) {
+  // Every (send layout, receive layout) pair delivers the same bytes on
+  // the direct path (receive posted first) and on the staged path (send
+  // first), and both equal a local pack followed by an unpack.
+  constexpr int kN = 48;
+  const Datatype dense = Datatype::contiguous(12, kInt);
+  const Datatype strided = Datatype::vector(6, 2, 4, kInt);  // 12 ints
+  const std::array<int, 4> lens{1, 3, 2, 6};
+  const std::array<int, 4> displs{30, 0, 10, 20};
+  const Datatype indexed = Datatype::indexed(lens, displs, kInt);  // 12 ints
+  const std::array<Datatype, 3> types{dense, strided, indexed};
+  for (std::size_t si = 0; si < types.size(); ++si) {
+    for (std::size_t ri = 0; ri < types.size(); ++ri) {
+      SCOPED_TRACE("send type " + std::to_string(si) + ", recv type " +
+                   std::to_string(ri));
+      const Datatype& st = types[si];
+      const Datatype& rt = types[ri];
+      std::vector<int> src(kN);
+      for (int i = 0; i < kN; ++i) src[static_cast<std::size_t>(i)] = 100 + i;
+      std::vector<int> want(kN, -1);
+      std::vector<std::byte> packed(st.pack_size(1));
+      st.pack(src.data(), 1, packed.data());
+      rt.unpack(packed.data(), want.data(), 1);
+      for (const bool posted_first : {true, false}) {
+        std::vector<int> got(kN, -1);
+        mpl::run(2, [&](Comm& c) {
+          if (c.rank() == 0) {
+            if (posted_first) c.hard_sync();
+            c.send(src.data(), 1, st, 1, 0);
+            if (!posted_first) c.hard_sync();
+          } else {
+            if (!posted_first) c.hard_sync();
+            Request r = c.irecv(got.data(), 1, rt, 0, 0);
+            if (posted_first) c.hard_sync();
+            r.wait();
+          }
+        });
+        EXPECT_EQ(got, want) << (posted_first ? "direct" : "staged");
+      }
+    }
+  }
+}
+
+TEST(TransportDirect, PostedAndUnexpectedKeepPerSenderFifo) {
+  // One sender, messages alternating between the direct and staged paths,
+  // received through specific and wildcard receives: every receive gets
+  // the oldest matching message, and exactly the unmatched sends stage.
+  mpl::run(
+      2,
+      [](Comm& c) {
+        if (c.rank() == 0) {
+          const std::array<int, 5> v{10, 20, 30, 40, 50};
+          c.send(&v[0], 1, kInt, 1, 1);  // a: staged
+          c.hard_sync();
+          c.hard_sync();                 // receives posted
+          c.send(&v[1], 1, kInt, 1, 2);  // b: direct into rb
+          c.send(&v[2], 1, kInt, 1, 1);  // c: direct into rz
+          c.send(&v[3], 1, kInt, 1, 1);  // d: staged
+          c.send(&v[4], 1, kInt, 1, 2);  // e: staged
+          c.hard_sync();
+          EXPECT_EQ(c.telemetry()->staged_bytes(), 3 * sizeof(int));
+        } else {
+          c.hard_sync();
+          int w = -1, b = -1, z = -1, x = -1, y = -1;
+          Request rw = c.irecv(&w, 1, kInt, mpl::ANY_SOURCE, mpl::ANY_TAG);
+          Request rb = c.irecv(&b, 1, kInt, 0, 2);
+          Request rz = c.irecv(&z, 1, kInt, mpl::ANY_SOURCE, mpl::ANY_TAG);
+          c.hard_sync();
+          c.hard_sync();  // all five sent
+          EXPECT_EQ(rw.wait().tag, 1);
+          EXPECT_EQ(w, 10);
+          EXPECT_EQ(rb.wait().tag, 2);
+          EXPECT_EQ(b, 20);
+          EXPECT_EQ(rz.wait().tag, 1);
+          EXPECT_EQ(z, 30);
+          // Blocking wildcard recv: claims the queue, takes the oldest (d).
+          const Status sx = c.recv(&x, 1, kInt, mpl::ANY_SOURCE, mpl::ANY_TAG);
+          EXPECT_EQ(sx.source, 0);
+          EXPECT_EQ(sx.tag, 1);
+          EXPECT_EQ(x, 40);
+          c.irecv(&y, 1, kInt, 0, 2).wait();
+          EXPECT_EQ(y, 50);
+        }
+      },
+      with_telemetry());
 }
 
 // -- test_any fairness -------------------------------------------------------

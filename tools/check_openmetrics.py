@@ -35,7 +35,8 @@ SAMPLE_RE = re.compile(
 LABEL_RE = re.compile(r'^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"$')
 
 REQUIRED_COUNTERS = (
-    "mpl_msgs_sent", "mpl_bytes_sent", "mpl_msgs_recv", "mpl_bytes_recv",
+    "mpl_msgs_sent", "mpl_bytes_sent", "mpl_staged_bytes", "mpl_msgs_recv",
+    "mpl_bytes_recv",
     "mpl_pool_hits", "mpl_pool_misses",
     "mpl_fault_retries", "mpl_fault_delays",
     "mpl_lock_acquisitions", "mpl_lock_contended",
