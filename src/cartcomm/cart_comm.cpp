@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 
+#include "cartcomm/schedule.hpp"
 #include "mpl/collectives.hpp"
 #include "mpl/error.hpp"
 #include "mpl/proc.hpp"
@@ -75,6 +77,7 @@ CartNeighborComm CartNeighborComm::with_neighborhood(Neighborhood sub) const {
               "with_neighborhood: arity mismatch");
   CartNeighborComm cc;
   cc.cart_ = cart_;
+  cc.op_seq_ = op_seq_;
   cc.stats_ = analyze(sub);
   cc.a2a_alg_ = a2a_alg_;
   cc.ag_alg_ = ag_alg_;
@@ -98,6 +101,13 @@ CartNeighborComm CartNeighborComm::with_neighborhood(Neighborhood sub) const {
 std::uint64_t CartNeighborComm::next_uid() noexcept {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+int CartNeighborComm::next_persistent_tag() const {
+  MPL_REQUIRE(op_seq_ != nullptr,
+              "next_persistent_tag on an invalid communicator");
+  constexpr auto kTags = static_cast<std::uint32_t>(INT_MAX - kCartTag);
+  return kCartTag + 1 + static_cast<int>((*op_seq_)++ % kTags);
 }
 
 Algorithm CartNeighborComm::resolve_alltoall(Algorithm requested,
@@ -163,6 +173,7 @@ CartNeighborComm cart_neighborhood_create(const mpl::Comm& comm,
 
   CartNeighborComm cc;
   cc.cart_ = mpl::cart_create(comm, dims, periods, reorder);
+  cc.op_seq_ = std::make_shared<std::uint32_t>(0);
   cc.nb_ = targets;
   cc.stats_ = analyze(targets);
   cc.weights_.assign(weights.begin(), weights.end());

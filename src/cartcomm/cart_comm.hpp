@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -53,6 +54,13 @@ class CartNeighborComm {
   /// copies. Lets per-thread caches detect that a pointer-equal object is
   /// actually a different communicator (allocator address reuse).
   [[nodiscard]] std::uint64_t uid() const noexcept { return uid_; }
+
+  /// Draw the matching tag of a new persistent operation: the next value of
+  /// a per-rank sequence above kCartTag that every with_neighborhood view of
+  /// this communicator shares. Persistent *_init calls are collective and
+  /// ordered, so every rank draws the same tag for the same operation, and
+  /// operations in flight together never match each other's messages.
+  [[nodiscard]] int next_persistent_tag() const;
 
   // -- Listing 2 helpers -----------------------------------------------------
 
@@ -140,6 +148,8 @@ class CartNeighborComm {
   std::vector<int> target_ranks_;
   std::vector<int> source_ranks_;
   std::uint64_t uid_ = next_uid();
+  // Persistent-operation tag sequence, shared with with_neighborhood views.
+  std::shared_ptr<std::uint32_t> op_seq_;
   Algorithm a2a_alg_ = Algorithm::automatic;
   Algorithm ag_alg_ = Algorithm::automatic;
   DimOrder ag_order_ = DimOrder::increasing_ck;

@@ -38,7 +38,7 @@ class CollBuilder {
     const Algorithm resolved =
         allgather ? cc.resolve_allgather(alg)
                   : cc.resolve_alltoall(alg, max_block_bytes(sends));
-    return {cc.comm(), resolved,
+    return {cc, resolved,
             build_schedule(cc, std::move(sends), std::move(recvs), allgather,
                            order, resolved)};
   }
@@ -61,12 +61,13 @@ class CollBuilder {
   }
 };
 
-PersistentColl::PersistentColl(const mpl::Comm& comm, Algorithm alg,
+PersistentColl::PersistentColl(const CartNeighborComm& cc, Algorithm alg,
                                Schedule sched)
     : st_(std::make_shared<detail::PersistentState>()) {
-  st_->comm = comm;
+  st_->comm = cc.comm();
   st_->alg = alg;
   st_->sched = std::move(sched);
+  st_->tag = cc.next_persistent_tag();
 }
 
 void PersistentColl::execute() const {
@@ -78,7 +79,7 @@ void PersistentColl::execute() const {
   // Route through the scratch so repeated blocking executions run with
   // zero setup and zero allocation, like the start()/wait() path.
   st.in_flight = true;
-  Schedule::Execution e = st.sched.start(st.comm, st.scratch);
+  Schedule::Execution e = st.sched.start(st.comm, st.scratch, st.tag);
   e.wait();
   st.in_flight = false;
 }
@@ -92,7 +93,7 @@ CartRequest PersistentColl::start() const {
   st.in_flight = true;
   CartRequest r;
   r.st_ = st_;  // co-ownership: the request outlives this handle if need be
-  r.exec_ = st.sched.start(st.comm, st.scratch);
+  r.exec_ = st.sched.start(st.comm, st.scratch, st.tag);
   r.done_ = r.exec_.done();
   if (r.done_) st.in_flight = false;
   return r;

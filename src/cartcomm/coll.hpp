@@ -41,6 +41,7 @@ struct PersistentState {
   Algorithm alg = Algorithm::trivial;
   Schedule sched;
   ExecutionScratch scratch;  // reused request table + receive slots
+  int tag = kCartTag;  // this operation's own matching tag
   // At most one execution of an operation may be in flight (the schedule's
   // buffers and tag are shared); enforced by assertion.
   bool in_flight = false;
@@ -86,9 +87,11 @@ class PersistentColl {
 
   /// Begin a non-blocking execution; complete it with CartRequest::wait().
   /// At most one execution of a given operation may be in flight (the
-  /// schedule's buffers and tag are shared). The schedule advances its
-  /// phases inside test()/wait(): the trivial algorithm one neighbor per
-  /// phase, the combining algorithm one dimension per phase.
+  /// schedule's buffers and tag are shared); executions of different
+  /// operations may overlap freely, each matching on its own tag. The
+  /// schedule advances its phases inside test()/wait(): the trivial
+  /// algorithm posts every receive here and sends to one neighbor per
+  /// phase, the combining algorithm runs one dimension per phase.
   [[nodiscard]] CartRequest start() const;
 
   /// The algorithm this operation was bound to (automatic is resolved at
@@ -105,7 +108,8 @@ class PersistentColl {
   friend class CollBuilder;
   friend class ReduceBuilder;
 
-  PersistentColl(const mpl::Comm& comm, Algorithm alg, Schedule sched);
+  /// Draws the operation's matching tag from `cc`.
+  PersistentColl(const CartNeighborComm& cc, Algorithm alg, Schedule sched);
 
   std::shared_ptr<detail::PersistentState> st_;
 };

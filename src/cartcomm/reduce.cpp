@@ -111,7 +111,7 @@ class ReduceBuilder {
         reduce_sends(sendbuf, count, type, variant, cc.neighborhood().count());
     const RecvBlock recv{recvbuf, count, type};
     const Algorithm resolved = resolve_reduce(cc, op, alg);
-    return {cc.comm(), resolved,
+    return {cc, resolved,
             build_reduce_schedule(cc, sends, recv, op, variant,
                                   resolved == Algorithm::combining, order)};
   }

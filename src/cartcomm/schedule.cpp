@@ -30,6 +30,15 @@ void require_null_provenance(const ScheduleRound& r) {
               "provenance (rank mismatch?)");
 }
 
+// A round posts a receive (send) only when the partner exists and the
+// datatype is non-empty; the verifier mirrors this rule.
+bool receives(const ScheduleRound& r) {
+  return r.recvrank != mpl::PROC_NULL && r.recv_bytes() > 0;
+}
+bool sends(const ScheduleRound& r) {
+  return r.sendrank != mpl::PROC_NULL && r.send_bytes() > 0;
+}
+
 }  // namespace
 
 void Schedule::execute(const mpl::Comm& comm) const {
@@ -42,19 +51,21 @@ void Schedule::execute(const mpl::Comm& comm) const {
 }
 
 Schedule::Execution Schedule::start(const mpl::Comm& comm,
-                                    ExecutionScratch& scratch) const {
-  return Execution(this, comm, &scratch);
+                                    ExecutionScratch& scratch,
+                                    int tag) const {
+  return Execution(this, comm, &scratch, tag);
 }
 
 Schedule::Execution::Execution(const Schedule* s, const mpl::Comm& comm,
-                               ExecutionScratch* scratch)
-    : sched_(s), comm_(comm), scratch_(scratch), done_(false) {
+                               ExecutionScratch* scratch, int tag)
+    : sched_(s), comm_(comm), scratch_(scratch), tag_(tag), done_(false) {
   // Fresh execution over retained capacity: requests of the previous
   // execution are complete (its wait() returned), slots stay populated for
   // recycling.
   scratch_->pending.clear();
   scratch_->pending_round.clear();
   scratch_->head = 0;
+  scratch_->phase_end = 0;
   scratch_->next_slot = 0;
   trace::RankTrace* tr = comm.proc().trace();
   if (tr && tr->active()) {
@@ -73,7 +84,39 @@ Schedule::Execution::Execution(const Schedule* s, const mpl::Comm& comm,
   telem_ = comm.proc().telem();
   t0_ = std::chrono::steady_clock::now();
   flight_->record(telemetry::FlightKind::sched_begin, exec_ordinal_);
+  if (sched_->prepost_ && !sched_->phase_rounds_.empty()) prepost_receives();
   post_phase();  // may already complete everything (no communication)
+}
+
+// Post every receive of a pre-posting schedule, in round order, inside
+// phase 0's scope. Per-partner FIFO matching then pairs the k-th message
+// from a partner with the k-th receive from it over the whole execution,
+// which verify_global proves for these schedules.
+void Schedule::Execution::prepost_receives() {
+  scratch_->pending.reserve(sched_->rounds_.size());
+  scratch_->pending_round.reserve(sched_->rounds_.size());
+  begin_phase_scope(0);
+  std::size_t i = 0;
+  for (const int nrounds : sched_->phase_rounds_) {
+    for (int j = 0; j < nrounds; ++j, ++i) {
+      const ScheduleRound& r = sched_->rounds_[i];
+      require_null_provenance(r);
+      if (receives(r)) post_receive(r, j);
+    }
+  }
+  if (tr_) tr_->set_round(-1);
+}
+
+// Post one round's receive, recycling the request state kept in the
+// scratch's slot table (indexed by posting order).
+void Schedule::Execution::post_receive(const ScheduleRound& r, int round) {
+  ExecutionScratch& s = *scratch_;
+  if (tr_) tr_->set_round(round);
+  if (s.slots.size() <= s.next_slot) s.slots.resize(s.next_slot + 1);
+  s.pending.push_back(comm_.irecv_reuse(s.slots[s.next_slot++], r.recvbuf,
+                                        r.recvcount, r.recvtype, r.recvrank,
+                                        tag_));
+  s.pending_round.push_back(round);
 }
 
 void Schedule::Execution::begin_phase_scope(int phase) {
@@ -138,17 +181,20 @@ void Schedule::Execution::apply_folds(int below) {
 
 void Schedule::Execution::post_phase() {
   ExecutionScratch& s = *scratch_;
-  // Post phases until one has pending receives (or all work is done).
-  while (s.pending.empty()) {
+  // Post phases until one waits for receives (or all work is done).
+  while (s.head == s.phase_end) {
     // Phase boundary: everything up to (excluding) the next phase to post
     // has drained, so its folds can run before further sends are packed.
     apply_folds(static_cast<int>(phase_));
-    end_phase_scope();
     if (phase_ >= sched_->phase_rounds_.size()) {
+      end_phase_scope();
       finish_copies();
       return;
     }
-    begin_phase_scope(static_cast<int>(phase_));
+    if (cur_phase_ != static_cast<int>(phase_)) {  // else opened by prepost
+      end_phase_scope();
+      begin_phase_scope(static_cast<int>(phase_));
+    }
     flight_->record(telemetry::FlightKind::phase_begin,
                     static_cast<std::int32_t>(phase_));
     const int nrounds = sched_->phase_rounds_[phase_];
@@ -164,18 +210,15 @@ void Schedule::Execution::post_phase() {
         tr_->set_round(j);
         if (tr_->metrics_on()) tr_->on_round(comm_.state()->ctx);
       }
-      if (r.recvrank != mpl::PROC_NULL && r.recv_bytes() > 0) {
-        // Receives recycle the request states kept in the scratch's slot
-        // table (indexed by posting order).
-        if (s.slots.size() <= s.next_slot) s.slots.resize(s.next_slot + 1);
-        s.pending.push_back(comm_.irecv_reuse(s.slots[s.next_slot++],
-                                              r.recvbuf, r.recvcount,
-                                              r.recvtype, r.recvrank,
-                                              kCartTag));
-        s.pending_round.push_back(j);
+      // Each round posts its receive, then its send (the order the
+      // combining schedules' virtual clocks are pinned to). A pre-posted
+      // receive only joins this phase's wait range.
+      if (receives(r)) {
+        if (!sched_->prepost_) post_receive(r, j);
+        ++s.phase_end;
       }
-      if (r.sendrank != mpl::PROC_NULL && r.send_bytes() > 0) {
-        comm_.isend(r.sendbuf, r.sendcount, r.sendtype, r.sendrank, kCartTag);
+      if (sends(r)) {
+        comm_.isend(r.sendbuf, r.sendcount, r.sendtype, r.sendrank, tag_);
       }
     }
     if (tr_) tr_->set_round(-1);
@@ -230,11 +273,12 @@ void Schedule::Execution::finish_copies() {
   done_ = true;
 }
 
-// Complete pending receives in posting order (deterministic virtual-clock
-// accounting), restoring each one's round scope for its recv_complete event.
+// Complete the in-flight phase's receives in posting order (deterministic
+// virtual-clock accounting), restoring each one's round scope for its
+// recv_complete event.
 void Schedule::Execution::drain_pending() {
   ExecutionScratch& s = *scratch_;
-  for (std::size_t i = s.head; i < s.pending.size(); ++i) {
+  for (std::size_t i = s.head; i < s.phase_end; ++i) {
     if (publish_point_) {
       // phase_ already names the NEXT phase; the pending receives belong
       // to the one in flight.
@@ -245,9 +289,7 @@ void Schedule::Execution::drain_pending() {
     s.pending[i].wait();
   }
   if (tr_) tr_->set_round(-1);
-  s.pending.clear();
-  s.pending_round.clear();
-  s.head = 0;
+  s.head = s.phase_end;
 }
 
 bool Schedule::Execution::test() {
@@ -256,16 +298,13 @@ bool Schedule::Execution::test() {
   // Complete any finished receives of the current phase (in order, so the
   // virtual-clock accounting stays deterministic). A head cursor marks the
   // completed prefix — no O(n) erase from the front of the table.
-  while (s.head < s.pending.size()) {
+  while (s.head < s.phase_end) {
     if (tr_) tr_->set_round(s.pending_round[s.head]);
     const bool ok = s.pending[s.head].test();
     if (tr_) tr_->set_round(-1);
     if (!ok) return false;
     ++s.head;
   }
-  s.pending.clear();
-  s.pending_round.clear();
-  s.head = 0;
   post_phase();
   return done_;
 }

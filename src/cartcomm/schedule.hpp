@@ -11,6 +11,14 @@
 // send/receive of all rounds of a phase, then wait, phase by phase. A
 // final non-communication phase performs local copies (self blocks,
 // duplicated allgather targets).
+//
+// A trivial schedule pre-posts its receives: each receive writes a
+// distinct caller block that no send reads (the MPI buffer rule), so the
+// executor posts every receive at start, in round order, and then runs
+// the sends one neighbor per phase, each phase waiting only for its own
+// receives. A message whose partner is ahead then finds its receive
+// already posted and is copied once, straight into the caller's block.
+// Every other schedule posts each phase's receives when the phase begins.
 #pragma once
 
 #include <chrono>
@@ -36,7 +44,11 @@ class RankTrace;
 
 namespace cartcomm {
 
-/// Reserved tag for schedule traffic (the paper's CARTTAG).
+/// Reserved tag for schedule traffic (the paper's CARTTAG). Blocking
+/// one-shot calls use it; every persistent operation matches on a tag of
+/// its own above it (CartNeighborComm::next_persistent_tag), so operations
+/// in flight together never take each other's messages. Tags from kCartTag
+/// up are reserved on a Cartesian communicator.
 inline constexpr int kCartTag = 7771;
 
 /// One send-receive round: exchange with fixed partners, each direction
@@ -137,18 +149,21 @@ class Schedule {
   void execute(const mpl::Comm& comm) const;
 
   class Execution;
-  /// Begin a non-blocking execution (posts the first phase and returns).
-  /// Progress is made inside Execution::test()/wait(), like an MPI
-  /// library's progress engine; at most one execution of a given schedule
-  /// may be in flight at a time (rounds share the schedule's tag and
-  /// buffers). This is the non-blocking/persistent mode the paper
+  /// Begin a non-blocking execution (posts the first phase — and, for a
+  /// pre-posting schedule, every receive — and returns). Progress is made
+  /// inside Execution::test()/wait(), like an MPI library's progress
+  /// engine; at most one execution of a given schedule may be in flight at
+  /// a time (rounds share the schedule's buffers). All messages match on
+  /// `tag`; executions in flight together on one communicator need
+  /// distinct tags. This is the non-blocking/persistent mode the paper
   /// anticipates for the MPI Forum's persistent collectives. The execution
   /// works out of the caller-owned scratch (see ExecutionScratch):
   /// repeated executions of one schedule reuse the request table and
   /// recycle receive request states instead of allocating. At most one
   /// execution may use a given scratch at a time.
   [[nodiscard]] Execution start(const mpl::Comm& comm,
-                                ExecutionScratch& scratch) const;
+                                ExecutionScratch& scratch,
+                                int tag = kCartTag) const;
 
   // -- introspection (tests, benchmarks) ------------------------------------
 
@@ -178,6 +193,12 @@ class Schedule {
     return static_cast<int>(copies_.size());
   }
   [[nodiscard]] std::size_t temp_bytes() const noexcept;
+
+  /// True when the executor posts every receive at start (see the file
+  /// comment). Set only by the trivial builder, whose blocks meet the
+  /// precondition by the MPI buffer rule: no receive region overlaps
+  /// another receive or any send. merge() output never pre-posts.
+  [[nodiscard]] bool preposts_receives() const noexcept { return prepost_; }
 
   /// True when this schedule carries a reduction (a fold program and an op).
   [[nodiscard]] bool reducing() const noexcept { return op_.valid(); }
@@ -222,11 +243,15 @@ class Schedule {
   // the operator it folds with. Empty/invalid for movement schedules.
   std::vector<ScheduleFold> folds_;
   mpl::ReduceOp op_;
+  bool prepost_ = false;
 };
 
 /// Reusable per-execution working set: the pending-request table and the
-/// receive request-state slots. A caller that executes the same schedule
-/// repeatedly (the persistent collectives) passes one of these to
+/// receive request-state slots. The table holds every receive of one
+/// execution in posting order (cleared when the next execution starts);
+/// each phase waits for its own contiguous range of it. A caller that
+/// executes the same schedule repeatedly (the persistent collectives)
+/// passes one of these to
 /// Schedule::start(comm, scratch); after a warm-up execution has sized the
 /// vectors and populated the slots, every further execution runs without
 /// heap allocation — requests land in retained capacity and receives
@@ -235,6 +260,7 @@ struct ExecutionScratch {
   std::vector<mpl::Request> pending;
   std::vector<int> pending_round;  // round scope of each pending receive
   std::size_t head = 0;            // completed prefix of `pending`
+  std::size_t phase_end = 0;       // end of the in-flight phase's receives
   /// Receive request states, indexed by posting order within one
   /// execution; persists across executions so states are recycled.
   std::vector<std::shared_ptr<mpl::detail::ReqState>> slots;
@@ -261,7 +287,9 @@ class Schedule::Execution {
  private:
   friend class Schedule;
   Execution(const Schedule* s, const mpl::Comm& comm,
-            ExecutionScratch* scratch);
+            ExecutionScratch* scratch, int tag);
+  void prepost_receives();
+  void post_receive(const ScheduleRound& r, int round);
   void post_phase();
   void finish_copies();
   void apply_folds(int below);
@@ -274,6 +302,7 @@ class Schedule::Execution {
   std::size_t phase_ = 0;       // next phase to post
   std::size_t round_base_ = 0;  // first round index of that phase
   ExecutionScratch* scratch_ = nullptr;  // caller-owned working set
+  int tag_ = kCartTag;
   bool done_ = true;
   std::size_t next_fold_ = 0;  // applied prefix of the fold program
 
@@ -330,6 +359,11 @@ class ScheduleBuilder {
   }
 
   void add_copy(ScheduleCopy c) { s_.copies_.push_back(std::move(c)); }
+
+  /// Mark the schedule as pre-posting its receives. Only for builders that
+  /// prove no receive region overlaps another receive or any send anywhere
+  /// in the schedule (verify_schedule checks it).
+  void set_prepost_receives() { s_.prepost_ = true; }
 
   /// Attach the reduction operator (marks the schedule as reducing).
   void set_op(mpl::ReduceOp op) { s_.op_ = std::move(op); }

@@ -7,6 +7,12 @@
 // one a blocking sendrecv of that block would send. There is nothing to
 // compile, so the schedule is built directly in O(t·d), without the plan
 // cache.
+//
+// The schedule pre-posts its receives (Schedule::preposts_receives): each
+// receive writes block i of the caller's receive buffer, distinct from
+// every other receive block and from the send buffer by the MPI buffer
+// rule these collectives inherit, so no receive can overwrite anything a
+// later round still sends or receives.
 #include "cartcomm/build_schedule.hpp"
 #include "mpl/error.hpp"
 
@@ -23,6 +29,7 @@ Schedule build_trivial_schedule(const CartNeighborComm& cc,
   const auto rounds = static_cast<std::size_t>(nb.trivial_rounds());
   ScheduleBuilder builder;
   builder.set_grid(cc.grid());
+  builder.set_prepost_receives();
   builder.reserve(rounds, rounds, static_cast<std::size_t>(nb.ndims()));
   for (int i = 0; i < t; ++i) {
     const std::size_t ui = static_cast<std::size_t>(i);

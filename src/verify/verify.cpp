@@ -119,21 +119,76 @@ void check_round_geometry(VerifyReport& rep, const mpl::CartGrid& grid,
 }
 
 // One flattened memory interval of a round's datatype, tagged with its
-// round index for diagnostics.
+// phase and round index for diagnostics.
 struct Interval {
   std::ptrdiff_t lo = 0;
   std::ptrdiff_t hi = 0;  // exclusive
+  int phase = -1;
   int round = -1;
 };
 
 // The memory `count` elements of `t` at `buf` cover (absolute addresses).
 void collect_intervals(const void* buf, int count, const mpl::Datatype& t,
-                       int round, std::vector<Interval>& out) {
+                       int phase, int round, std::vector<Interval>& out) {
   if (!t.valid()) return;
   std::vector<mpl::TypeBlock> blocks;
   t.flatten(reinterpret_cast<std::ptrdiff_t>(buf), count, blocks);
   for (const mpl::TypeBlock& b : blocks) {
-    out.push_back({b.disp, b.disp + static_cast<std::ptrdiff_t>(b.len), round});
+    out.push_back(
+        {b.disp, b.disp + static_cast<std::ptrdiff_t>(b.len), phase, round});
+  }
+}
+
+std::string round_str(const Interval& iv, bool whole) {
+  return whole ? "phase " + std::to_string(iv.phase) + " round " +
+                     std::to_string(iv.round)
+               : "round " + std::to_string(iv.round);
+}
+
+// (c) over one window of receives that are in flight together: one phase,
+// or — `whole` — the entire execution of a pre-posting schedule, whose
+// receives are all posted at start. Receives of the window must be pairwise
+// disjoint (overlapping destinations would lose data depending on arrival
+// order), and no send of the window may read bytes one of its receives
+// writes (a data race).
+void check_regions(VerifyReport& rep, int rank, bool whole,
+                   std::vector<Interval>& recv_iv,
+                   std::vector<Interval>& send_iv) {
+  const char* scope = whole ? "" : " of the same phase";
+  const auto by_lo = [](const Interval& a, const Interval& b) {
+    return a.lo < b.lo;
+  };
+  std::sort(recv_iv.begin(), recv_iv.end(), by_lo);
+  // Compare against the furthest-reaching earlier receive, so an interval
+  // nested inside a long one is caught even when not adjacent to it.
+  std::size_t reach = 0;
+  for (std::size_t i = 1; i < recv_iv.size(); ++i) {
+    const Interval& prev = recv_iv[reach];
+    if (recv_iv[i].lo < prev.hi) {
+      add_issue(rep, VerifyIssue::Code::recv_overlap, rank, recv_iv[i].phase,
+                recv_iv[i].round,
+                "receive block overlaps a receive of " +
+                    round_str(prev, whole) + scope + " (" +
+                    std::to_string(std::min(prev.hi, recv_iv[i].hi) -
+                                   recv_iv[i].lo) +
+                    " bytes)");
+    }
+    if (recv_iv[i].hi > prev.hi) reach = i;
+  }
+
+  std::sort(send_iv.begin(), send_iv.end(), by_lo);
+  std::size_t ri = 0;
+  for (const Interval& siv : send_iv) {
+    while (ri < recv_iv.size() && recv_iv[ri].hi <= siv.lo) ++ri;
+    for (std::size_t k = ri; k < recv_iv.size() && recv_iv[k].lo < siv.hi;
+         ++k) {
+      const Interval& riv = recv_iv[k];
+      add_issue(rep, VerifyIssue::Code::send_recv_alias, rank, siv.phase,
+                siv.round,
+                "send block of " + round_str(siv, whole) +
+                    " aliases the receive block of " + round_str(riv, whole) +
+                    (whole ? ", which is posted at start" : " in the same phase"));
+    }
   }
 }
 
@@ -150,6 +205,7 @@ ScheduleSummary summarize(const Schedule& s, const CartNeighborComm& cc) {
   sum.phase_rounds.assign(s.phase_rounds().begin(), s.phase_rounds().end());
   sum.send_block_count = s.send_block_count();
   sum.copy_count = s.copy_count();
+  sum.prepost = s.preposts_receives();
   sum.rounds.reserve(static_cast<std::size_t>(s.rounds()));
   for (const ScheduleRound& r : s.round_list()) {
     RoundSummary rs;
@@ -174,6 +230,7 @@ std::vector<long long> ScheduleSummary::encode() const {
   for (int c : coords) out.push_back(c);
   out.push_back(send_block_count);
   out.push_back(copy_count);
+  out.push_back(prepost ? 1 : 0);
   out.push_back(static_cast<long long>(phase_rounds.size()));
   for (int n : phase_rounds) out.push_back(n);
   out.push_back(static_cast<long long>(rounds.size()));
@@ -204,6 +261,7 @@ ScheduleSummary ScheduleSummary::decode(std::span<const long long> data) {
   for (int& c : s.coords) c = static_cast<int>(next());
   s.send_block_count = next();
   s.copy_count = static_cast<int>(next());
+  s.prepost = next() != 0;
   s.phase_rounds.resize(static_cast<std::size_t>(next()));
   for (int& n : s.phase_rounds) n = static_cast<int>(next());
   s.rounds.resize(static_cast<std::size_t>(next()));
@@ -300,61 +358,38 @@ VerifyReport verify_schedule(const Schedule& s, const CartNeighborComm& cc,
     return rep;  // bookkeeping broken: indexed checks would misattribute
   }
 
+  // (c) per phase, or over the whole schedule when it pre-posts.
+  const bool whole = s.preposts_receives();
+  std::vector<Interval> recv_iv, send_iv;
   std::size_t base = 0;
   for (std::size_t ph = 0; ph < phase_rounds.size(); ++ph) {
     const int nrounds = phase_rounds[ph];
-    std::vector<Interval> recv_iv, send_iv;
+    const int phase = static_cast<int>(ph);
     for (int j = 0; j < nrounds; ++j) {
       const ScheduleRound& r = rounds[base + static_cast<std::size_t>(j)];
-      check_round_geometry(rep, grid, cc.coords(), rank, static_cast<int>(ph),
-                           j, r.offset, r.sendrank, r.send_boundary,
-                           /*is_send=*/true);
-      check_round_geometry(rep, grid, cc.coords(), rank, static_cast<int>(ph),
-                           j, r.offset, r.recvrank, r.recv_boundary,
-                           /*is_send=*/false);
+      check_round_geometry(rep, grid, cc.coords(), rank, phase, j, r.offset,
+                           r.sendrank, r.send_boundary, /*is_send=*/true);
+      check_round_geometry(rep, grid, cc.coords(), rank, phase, j, r.offset,
+                           r.recvrank, r.recv_boundary, /*is_send=*/false);
       // Mirror the executor: a round only moves data when the partner
       // exists and the datatype is non-empty.
       if (r.recvrank != mpl::PROC_NULL) {
-        collect_intervals(r.recvbuf, r.recvcount, r.recvtype, j, recv_iv);
+        collect_intervals(r.recvbuf, r.recvcount, r.recvtype, phase, j,
+                          recv_iv);
       }
       if (r.sendrank != mpl::PROC_NULL) {
-        collect_intervals(r.sendbuf, r.sendcount, r.sendtype, j, send_iv);
+        collect_intervals(r.sendbuf, r.sendcount, r.sendtype, phase, j,
+                          send_iv);
       }
     }
-
-    // (c) receive-receive disjointness: all receives of a phase land
-    // concurrently; overlapping destinations would lose data depending on
-    // arrival order.
-    std::sort(recv_iv.begin(), recv_iv.end(),
-              [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-    for (std::size_t i = 1; i < recv_iv.size(); ++i) {
-      if (recv_iv[i].lo < recv_iv[i - 1].hi) {
-        add_issue(rep, VerifyIssue::Code::recv_overlap, rank,
-                  static_cast<int>(ph), recv_iv[i].round,
-                  "receive block overlaps a receive of round " +
-                  std::to_string(recv_iv[i - 1].round) + " of the same phase (" +
-                  std::to_string(recv_iv[i - 1].hi - recv_iv[i].lo) + " bytes)");
-      }
-    }
-
-    // (c) send/recv aliasing: sends of a phase are read concurrently with
-    // the receives being written; any intersection is a data race.
-    std::sort(send_iv.begin(), send_iv.end(),
-              [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-    std::size_t ri = 0;
-    for (const Interval& siv : send_iv) {
-      while (ri < recv_iv.size() && recv_iv[ri].hi <= siv.lo) ++ri;
-      for (std::size_t k = ri; k < recv_iv.size() && recv_iv[k].lo < siv.hi;
-           ++k) {
-        add_issue(rep, VerifyIssue::Code::send_recv_alias, rank,
-                  static_cast<int>(ph), siv.round,
-                  "send block of round " + std::to_string(siv.round) +
-                  " aliases the receive block of round " +
-                  std::to_string(recv_iv[k].round) + " in the same phase");
-      }
+    if (!whole) {
+      check_regions(rep, rank, whole, recv_iv, send_iv);
+      recv_iv.clear();
+      send_iv.clear();
     }
     base += static_cast<std::size_t>(nrounds);
   }
+  if (whole) check_regions(rep, rank, whole, recv_iv, send_iv);
 
   // (d) closed-form structure (Propositions 3.1-3.3).
   if (kind != ScheduleKind::unknown) {
@@ -389,6 +424,11 @@ VerifyReport verify_schedule(const Schedule& s, const CartNeighborComm& cc,
                       "expected one round per trivial phase, phase has " +
                       std::to_string(phase_rounds[ph]));
           }
+        }
+        if (!s.preposts_receives()) {
+          add_issue(rep, VerifyIssue::Code::structure, rank, -1, -1,
+                    "a trivial schedule pre-posts its receives, this one "
+                    "does not");
         }
         const int expected_copies = nb.count() - expected_rounds;
         if (s.copy_count() != expected_copies) {
@@ -573,7 +613,12 @@ VerifyReport verify_global(std::span<const ScheduleSummary> summaries,
   // within a phase the sends of rank r to rank s must be met by receives
   // of s from r — same count (else a send is never consumed or a receive
   // never satisfied: deadlock) and pairwise-equal packed sizes in round
-  // order (messages between one ordered pair match FIFO).
+  // order (messages between one ordered pair match FIFO). A pre-posting
+  // receiver posts all its receives at start, so its pairing runs over the
+  // whole execution (key phase -1): the k-th message from a partner fills
+  // the k-th receive from it, and that send must be posted no later than
+  // the phase that waits for the receive, or the two ranks can wait on
+  // each other.
   struct Event {
     long long bytes;
     int phase;
@@ -584,21 +629,28 @@ VerifyReport verify_global(std::span<const ScheduleSummary> summaries,
     const ScheduleSummary& s = *by_rank[static_cast<std::size_t>(r)];
     std::size_t base = 0;
     for (std::size_t ph = 0; ph < s.phase_rounds.size(); ++ph) {
+      const int phase = static_cast<int>(ph);
       for (int j = 0; j < s.phase_rounds[ph]; ++j) {
         const RoundSummary& rs = s.rounds[base + static_cast<std::size_t>(j)];
         // Mirror the executor's skip rule: empty types post nothing.
         if (rs.sendrank != mpl::PROC_NULL && rs.send_bytes > 0) {
-          sends[{static_cast<int>(ph), r, rs.sendrank}].push_back(
-              {rs.send_bytes, static_cast<int>(ph), j});
+          const bool whole =
+              rs.sendrank >= 0 && rs.sendrank < p &&
+              by_rank[static_cast<std::size_t>(rs.sendrank)]->prepost;
+          sends[{whole ? -1 : phase, r, rs.sendrank}].push_back(
+              {rs.send_bytes, phase, j});
         }
         if (rs.recvrank != mpl::PROC_NULL && rs.recv_bytes > 0) {
-          recvs[{static_cast<int>(ph), rs.recvrank, r}].push_back(
-              {rs.recv_bytes, static_cast<int>(ph), j});
+          recvs[{s.prepost ? -1 : phase, rs.recvrank, r}].push_back(
+              {rs.recv_bytes, phase, j});
         }
       }
       base += static_cast<std::size_t>(s.phase_rounds[ph]);
     }
   }
+  const auto scope = [](int key_phase) {
+    return key_phase < 0 ? "this execution" : "this phase";
+  };
   for (const auto& [key, sv] : sends) {
     const auto& [ph, from, to] = key;
     const auto it = recvs.find(key);
@@ -606,28 +658,38 @@ VerifyReport verify_global(std::span<const ScheduleSummary> summaries,
     const std::size_t nr = rv ? rv->size() : 0;
     for (std::size_t i = 0; i < sv.size(); ++i) {
       if (i >= nr) {
-        add_issue(rep, VerifyIssue::Code::unmatched_send, from, ph, sv[i].round,
+        add_issue(rep, VerifyIssue::Code::unmatched_send, from, sv[i].phase,
+                  sv[i].round,
                   "send of " + std::to_string(sv[i].bytes) + " bytes to rank " +
-                  std::to_string(to) + " has no matching receive in this "
-                  "phase (deadlock)");
+                  std::to_string(to) + " has no matching receive in " +
+                  scope(ph) + " (deadlock)");
         continue;
       }
-      if ((*rv)[i].bytes != sv[i].bytes) {
-        add_issue(rep, VerifyIssue::Code::size_mismatch, from, ph, sv[i].round,
+      const Event& re = (*rv)[i];
+      if (re.bytes != sv[i].bytes) {
+        add_issue(rep, VerifyIssue::Code::size_mismatch, from, sv[i].phase,
+                  sv[i].round,
                   "send of " + std::to_string(sv[i].bytes) + " bytes to rank " +
                   std::to_string(to) + " is paired (FIFO) with a receive of " +
-                  std::to_string((*rv)[i].bytes) + " bytes posted by rank " +
-                  std::to_string(to) + " round " +
-                  std::to_string((*rv)[i].round));
+                  std::to_string(re.bytes) + " bytes posted by rank " +
+                  std::to_string(to) + " round " + std::to_string(re.round));
+      }
+      if (sv[i].phase > re.phase) {
+        add_issue(rep, VerifyIssue::Code::unmatched_recv, to, re.phase,
+                  re.round,
+                  "pre-posted receive from rank " + std::to_string(from) +
+                  " is paired (FIFO) with a send of phase " +
+                  std::to_string(sv[i].phase) +
+                  ", after the phase that waits for it (deadlock)");
       }
     }
     if (rv && rv->size() > sv.size()) {
       for (std::size_t i = sv.size(); i < rv->size(); ++i) {
-        add_issue(rep, VerifyIssue::Code::unmatched_recv, to, ph,
+        add_issue(rep, VerifyIssue::Code::unmatched_recv, to, (*rv)[i].phase,
                   (*rv)[i].round,
                   "receive of " + std::to_string((*rv)[i].bytes) +
                   " bytes from rank " + std::to_string(from) +
-                  " is never sent in this phase (deadlock)");
+                  " is never sent in " + scope(ph) + " (deadlock)");
       }
     }
   }
@@ -635,10 +697,10 @@ VerifyReport verify_global(std::span<const ScheduleSummary> summaries,
     if (sends.find(key) != sends.end()) continue;
     const auto& [ph, from, to] = key;
     for (const Event& e : rv) {
-      add_issue(rep, VerifyIssue::Code::unmatched_recv, to, ph, e.round,
+      add_issue(rep, VerifyIssue::Code::unmatched_recv, to, e.phase, e.round,
                 "receive of " + std::to_string(e.bytes) + " bytes from rank " +
-                std::to_string(from) + " is never sent in this phase "
-                "(deadlock)");
+                std::to_string(from) + " is never sent in " + scope(ph) +
+                " (deadlock)");
     }
   }
   return rep;

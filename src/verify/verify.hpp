@@ -8,14 +8,18 @@
 //   (a) global send/recv pairing — in every phase, rank r sending to s is
 //       matched by s receiving from r with a type signature of equal
 //       packed size, in the same FIFO order, so no phase can deadlock or
-//       mismatch messages;
+//       mismatch messages; for a pre-posting receiver the pairing runs
+//       per partner over the whole execution, and each paired send must
+//       be posted no later than the phase that waits for its receive;
 //   (b) offset-keyed merge consistency — all ranks fused the same rounds
 //       (the ScheduleRound::offset invariant): per phase, the sequence of
 //       canonical round offsets is identical on every rank;
 //   (c) no overlapping receive blocks within a phase and no send/recv
 //       aliasing inside a phase (flattened through the Datatype block
 //       lists and interval-checked) — concurrent non-blocking rounds must
-//       not race on memory;
+//       not race on memory; a pre-posting schedule has every receive in
+//       flight from the start, so there no receive may overlap any other
+//       receive or any send anywhere in the schedule;
 //   (d) round count C and per-process volume V match the closed-form
 //       Sigma_k C_k formulas of Propositions 3.1-3.3 (analysis.hpp);
 //       divergence flags a builder bug.
@@ -79,6 +83,7 @@ struct ScheduleSummary {
   std::vector<RoundSummary> rounds;
   long long send_block_count = 0;
   int copy_count = 0;
+  bool prepost = false;  ///< Schedule::preposts_receives()
 
   /// Flat integer encoding (for gather_summaries / external tooling).
   [[nodiscard]] std::vector<long long> encode() const;
@@ -102,7 +107,7 @@ struct VerifyIssue {
     unmatched_send,       ///< send with no posted receive (deadlock)
     unmatched_recv,       ///< receive never satisfied (deadlock)
     size_mismatch,        ///< paired send/recv with unequal packed sizes
-    recv_overlap,         ///< two receives of one phase overlap in memory
+    recv_overlap,         ///< two receives in flight together overlap
     send_recv_alias,      ///< send reads bytes a concurrent receive writes
     round_count,          ///< C diverges from Sigma_k C_k (Prop. 3.1)
     volume,               ///< V diverges from Prop. 3.2/3.3 closed form
@@ -128,8 +133,9 @@ struct VerifyReport {
 
 /// Single-rank structural checks on a schedule this rank built: partner
 /// ranks agree with the round-offset geometry ((a)'s local half), PROC_NULL
-/// partners carry boundary provenance, receive blocks of a phase are
-/// disjoint and never alias concurrent send blocks (c), and — when `kind`
+/// partners carry boundary provenance, receive blocks of a phase (of the
+/// whole schedule, if it pre-posts) are disjoint and never alias send
+/// blocks of that window (c), and — when `kind`
 /// is given — phase/round counts and volume match the closed forms (d).
 /// `order` is the dimension order the allgather schedule was built with.
 VerifyReport verify_schedule(const Schedule& s, const CartNeighborComm& cc,
@@ -138,7 +144,9 @@ VerifyReport verify_schedule(const Schedule& s, const CartNeighborComm& cc,
 
 /// Cross-rank checks over the summaries of all ranks of one communicator
 /// (index-complete, any order): merge consistency (b), partner geometry
-/// and boundary provenance, and global FIFO send/recv pairing (a).
+/// and boundary provenance, and global FIFO send/recv pairing (a) — per
+/// phase, or per partner over the whole execution for a pre-posting
+/// receiver.
 VerifyReport verify_global(std::span<const ScheduleSummary> summaries,
                            const mpl::CartGrid& grid);
 

@@ -180,6 +180,9 @@ void run_case(const FuzzCase& fc) {
     }
     const cartcomm::Schedule a2a_triv =
         cartcomm::build_trivial_schedule(cc, sends, recvs);
+    // The trivial schedules pre-post: the region check (c) runs over the
+    // whole schedule and the pairing check (a) over the whole execution.
+    EXPECT_TRUE(a2a_triv.preposts_receives());
     const cartcomm::VerifyReport rat = cartcomm::verify_schedule(
         a2a_triv, cc, cartcomm::ScheduleKind::trivial);
     EXPECT_TRUE(rat.ok()) << rat.to_string();

@@ -401,3 +401,101 @@ TEST(VerifyNegativeLocal, ExecutionRefusesNullPartnerWithoutProvenance) {
     EXPECT_THROW(sched.execute(world), mpl::Error);
   });
 }
+
+// ---------------------------------------------------------------------------
+// Pre-posting schedules: (c) and (a) over the whole execution.
+// ---------------------------------------------------------------------------
+
+TEST(VerifyNegativeLocal, PrepostedReceiveOverlappingALaterSendIsDetected) {
+  // A trivial schedule whose phase-0 receive writes the block its phase-1
+  // send reads. Run one phase at a time this would forward data; with every
+  // receive posted at start, a partner that is ahead can overwrite the
+  // block before it is sent. Two receives of different phases sharing a
+  // block race the same way.
+  const std::vector<int> dims = {6}, periods = {1};
+  const Neighborhood nb = Neighborhood::von_neumann(1);  // {-1, +1}
+  const int p = product(dims);
+  const int m = 4;
+  std::vector<VerifyReport> send_alias(static_cast<std::size_t>(p));
+  std::vector<VerifyReport> recv_alias(static_cast<std::size_t>(p));
+  mpl::run(p, [&](mpl::Comm& world) {
+    auto cc = cartcomm::cart_neighborhood_create(world, dims, periods, nb);
+    std::vector<int> sendbuf(2 * m, 1);
+    std::vector<int> recvbuf(2 * m, 0);
+    const mpl::Datatype block =
+        mpl::Datatype::contiguous(m, mpl::Datatype::of<int>());
+    const std::vector<cartcomm::SendBlock> sends = {
+        {sendbuf.data(), 1, block}, {sendbuf.data() + m, 1, block}};
+    const std::vector<cartcomm::RecvBlock> into_send = {
+        {sendbuf.data() + m, 1, block}, {recvbuf.data() + m, 1, block}};
+    const std::vector<cartcomm::RecvBlock> shared = {
+        {recvbuf.data(), 1, block}, {recvbuf.data(), 1, block}};
+    const auto r = static_cast<std::size_t>(world.rank());
+    const cartcomm::Schedule a =
+        cartcomm::build_trivial_schedule(cc, sends, into_send);
+    ASSERT_TRUE(a.preposts_receives());
+    send_alias[r] = cartcomm::verify_schedule(a, cc, ScheduleKind::trivial);
+    recv_alias[r] = cartcomm::verify_schedule(
+        cartcomm::build_trivial_schedule(cc, sends, shared), cc,
+        ScheduleKind::trivial);
+  });
+  for (int r = 0; r < p; ++r) {
+    const VerifyReport& a = send_alias[static_cast<std::size_t>(r)];
+    EXPECT_TRUE(has_issue_at(a, VerifyIssue::Code::send_recv_alias, r,
+                             /*phase=*/1, /*round=*/0))
+        << a.to_string();
+    EXPECT_EQ(a.issues.size(), 1u) << a.to_string();
+    const VerifyReport& b = recv_alias[static_cast<std::size_t>(r)];
+    EXPECT_TRUE(has_issue_at(b, VerifyIssue::Code::recv_overlap, r,
+                             /*phase=*/1, /*round=*/0) ||
+                has_issue_at(b, VerifyIssue::Code::recv_overlap, r,
+                             /*phase=*/0, /*round=*/0))
+        << b.to_string();
+  }
+}
+
+TEST(VerifyNegativePrepost, ReceivePairedWithALaterSendIsDetected) {
+  // Two ranks on a ring of 2. Rank 0 receives from rank 1 in phase 0 and
+  // sends to it in phase 1; rank 1 sends in phase 0 and waits in phase 0
+  // for a message rank 0 only sends in phase 1. Per partner the two
+  // executions pair up, but rank 1's phase 0 can only finish after rank 0
+  // has reached phase 1: the whole-execution check must flag the skew.
+  // Without pre-posting the per-phase check reports the same schedule as
+  // unmatched.
+  const mpl::CartGrid grid(std::vector<int>{2}, std::vector<int>{1});
+  auto round = [](int off, long long send, long long recv) {
+    cartcomm::RoundSummary rs;
+    rs.sendrank = 1;  // fixed up per rank below
+    rs.recvrank = 1;
+    rs.send_bytes = send;
+    rs.recv_bytes = recv;
+    rs.send_blocks = send > 0 ? 1 : 0;
+    rs.recv_blocks = recv > 0 ? 1 : 0;
+    rs.offset = {off};
+    return rs;
+  };
+  std::vector<ScheduleSummary> sums(2);
+  for (int r = 0; r < 2; ++r) {
+    ScheduleSummary& s = sums[static_cast<std::size_t>(r)];
+    s.rank = r;
+    s.coords = {r};
+    s.phase_rounds = {1, 1};
+    s.prepost = true;
+    if (r == 0) {
+      s.rounds = {round(1, 0, 4), round(-1, 4, 0)};
+    } else {
+      s.rounds = {round(1, 4, 4), round(-1, 0, 0)};
+    }
+    for (cartcomm::RoundSummary& rs : s.rounds) rs.sendrank = rs.recvrank = 1 - r;
+  }
+  VerifyReport rep = cartcomm::verify_global(sums, grid);
+  EXPECT_TRUE(has_issue_at(rep, VerifyIssue::Code::unmatched_recv,
+                           /*rank=*/1, /*phase=*/0, /*round=*/0))
+      << rep.to_string();
+  EXPECT_EQ(rep.issues.size(), 1u) << rep.to_string();
+
+  for (ScheduleSummary& s : sums) s.prepost = false;
+  rep = cartcomm::verify_global(sums, grid);
+  EXPECT_TRUE(rep.has(VerifyIssue::Code::unmatched_send)) << rep.to_string();
+  EXPECT_TRUE(rep.has(VerifyIssue::Code::unmatched_recv)) << rep.to_string();
+}

@@ -2,7 +2,9 @@
 // alltoall and allgather schedules and the trivial (Listing 4) schedule on
 // every rank, and statically verify them — single-rank structural checks
 // (verify_schedule) plus the cross-rank deadlock-freedom/pairing proof
-// (verify_global) — without moving any payload. Exits non-zero when any
+// (verify_global) — without moving any payload. The trivial schedule
+// pre-posts its receives, so its memory check covers the whole schedule
+// and its pairing check the whole execution. Exits non-zero when any
 // invariant fails.
 //
 //   verify_schedule [--verbose]
