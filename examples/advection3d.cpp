@@ -125,10 +125,16 @@ int main() {
       std::printf("final mass %.6f (drift %.2e)\n", mass1,
                   std::abs(mass1 - mass0));
     }
-    if (local_max == global_max) {
+    // Report the lowest rank holding the peak, from rank 0 only, so the
+    // output does not depend on thread scheduling.
+    const int holder = mpl::allreduce(
+        local_max == global_max ? world.rank() : world.size(),
+        mpl::op::min{}, world);
+    mpl::bcast(local_arg.data(), 3, mpl::Datatype::of<int>(), holder, world);
+    if (world.rank() == 0) {
       std::printf("peak %.4f at global cell (%d,%d,%d) on rank %d\n",
                   global_max, local_arg[0], local_arg[1], local_arg[2],
-                  world.rank());
+                  holder);
     }
   });
   return 0;

@@ -13,10 +13,8 @@
 #include <vector>
 
 #include "cartcomm/analysis.hpp"
-#include "cartcomm/blocks.hpp"
 #include "cartcomm/cart_comm.hpp"
 #include "cartcomm/plan.hpp"
-#include "cartcomm/schedule.hpp"
 
 namespace cartcomm {
 

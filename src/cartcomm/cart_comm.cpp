@@ -4,11 +4,11 @@
 #include <atomic>
 #include <climits>
 
-#include "cartcomm/schedule.hpp"
 #include "mpl/collectives.hpp"
 #include "mpl/error.hpp"
 #include "mpl/proc.hpp"
 #include "mpl/reduce.hpp"
+#include "mpl/schedule.hpp"
 
 namespace cartcomm {
 
@@ -106,8 +106,8 @@ std::uint64_t CartNeighborComm::next_uid() noexcept {
 int CartNeighborComm::next_persistent_tag() const {
   MPL_REQUIRE(op_seq_ != nullptr,
               "next_persistent_tag on an invalid communicator");
-  constexpr auto kTags = static_cast<std::uint32_t>(INT_MAX - kCartTag);
-  return kCartTag + 1 + static_cast<int>((*op_seq_)++ % kTags);
+  constexpr auto kTags = static_cast<std::uint32_t>(INT_MAX - mpl::kCartTag);
+  return mpl::kCartTag + 1 + static_cast<int>((*op_seq_)++ % kTags);
 }
 
 Algorithm CartNeighborComm::resolve_alltoall(Algorithm requested,

@@ -2,10 +2,8 @@
 #pragma once
 
 #include "cartcomm/analysis.hpp"
-#include "cartcomm/blocks.hpp"
 #include "cartcomm/build_schedule.hpp"
 #include "cartcomm/cart_comm.hpp"
 #include "cartcomm/coll.hpp"
 #include "cartcomm/neighborhood.hpp"
 #include "cartcomm/reduce.hpp"
-#include "cartcomm/schedule.hpp"

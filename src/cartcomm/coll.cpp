@@ -13,13 +13,6 @@ namespace cartcomm {
 
 namespace {
 
-const char* at_bytes(const void* base, std::ptrdiff_t disp) {
-  return static_cast<const char*>(base) + disp;
-}
-char* at_bytes(void* base, std::ptrdiff_t disp) {
-  return static_cast<char*>(base) + disp;
-}
-
 std::size_t max_block_bytes(std::span<const SendBlock> sends) {
   std::size_t m = 0;
   for (const SendBlock& s : sends) m = std::max(m, s.bytes());
@@ -122,51 +115,13 @@ const Schedule& PersistentColl::schedule() const {
   return st_->sched;
 }
 
-// -- descriptor assembly ------------------------------------------------------
+// -- one-shot execution -------------------------------------------------------
 
 namespace {
 
-// Per-neighbor block descriptors of the regular, v and w variants. `Block`
-// is SendBlock or RecvBlock, `Buf` the matching (const) buffer pointer.
-
-/// Block i at element offset i*count, or every block at the buffer start
-/// (`replicate`: the allgather send block).
-template <typename Block, typename Buf>
-std::vector<Block> blocks_regular(Buf buf, int count,
-                                  const mpl::Datatype& type, int t,
-                                  bool replicate = false) {
-  std::vector<Block> v(static_cast<std::size_t>(t));
-  for (int i = 0; i < t; ++i) {
-    const std::ptrdiff_t disp =
-        replicate ? 0 : static_cast<std::ptrdiff_t>(i) * count * type.extent();
-    v[static_cast<std::size_t>(i)] = {at_bytes(buf, disp), count, type};
-  }
-  return v;
-}
-
-template <typename Block, typename Buf>
-std::vector<Block> blocks_v(Buf buf, std::span<const int> counts,
-                            std::span<const int> displs,
-                            const mpl::Datatype& type) {
-  std::vector<Block> v(counts.size());
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    v[i] = {at_bytes(buf, displs[i] * type.extent()), counts[i], type};
-  }
-  return v;
-}
-
-template <typename Block, typename Buf>
-std::vector<Block> blocks_w(Buf buf, std::span<const int> counts,
-                            std::span<const std::ptrdiff_t> displs,
-                            std::span<const mpl::Datatype> types) {
-  MPL_REQUIRE(counts.size() == displs.size() && counts.size() == types.size(),
-              "w-variant: argument arity mismatch");
-  std::vector<Block> v(counts.size());
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    v[i] = {at_bytes(buf, displs[i]), counts[i], types[i]};
-  }
-  return v;
-}
+using mpl::blocks_regular;
+using mpl::blocks_v;
+using mpl::blocks_w;
 
 /// Blocking one-shot execution for the non-persistent entry points. The
 /// combining path goes through the bound-schedule cache (plan + rank +

@@ -18,10 +18,8 @@
 #include <memory>
 #include <span>
 
-#include "cartcomm/blocks.hpp"
 #include "cartcomm/build_schedule.hpp"
 #include "cartcomm/cart_comm.hpp"
-#include "cartcomm/schedule.hpp"
 
 namespace cartcomm {
 

@@ -32,11 +32,22 @@
 #include <vector>
 
 #include "cartcomm/analysis.hpp"
-#include "cartcomm/blocks.hpp"
 #include "cartcomm/cart_comm.hpp"
-#include "cartcomm/schedule.hpp"
+#include "mpl/blocks.hpp"
+#include "mpl/schedule.hpp"
 
 namespace cartcomm {
+
+// The executor and block descriptors live in mpl, which runs every
+// neighborhood collective through them; cartcomm builds their schedules.
+using mpl::ExecutionScratch;
+using mpl::kCartTag;
+using mpl::RecvBlock;
+using mpl::Schedule;
+using mpl::ScheduleBuilder;
+using mpl::ScheduleFold;
+using mpl::ScheduleRound;
+using mpl::SendBlock;
 
 /// Abstract location of one block appended to a round's datatype: a send
 /// block, a receive block (by neighbor index), or a temp-pool byte range.

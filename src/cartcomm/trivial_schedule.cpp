@@ -42,24 +42,9 @@ Schedule build_trivial_schedule(const CartNeighborComm& cc,
     }
     // A partner off a non-periodic mesh is PROC_NULL exactly when N[i]
     // (or -N[i]) leaves it: an intentional boundary hole.
-    ScheduleRound round;
-    round.sendrank = cc.target_ranks()[ui];
-    round.recvrank = cc.source_ranks()[ui];
-    round.offset = nb.offset(i);
-    round.send_boundary = round.sendrank == mpl::PROC_NULL;
-    round.recv_boundary = round.recvrank == mpl::PROC_NULL;
-    if (!round.send_boundary) {
-      round.sendbuf = s.addr;
-      round.sendcount = s.count;
-      round.sendtype = std::move(s.type);
-    }
-    if (!round.recv_boundary) {
-      round.recvbuf = r.addr;
-      round.recvcount = r.count;
-      round.recvtype = std::move(r.type);
-    }
-    const long long blocks_sent = round.send_boundary ? 0 : 1;
-    builder.add_round(std::move(round), blocks_sent);
+    builder.add_block_round(cc.target_ranks()[ui], std::move(s),
+                            cc.source_ranks()[ui], std::move(r),
+                            nb.offset(i));
     builder.end_phase();
   }
   return builder.finish();

@@ -259,10 +259,10 @@ Request Comm::irecv_on(Channel ch, void* buf, int count, const Datatype& type,
   return irecv_slot(ch, buf, count, type, src, tag, nullptr);
 }
 
-Request Comm::irecv_reuse(std::shared_ptr<detail::ReqState>& slot, void* buf,
-                          int count, const Datatype& type, int src,
+Request Comm::irecv_reuse(Channel ch, std::shared_ptr<detail::ReqState>& slot,
+                          void* buf, int count, const Datatype& type, int src,
                           int tag) const {
-  return irecv_slot(Channel::user, buf, count, type, src, tag, &slot);
+  return irecv_slot(ch, buf, count, type, src, tag, &slot);
 }
 
 Request Comm::irecv_slot(Channel ch, void* buf, int count, const Datatype& type,

@@ -105,14 +105,14 @@ class Comm {
   Request irecv_on(Channel ch, void* buf, int count, const Datatype& type,
                    int src, int tag = 0) const;
 
-  /// irecv that recycles the caller-held request state in `slot` when it
-  /// can (previous cycle complete, no other reference alive), so a
+  /// irecv_on that recycles the caller-held request state in `slot` when
+  /// it can (previous cycle complete, no other reference alive), so a
   /// steady-state persistent collective reposts its receives without any
   /// heap allocation. When the slot is empty or still referenced a fresh
   /// state is allocated and stored back into it. Behaviour is otherwise
-  /// identical to irecv().
-  Request irecv_reuse(std::shared_ptr<detail::ReqState>& slot, void* buf,
-                      int count, const Datatype& type, int src,
+  /// identical to irecv_on().
+  Request irecv_reuse(Channel ch, std::shared_ptr<detail::ReqState>& slot,
+                      void* buf, int count, const Datatype& type, int src,
                       int tag = 0) const;
   Status sendrecv_on(Channel ch, const void* sendbuf, int sendcount,
                      const Datatype& sendtype, int dest, int sendtag,

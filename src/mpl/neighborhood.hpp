@@ -7,7 +7,10 @@
 //
 // Two algorithms are provided:
 //  * direct: post all receives, post all sends, wait (the canonical
-//    implementation; what a good MPI library does).
+//    implementation; what a good MPI library does). It runs as a one-phase
+//    pre-posting Schedule on the shared executor (schedule.hpp), on the
+//    collective channel, so it is traced, timed and flight-recorded like
+//    every Cartesian collective. The non-blocking calls use it too.
 //  * serialized_rendezvous: processes neighbors one at a time with a
 //    rendezvous handshake and segmented data transfer. This deliberately
 //    models the pathological behaviour the paper measured in Open MPI /
@@ -16,24 +19,34 @@
 //    delivery.
 #pragma once
 
+#include <memory>
 #include <span>
-#include <vector>
 
+#include "mpl/schedule.hpp"
 #include "mpl/topology.hpp"
 
 namespace mpl {
 
 enum class NeighborAlgorithm { direct, serialized_rendezvous };
 
-/// Handle for a non-blocking neighborhood collective.
+/// Handle on a running non-blocking neighborhood collective.
 class NeighborRequest {
  public:
+  /// The schedule, its working set and its execution (which points at
+  /// both, hence one heap object that never moves).
+  struct Op {
+    Schedule sched;
+    ExecutionScratch scratch;
+    Schedule::Execution exec;
+  };
+
   NeighborRequest() = default;
-  void wait() { wait_all(reqs_); reqs_.clear(); }
+  explicit NeighborRequest(std::unique_ptr<Op> op) : op_(std::move(op)) {}
+  /// Drive the execution to completion (no-op on an empty request).
+  void wait();
 
  private:
-  friend class NeighborExchange;
-  std::vector<Request> reqs_;
+  std::unique_ptr<Op> op_;
 };
 
 // -- alltoall family ---------------------------------------------------------

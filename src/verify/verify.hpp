@@ -37,7 +37,7 @@
 
 #include "cartcomm/analysis.hpp"
 #include "cartcomm/cart_comm.hpp"
-#include "cartcomm/schedule.hpp"
+#include "cartcomm/plan.hpp"
 #include "mpl/topology.hpp"
 
 namespace cartcomm {

@@ -45,6 +45,64 @@ TEST(CartNeighborhoodCreate, IsolatedFromParent) {
   });
 }
 
+TEST(CartNeighborhoodCreate, UserWildcardReceiveNeverMatchesCollectives) {
+  // A user ANY_SOURCE/ANY_TAG receive posted on the Cartesian communicator
+  // itself stays pending through every kind of schedule execution and then
+  // takes exactly the user message sent afterwards. Were schedule traffic
+  // on the user channel, the wildcard would take a collective message and
+  // the collective would wedge (the watchdog turns that into an error).
+  mpl::RunOptions opts;
+  opts.faults.watchdog_ms = 2000;
+  mpl::run(
+      4,
+      [](mpl::Comm& world) {
+        const std::vector<int> dims{2, 2};
+        const Neighborhood nb = Neighborhood::moore(2);
+        auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
+        const mpl::Datatype kInt = mpl::Datatype::of<int>();
+        const int t = nb.count();
+        int user = -1;
+        mpl::Request wild;
+        if (world.rank() == 0) {
+          wild = cc.comm().irecv(&user, 1, kInt, mpl::ANY_SOURCE, mpl::ANY_TAG);
+        }
+        std::vector<int> sb(static_cast<std::size_t>(t));
+        for (int i = 0; i < t; ++i) {
+          sb[static_cast<std::size_t>(i)] = world.rank() * 100 + i;
+        }
+        auto expect_alltoall = [&](const std::vector<int>& rb) {
+          for (int i = 0; i < t; ++i) {
+            const int src = cc.source_ranks()[static_cast<std::size_t>(i)];
+            EXPECT_EQ(rb[static_cast<std::size_t>(i)], src * 100 + i)
+                << "block " << i;
+          }
+        };
+        for (const auto alg : {cartcomm::Algorithm::trivial,
+                               cartcomm::Algorithm::combining}) {
+          std::vector<int> rb(static_cast<std::size_t>(t), -1);
+          cartcomm::alltoall(sb.data(), 1, kInt, rb.data(), 1, kInt, cc, alg);
+          expect_alltoall(rb);
+        }
+        std::vector<int> rb(static_cast<std::size_t>(t), -1);
+        auto op = cartcomm::alltoall_init(sb.data(), 1, kInt, rb.data(), 1,
+                                          kInt, cc,
+                                          cartcomm::Algorithm::combining);
+        op.start().wait();
+        expect_alltoall(rb);
+        if (world.rank() == 1) {
+          const int v = 4242;
+          cc.comm().send(&v, 1, kInt, 0, 5);
+        }
+        if (world.rank() == 0) {
+          const mpl::Status st = wild.wait();
+          EXPECT_EQ(user, 4242);
+          EXPECT_EQ(st.source, 1);
+          EXPECT_EQ(st.tag, 5);
+        }
+      },
+      opts);
+}
+
 TEST(CartNeighborhoodCreate, RejectsNonIsomorphic) {
   EXPECT_THROW(
       mpl::run(4,

@@ -1,10 +1,15 @@
 // Neighborhood collectives (the paper's MPI baselines) against references.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "mpl/mpl.hpp"
+#include "telemetry/telemetry.hpp"
+#include "trace/trace.hpp"
 
 using mpl::Comm;
 using mpl::Datatype;
@@ -229,4 +234,78 @@ TEST(Neighborhood, LargeBlocksSerializedMatchesDirect) {
                            NeighborAlgorithm::serialized_rendezvous);
     EXPECT_EQ(a, b);
   });
+}
+
+TEST(Neighborhood, DirectBaselineIsOneCollectiveExecution) {
+  // The direct baseline runs on the shared schedule executor, so each call
+  // lands in the collective-latency telemetry exactly like a Cartesian
+  // collective, blocking or not.
+  mpl::RunOptions opts;
+  opts.telemetry.enabled = true;
+  mpl::run(
+      5,
+      [](Comm& c) {
+        const telemetry::RankTelemetry* tm = c.telemetry();
+        ASSERT_NE(tm, nullptr);
+        DistGraphComm g = make_multi(c);
+        const std::vector<int> out{c.rank(), c.rank() + 10, c.rank() + 20};
+        std::vector<int> in(3, -1);
+        const std::uint64_t before = tm->collectives();
+        mpl::neighbor_alltoall(out.data(), 1, kInt, in.data(), 1, kInt, g,
+                               NeighborAlgorithm::direct);
+        EXPECT_EQ(tm->collectives(), before + 1);
+        const int p = c.size();
+        EXPECT_EQ(in[0], (c.rank() - 1 + p) % p);
+        EXPECT_EQ(in[1], (c.rank() - 2 + p) % p + 10);
+        EXPECT_EQ(in[2], (c.rank() - 1 + p) % p + 20);
+
+        const int mine = c.rank() * 3;
+        std::vector<int> got(3, -1);
+        mpl::ineighbor_allgather(&mine, 1, kInt, got.data(), 1, kInt, g)
+            .wait();
+        EXPECT_EQ(tm->collectives(), before + 2);
+        EXPECT_EQ(got[0], (c.rank() - 1 + p) % p * 3);
+        EXPECT_EQ(got[1], (c.rank() - 2 + p) % p * 3);
+        EXPECT_EQ(got[2], (c.rank() - 1 + p) % p * 3);
+      },
+      opts);
+}
+
+TEST(Neighborhood, TracedDirectBaselineRecordsOnePrepostingPhase) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "neighborhood_direct_trace.json";
+  mpl::RunOptions opts;
+  opts.trace.chrome_path = path;
+  mpl::run(
+      5,
+      [](Comm& c) {
+        DistGraphComm g = make_multi(c);
+        const std::vector<int> out{1, 2, 3};
+        std::vector<int> in(3, -1);
+        const int section = c.trace_section_begin("direct");
+        mpl::neighbor_alltoall(out.data(), 1, kInt, in.data(), 1, kInt, g,
+                               NeighborAlgorithm::direct);
+        c.trace_section_end();
+        ASSERT_GE(section, 0);
+        int recv_posts = 0;
+        int send_posts = 0;
+        int phase_spans = 0;
+        for (const trace::Event& e : c.proc().trace()->snapshot()) {
+          if (e.section != section) continue;
+          if (e.kind == trace::EventKind::recv_post) {
+            EXPECT_EQ(send_posts, 0) << "receive posted after a send";
+            ++recv_posts;
+          } else if (e.kind == trace::EventKind::send_post) {
+            ++send_posts;
+          } else if (e.kind == trace::EventKind::phase) {
+            EXPECT_EQ(e.phase, 0);
+            ++phase_spans;
+          }
+        }
+        EXPECT_EQ(recv_posts, 3);
+        EXPECT_EQ(send_posts, 3);
+        EXPECT_EQ(phase_spans, 1);
+      },
+      opts);
+  std::remove(path.c_str());
 }
