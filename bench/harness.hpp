@@ -69,7 +69,7 @@ struct Options {
   /// so repetitions and warmups of untraced variants stay out of the file.
   void apply(mpl::RunOptions& run) const {
     run.trace.chrome_path = trace_path;
-    run.trace.metrics_path = metrics_path;
+    run.telemetry.metrics_path = metrics_path;
     run.trace.start_enabled = false;
     if (!faults_spec.empty())
       run.faults = mpl::FaultConfig::parse(faults_spec);

@@ -137,19 +137,16 @@ void Comm::isend_core(Channel ch, const void* buf, int count,
   const double strag =
       (fp && fp->injecting()) ? fp->straggler_overhead(rank_) : 0.0;
 
-  // Production telemetry (independent of the tracer, so the receive fast
-  // path stays enabled): size histogram + counters, plus fault tallies.
-  telemetry::RankTelemetry* tm = self.telem();
-  if (tm) {
-    tm->on_send(bytes);
-    if (drops > 0) tm->on_fault_retries(static_cast<std::uint64_t>(drops));
-    if (fdelay > 0.0) tm->on_fault_delay();
-  }
+  // Every counted fact of this send lands in the communicator's telemetry
+  // block, in one place, after the clock work below.
+  telemetry::CommCounters* cc =
+      state_->counters[static_cast<std::size_t>(rank_)];
   // Retransmits are rare enough to be flight-timeline material.
   if (drops > 0) {
     self.flight().record(telemetry::FlightKind::retry, drops, dest);
   }
 
+  double backoff = 0.0;
   if (self.clock().enabled()) {
     // Each dropped attempt charges one bounded exponential backoff before
     // the successful attempt departs.
@@ -158,32 +155,25 @@ void Comm::isend_core(Channel ch, const void* buf, int count,
       const double wr0 = tracing ? self.tracer()->wall_now() : 0.0;
       const double b = fp->backoff(attempt);
       self.clock().charge(b);
-      if (tr && tr->active()) {
-        if (tr->metrics_on()) tr->on_fault_retry(state_->ctx, b);
-        if (tracing) {
-          trace::Event e;
-          e.kind = trace::EventKind::fault_retry;
-          e.peer = dest;
-          e.tag = tag;
-          e.ctx = msg.ctx;
-          e.bytes = bytes;
-          e.v_start = vr0;
-          e.v_end = self.clock().now();
-          e.w_start = wr0;
-          e.w_end = self.tracer()->wall_now();
-          e.comp[static_cast<int>(trace::Component::fault)] = b;
-          tr->record(std::move(e));
-        }
+      backoff += b;
+      if (tracing) {
+        trace::Event e;
+        e.kind = trace::EventKind::fault_retry;
+        e.peer = dest;
+        e.tag = tag;
+        e.ctx = msg.ctx;
+        e.bytes = bytes;
+        e.v_start = vr0;
+        e.v_end = self.clock().now();
+        e.w_start = wr0;
+        e.w_end = self.tracer()->wall_now();
+        e.comp[static_cast<int>(trace::Component::fault)] = b;
+        tr->record(std::move(e));
       }
     }
   } else if (drops > 0 || fdelay > 0.0) {
     // Wall-clock mode: no virtual cost to charge, but perturb the host
     // scheduling (chaos value under TSan) and still count the injections.
-    if (tr && tr->metrics_on()) {
-      for (int attempt = 1; attempt <= drops; ++attempt) {
-        tr->on_fault_retry(state_->ctx, 0.0);
-      }
-    }
     for (int attempt = 0; attempt <= drops; ++attempt) {
       std::this_thread::yield();
     }
@@ -193,65 +183,68 @@ void Comm::isend_core(Channel ch, const void* buf, int count,
   const double v0 = self.clock().enabled() ? self.clock().now() : 0.0;
   if (self.clock().enabled()) {
     // Straggler ranks pay extra CPU overhead on every post.
-    if (strag > 0.0) {
-      self.clock().charge(strag);
-      if (tr && tr->metrics_on()) tr->on_fault_straggler(state_->ctx, strag);
-    }
+    if (strag > 0.0) self.clock().charge(strag);
     msg.depart = msg.from_self
                      ? self.clock().now()
                      : self.clock().post_send(bytes, blocks);
     // Injected delay jitter is in-network time: it postpones the arrival
     // (receiver-side idle), not the sender's clock or its send port.
-    if (fdelay > 0.0) {
-      msg.depart += fdelay;
-      if (tr && tr->metrics_on()) tr->on_fault_delay(state_->ctx, fdelay);
-    }
-  } else if (fdelay > 0.0 && tr && tr->metrics_on()) {
-    tr->on_fault_delay(state_->ctx, 0.0);
+    if (fdelay > 0.0) msg.depart += fdelay;
   }
-  if (tr && tr->active()) {
-    if (tr->metrics_on()) {
-      tr->on_send(state_->ctx, bytes,
-                  static_cast<std::uint32_t>(blocks), msg.from_self);
+  if (cc) {
+    cc->on_send(bytes, blocks, msg.from_self);
+    if (drops > 0) {
+      cc->add(telemetry::Count::fault_retries,
+              static_cast<std::uint64_t>(drops));
+      cc->add(telemetry::VTime::fault_backoff_v, backoff);
     }
-    if (tracing) {
-      trace::Event e;
-      e.kind = trace::EventKind::send_post;
-      e.peer = dest;
-      e.tag = tag;
-      e.ctx = msg.ctx;
-      e.bytes = bytes;
-      e.blocks = static_cast<std::uint32_t>(blocks);
-      e.v_start = v0;
-      e.v_end = self.clock().enabled() ? self.clock().now() : 0.0;
-      e.w_start = w0;
-      e.w_end = self.tracer()->wall_now();
-      e.depart = msg.depart;
-      // Mirror post_send() exactly: the posting advance is o + blocks *
-      // o_block (+ packing for non-dense types, + injected straggler
-      // overhead); the wire gap G is port time, attributed at the receiver.
-      if (self.clock().enabled() && !msg.from_self) {
-        const auto& cfg = self.clock().config();
-        e.comp[static_cast<int>(trace::Component::o)] = cfg.o;
-        e.comp[static_cast<int>(trace::Component::o_block)] =
-            cfg.o_block * static_cast<double>(blocks);
-        if (blocks > 1) {
-          e.comp[static_cast<int>(trace::Component::G_pack)] =
-              cfg.G_pack * static_cast<double>(bytes);
-        }
-      }
+    if (fdelay > 0.0) {
+      cc->add(telemetry::Count::fault_delays);
       if (self.clock().enabled()) {
-        e.comp[static_cast<int>(trace::Component::fault)] = strag;
+        cc->add(telemetry::VTime::fault_delay_v, fdelay);
       }
-      tr->record(std::move(e));
     }
+    if (strag > 0.0 && self.clock().enabled()) {
+      cc->add(telemetry::VTime::fault_straggler_v, strag);
+    }
+  }
+  if (tracing) {
+    trace::Event e;
+    e.kind = trace::EventKind::send_post;
+    e.peer = dest;
+    e.tag = tag;
+    e.ctx = msg.ctx;
+    e.bytes = bytes;
+    e.blocks = static_cast<std::uint32_t>(blocks);
+    e.v_start = v0;
+    e.v_end = self.clock().enabled() ? self.clock().now() : 0.0;
+    e.w_start = w0;
+    e.w_end = self.tracer()->wall_now();
+    e.depart = msg.depart;
+    // Mirror post_send() exactly: the posting advance is o + blocks *
+    // o_block (+ packing for non-dense types, + injected straggler
+    // overhead); the wire gap G is port time, attributed at the receiver.
+    if (self.clock().enabled() && !msg.from_self) {
+      const auto& cfg = self.clock().config();
+      e.comp[static_cast<int>(trace::Component::o)] = cfg.o;
+      e.comp[static_cast<int>(trace::Component::o_block)] =
+          cfg.o_block * static_cast<double>(blocks);
+      if (blocks > 1) {
+        e.comp[static_cast<int>(trace::Component::G_pack)] =
+            cfg.G_pack * static_cast<double>(bytes);
+      }
+    }
+    if (self.clock().enabled()) {
+      e.comp[static_cast<int>(trace::Component::fault)] = strag;
+    }
+    tr->record(std::move(e));
   }
   // Staging (a pooled payload for an unmatched message) is the one extra
   // copy left in the transport; it is counted here, on the sender.
   const bool staged =
       state_->members[static_cast<std::size_t>(dest)]->mailbox().deliver(
           msg, buf, count, type, self.pool());
-  if (staged && tm) tm->on_staged(bytes);
+  if (staged && cc) cc->add(telemetry::Count::staged_bytes, bytes);
 }
 
 Request Comm::irecv_on(Channel ch, void* buf, int count, const Datatype& type,
@@ -298,6 +291,7 @@ Request Comm::irecv_slot(Channel ch, void* buf, int count, const Datatype& type,
     return Request(std::move(st), &proc());
   }
   st->ctx = channel_ctx(state_->ctx, ch);
+  st->counters = state_->counters[static_cast<std::size_t>(rank_)];
   st->match_src = src;
   st->match_tag = tag;
   st->base = buf;
@@ -318,7 +312,9 @@ Request Comm::irecv_slot(Channel ch, void* buf, int count, const Datatype& type,
     if (strag > 0.0) {
       // Straggler ranks pay extra CPU overhead on every post.
       self.clock().charge(strag);
-      if (tr && tr->metrics_on()) tr->on_fault_straggler(state_->ctx, strag);
+      if (st->counters) {
+        st->counters->add(telemetry::VTime::fault_straggler_v, strag);
+      }
     }
     // Post charges per-block overhead only; the datatype-scatter G_pack is
     // charged at completion, on the actual message size.
@@ -414,22 +410,38 @@ void Comm::send(const void* buf, int count, const Datatype& type, int dest,
 
 Status Comm::recv(void* buf, int count, const Datatype& type, int src,
                   int tag) const {
-  // Fast path: with no virtual clock and no tracing there is nothing to
-  // account, so a blocking receive that finds its message already queued
-  // can consume it directly — no request state, no wait machinery.
+  // Fast path: with no virtual clock there is no model accounting, so a
+  // blocking receive that finds its message already queued can consume it
+  // directly — no request state, no wait machinery. Tracing keeps the path
+  // and records its recv_complete here: wall times, zero cost components.
   MPL_REQUIRE(valid(), "recv on invalid communicator");
   if (src != PROC_NULL) {
     Proc& self = proc();
-    if (!self.clock().enabled() && !self.trace()) {
+    if (!self.clock().enabled()) {
       MPL_REQUIRE(count >= 0, "recv: negative count");
       MPL_REQUIRE(tag >= 0 || tag == ANY_TAG, "recv: invalid tag");
       MPL_REQUIRE(src == ANY_SOURCE || (src >= 0 && src < size()),
                   "recv: source rank out of range");
+      trace::RankTrace* tr = self.trace();
+      const bool tracing = tr && tr->tracing();
+      const double w0 = tracing ? self.tracer()->wall_now() : 0.0;
+      const std::uint64_t ctx = channel_ctx(state_->ctx, Channel::user);
       Status st;
-      if (self.mailbox().try_recv_now(channel_ctx(state_->ctx, Channel::user),
-                                      src, tag, type, buf, count, &st)) {
-        if (telemetry::RankTelemetry* tm = self.telem()) {
-          tm->on_recv(st.bytes);
+      if (self.mailbox().try_recv_now(ctx, src, tag, type, buf, count, &st)) {
+        if (telemetry::CommCounters* cc =
+                state_->counters[static_cast<std::size_t>(rank_)]) {
+          cc->on_recv(st.bytes, 0.0);
+        }
+        if (tracing) {
+          trace::Event e;
+          e.kind = trace::EventKind::recv_complete;
+          e.peer = st.source;
+          e.tag = st.tag;
+          e.ctx = ctx;
+          e.bytes = st.bytes;
+          e.w_start = w0;
+          e.w_end = self.tracer()->wall_now();
+          tr->record(std::move(e));
         }
         return st;
       }
@@ -507,6 +519,7 @@ Comm Comm::create_group(const std::vector<Proc*>& member_procs,
     st->rt = &rt;
     st->oob = std::make_shared<detail::OobBarrier>(
         static_cast<int>(member_procs.size()), &rt.abort);
+    st->counters.resize(member_procs.size(), nullptr);
     rt.publish_comm(st);
     for (std::size_t i = 1; i < member_parent_ranks.size(); ++i) {
       parent.internal_send(&st->ctx, sizeof(st->ctx), member_parent_ranks[i]);
@@ -515,6 +528,9 @@ Comm Comm::create_group(const std::vector<Proc*>& member_procs,
     std::uint64_t ctx = 0;
     parent.internal_recv(&ctx, sizeof(ctx), member_parent_ranks[0]);
     st = rt.lookup_comm(ctx);
+  }
+  if (telemetry::RankTelemetry* tm = parent.proc().telem()) {
+    st->counters[static_cast<std::size_t>(my_new_rank)] = tm->add_comm(st->ctx);
   }
   return CommBuilder::make(std::move(st), my_new_rank);
 }
@@ -615,11 +631,9 @@ void Comm::trace_section_end() const {
   tr->end_section(v, self.tracer()->wall_now());
 }
 
-const trace::Counters* Comm::metrics() const {
-  MPL_REQUIRE(valid(), "metrics on invalid communicator");
-  trace::RankTrace* tr = proc().trace();
-  if (!tr || !tr->metrics_on()) return nullptr;
-  return &tr->counters(state_->ctx);
+const telemetry::CommCounters* Comm::counters() const {
+  MPL_REQUIRE(valid(), "counters on invalid communicator");
+  return state_->counters[static_cast<std::size_t>(rank_)];
 }
 
 const telemetry::RankTelemetry* Comm::telemetry() const {

@@ -16,11 +16,8 @@
 #include "mpl/request.hpp"
 
 namespace telemetry {
+class CommCounters;
 class RankTelemetry;
-}
-
-namespace trace {
-struct Counters;
 }
 
 namespace mpl {
@@ -157,13 +154,15 @@ class Comm {
   int trace_section_begin(const std::string& label) const;
   void trace_section_end() const;
 
-  /// This process' metrics for this communicator (all channels aggregated
-  /// under the base context). Null when metrics are not armed.
-  [[nodiscard]] const trace::Counters* metrics() const;
+  /// This process' telemetry counters for this communicator (every
+  /// channel's traffic under the base context label). Null when telemetry
+  /// is not armed.
+  [[nodiscard]] const telemetry::CommCounters* counters() const;
 
-  /// This process' production telemetry block (latency/size histograms and
-  /// counters; run-wide, not per-communicator). Null when telemetry is not
-  /// armed (RunOptions::telemetry / MPL_TELEMETRY / MPL_OPENMETRICS).
+  /// This process' telemetry block (histograms, per-phase traffic, and the
+  /// totals over all its communicators). Null when telemetry is not armed
+  /// (RunOptions::telemetry / MPL_TELEMETRY / MPL_METRICS /
+  /// MPL_OPENMETRICS).
   [[nodiscard]] const telemetry::RankTelemetry* telemetry() const;
 
   // -- internal access (used by collectives/topology layers) ----------------

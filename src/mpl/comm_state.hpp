@@ -7,6 +7,10 @@
 
 #include "mpl/runtime_state.hpp"
 
+namespace telemetry {
+class CommCounters;
+}
+
 namespace mpl {
 class Comm;
 
@@ -14,8 +18,8 @@ namespace detail {
 
 // Matching-context channel bits. Internal traffic (communicator creation)
 // and collective traffic run in shadow contexts derived from the user
-// context by setting these bits; metrics keying strips them so all traffic
-// of one communicator aggregates under its base context id.
+// context by setting these bits; the telemetry label is the base context, so
+// all traffic of one communicator aggregates in one counter block.
 inline constexpr std::uint64_t kInternalCtxBit = 1ULL << 63;
 inline constexpr std::uint64_t kCollCtxBit = 1ULL << 62;
 inline constexpr std::uint64_t kCtxBaseMask = ~(kInternalCtxBit | kCollCtxBit);
@@ -25,6 +29,10 @@ struct CommState {
   std::vector<Proc*> members;  // comm rank -> process
   RuntimeState* rt = nullptr;
   std::shared_ptr<OobBarrier> oob;  // clock-neutral barrier, one per group
+  /// Comm rank -> that rank's telemetry block for this communicator (null
+  /// when telemetry is disarmed). Sized before the state is shared; each
+  /// rank writes and reads only its own slot.
+  std::vector<telemetry::CommCounters*> counters;
 };
 
 }  // namespace detail

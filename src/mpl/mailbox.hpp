@@ -144,8 +144,8 @@ class Mailbox {
   void post_recv(const std::shared_ptr<detail::ReqState>& r)
       MPL_EXCLUDES(mtx_);
 
-  /// Owner-thread fast path for a blocking receive with no model or
-  /// tracing accounting armed: match-and-consume an already queued
+  /// Owner-thread fast path for a blocking receive with the model off
+  /// (nothing to account): match-and-consume an already queued
   /// unexpected message without materialising a request. Claims the whole
   /// shared unexpected queue into the owner-private claimed_ queue in one
   /// lock acquisition and serves from it lock-free afterwards. Returns

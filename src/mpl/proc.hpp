@@ -38,10 +38,10 @@ class Proc {
   detail::BufferPool& pool() noexcept { return pool_; }
   detail::RuntimeState& runtime() noexcept { return *rt_; }
 
-  /// Per-rank trace/metrics recorder; null when nothing is armed, which is
-  /// the single-branch gate every instrumentation site checks first.
+  /// Per-rank event recorder; null unless event tracing is armed, which is
+  /// the single-branch gate every tracing site checks first.
   [[nodiscard]] trace::RankTrace* trace() const noexcept { return trace_; }
-  /// Run-wide tracer (wall clock source); null when nothing is armed.
+  /// Run-wide tracer (wall clock source); null unless tracing is armed.
   [[nodiscard]] const trace::Tracer* tracer() const noexcept { return tracer_; }
 
   /// Internal: called once by the runtime before the process thread starts.
@@ -66,16 +66,16 @@ class Proc {
     return flight_;
   }
 
-  /// Per-rank telemetry block (histograms + counters); null unless
-  /// RunOptions::telemetry armed it — the single-branch gate the
-  /// counting sites check first. Independent of trace(): arming
-  /// telemetry must not disable the mailbox fast-path receive.
+  /// Per-rank telemetry block (histograms, per-phase traffic and the
+  /// per-communicator counter blocks); null unless RunOptions::telemetry
+  /// armed it. Counting sites reach their communicator's block directly
+  /// (CommState::counters), so this is read at communicator creation.
   [[nodiscard]] telemetry::RankTelemetry* telem() const noexcept {
     return telem_;
   }
 
   /// Internal: wire the telemetry block (runtime, before threads start).
-  void set_telemetry(telemetry::RankTelemetry* t) noexcept { telem_ = t; }
+  void set_telem(telemetry::RankTelemetry* t) noexcept { telem_ = t; }
 
   /// The run's fault plan; null when nothing is armed (the single-branch
   /// gate the transport's injection sites check first).

@@ -29,16 +29,11 @@ void account(detail::ReqState& st, Proc& owner) {
   st.model_accounted = true;
   if (st.kind != detail::ReqState::Kind::recv || st.null_recv) return;
 
-  // Owner-side receive telemetry: account() is the one point every
-  // request-based receive passes exactly once (the no-request fast path
-  // counts in Comm::recv directly).
-  if (telemetry::RankTelemetry* tm = owner.telem()) {
-    tm->on_recv(st.status.bytes);
-  }
-
   trace::RankTrace* tr = owner.trace();
-  const bool active = tr && tr->active();
   const bool tracing = tr && tr->tracing();
+  // Attribution is needed for trace events and for the idle (wait stall)
+  // counter.
+  const bool attribute = tracing || st.counters;
   NetClock& clk = owner.clock();
 
   const double w0 = tracing ? owner.tracer()->wall_now() : 0.0;
@@ -55,10 +50,10 @@ void account(detail::ReqState& st, Proc& owner) {
     const bool packed = st.blocks > 1 && !st.truncated;
     const double done_at =
         clk.complete_recv(st.depart, st.status.bytes, st.from_self, packed,
-                          active ? &timing : nullptr);
+                          attribute ? &timing : nullptr);
     clk.advance_to(done_at);
     advance = clk.now() - v0;
-    if (active) {
+    if (attribute) {
       // Attribute the advance back-to-front: the trailing G_pack*bytes is
       // the datatype scatter, the G*bytes before it is wire time, the
       // preceding stretch (up to the sampled latency) is L, and whatever
@@ -80,11 +75,11 @@ void account(detail::ReqState& st, Proc& owner) {
       }
     }
   }
-  if (!active) return;
-
-  const std::uint64_t base_ctx = st.ctx & detail::kCtxBaseMask;
-  if (tr->metrics_on()) {
-    tr->on_recv_complete(base_ctx, st.status.bytes,
+  // Owner-side receive counters: account() is the one point every
+  // request-based receive passes exactly once (the no-request fast path
+  // counts in Comm::recv directly).
+  if (st.counters) {
+    st.counters->on_recv(st.status.bytes,
                          comp[static_cast<int>(trace::Component::idle)]);
   }
   if (tracing) {
@@ -110,26 +105,18 @@ void account(detail::ReqState& st, Proc& owner) {
 Status Request::wait() {
   MPL_REQUIRE(valid(), "wait on invalid request");
   if (!state_->done.load(std::memory_order_acquire)) {
-    trace::RankTrace* tr = owner_->trace();
-    telemetry::RankTelemetry* tm = owner_->telem();
-    const bool metrics = tr && tr->metrics_on();
-    if (metrics || tm) {
+    if (telemetry::CommCounters* cc = state_->counters) {
       // Wall-clock the park. steady_clock, not the tracer's clock, so the
-      // telemetry wait histogram works with tracing fully disarmed.
+      // wait counters work with tracing fully disarmed.
       const auto w0 = std::chrono::steady_clock::now();
       owner_->mailbox().wait_done(state_);
       const auto blocked = std::chrono::steady_clock::now() - w0;
       const double secs =
           std::chrono::duration<double>(blocked).count();
-      if (tm) {
-        tm->on_wait_block(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(blocked)
-                .count()));
-      }
-      if (metrics) {
-        tr->on_wait_wall(state_->ctx & detail::kCtxBaseMask, secs);
-      }
-      if (tr && tr->tracing()) {
+      cc->on_wait_block(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(blocked)
+              .count()));
+      if (trace::RankTrace* tr = owner_->trace(); tr && tr->tracing()) {
         // Zero-component marker event: the wait adds no modeled cost (the
         // virtual clock does not move while parked), but the wall span
         // makes blocked time visible on the trace timeline.

@@ -17,6 +17,10 @@
 
 #include "mpl/datatype.hpp"
 
+namespace telemetry {
+class CommCounters;
+}
+
 namespace mpl {
 
 class Proc;
@@ -45,6 +49,9 @@ struct ReqState {
 
   // Matching criteria (recv only).
   std::uint64_t ctx = 0;
+  /// The posting rank's telemetry block for the communicator (null when
+  /// telemetry is disarmed); completion counts land here.
+  telemetry::CommCounters* counters = nullptr;
   int match_src = -1;
   int match_tag = -1;
 

@@ -34,18 +34,7 @@ void gather_metrics(
     telemetry::MetricsSnapshot& s) {
   s.nprocs = static_cast<int>(rt.procs.size());
   for (const auto& tm : telems) {
-    s.msgs_sent += tm->msgs_sent();
-    s.bytes_sent += tm->bytes_sent();
-    s.staged_bytes += tm->staged_bytes();
-    s.msgs_recv += tm->msgs_recv();
-    s.bytes_recv += tm->bytes_recv();
-    s.waits += tm->waits();
-    s.collectives += tm->collectives();
-    s.fault_retries += tm->fault_retries();
-    s.fault_delays += tm->fault_delays();
-    s.reduce_folds += tm->reduce_folds();
-    s.reduce_fold_bytes += tm->reduce_fold_bytes();
-    s.reduces += tm->reduces();
+    s.totals += tm->totals();
     s.collective_ns.merge(tm->collective_latency());
     s.wait_block_ns.merge(tm->wait_block_latency());
     s.msg_bytes.merge(tm->message_sizes());
@@ -162,7 +151,7 @@ void run(int nprocs, const std::function<void(Comm&)>& fn,
     meta.emplace_back("fault_straggler", fc.straggler);
     meta.emplace_back("fault_pool_miss", fc.pool_miss);
   }
-  rt.tracer.set_model_meta(std::move(meta), opts.net.enabled);
+  rt.tracer.set_model_meta(meta, opts.net.enabled);
 
   rt.procs.reserve(static_cast<std::size_t>(nprocs));
   for (int r = 0; r < nprocs; ++r) {
@@ -170,8 +159,9 @@ void run(int nprocs, const std::function<void(Comm&)>& fn,
     p->init(r, nprocs, &rt);
     p->clock().configure(opts.net, r);
     p->mailbox().set_abort_flag(&rt.abort);
-    p->set_trace(rt.tracer.rank(r), rt.tracer.armed() ? &rt.tracer : nullptr);
-    if (telem_armed) p->set_telemetry(telems[static_cast<std::size_t>(r)].get());
+    p->set_trace(rt.tracer.rank(r),
+                 rt.tracer.trace_armed() ? &rt.tracer : nullptr);
+    if (telem_armed) p->set_telem(telems[static_cast<std::size_t>(r)].get());
     // Arrival stamping costs one wall-clock read per message; only wire it
     // when event tracing is on.
     if (rt.tracer.trace_armed()) p->mailbox().set_tracer(&rt.tracer);
@@ -188,6 +178,12 @@ void run(int nprocs, const std::function<void(Comm&)>& fn,
   world_state->rt = &rt;
   world_state->oob = std::make_shared<detail::OobBarrier>(nprocs, &rt.abort);
   for (auto& p : rt.procs) world_state->members.push_back(p.get());
+  world_state->counters.resize(static_cast<std::size_t>(nprocs), nullptr);
+  if (telem_armed) {
+    for (std::size_t r = 0; r < telems.size(); ++r) {
+      world_state->counters[r] = telems[r]->add_comm(0);
+    }
+  }
   rt.publish_comm(world_state);
 
   detail::ErrorSlot errors;
@@ -296,17 +292,29 @@ void run(int nprocs, const std::function<void(Comm&)>& fn,
 
   if (auto first_error = errors.first()) std::rethrow_exception(first_error);
 
-  // All process threads joined: the per-rank rings are safe to read.
-  if (telem_armed && rt.tracer.metrics_armed()) {
-    for (int r = 0; r < nprocs; ++r) {
-      rt.tracer.rank(r)->set_telemetry(
-          {{"staged_bytes",
-            static_cast<double>(
-                telems[static_cast<std::size_t>(r)]->staged_bytes())}});
-    }
-  }
+  // All process threads joined: the per-rank rings and per-phase tables
+  // are safe to read.
   const std::string trace_error = rt.tracer.flush();
   if (!trace_error.empty()) throw Error(trace_error);
+
+  if (!mcfg.metrics_path.empty()) {
+    std::vector<std::uint64_t> dropped(static_cast<std::size_t>(nprocs), 0);
+    for (int r = 0; r < nprocs; ++r) {
+      if (const trace::RankTrace* tr = rt.tracer.rank(r)) {
+        dropped[static_cast<std::size_t>(r)] = tr->dropped();
+      }
+    }
+    if (mcfg.metrics_path == "-") {
+      telemetry::write_metrics_json(std::cout, meta, telems, dropped);
+    } else {
+      std::ofstream os(mcfg.metrics_path);
+      if (!os) throw Error("mpl: metrics: cannot open " + mcfg.metrics_path);
+      telemetry::write_metrics_json(os, meta, telems, dropped);
+      if (!os) {
+        throw Error("mpl: metrics: write failed for " + mcfg.metrics_path);
+      }
+    }
+  }
 
   // Final (authoritative) OpenMetrics export; all rank threads are joined,
   // so this snapshot is exact, not a mid-run approximation.

@@ -16,21 +16,23 @@ class Comm;
 struct RunOptions {
   /// Network cost model; off() means wall-clock mode.
   NetConfig net = NetConfig::off();
-  /// Tracing/metrics configuration. Environment variables (MPL_TRACE,
-  /// MPL_METRICS, MPL_TRACE_CAPACITY) override these fields; with neither
-  /// set, tracing is fully disarmed and costs one null-pointer check per
-  /// instrumentation site. Output files are written when run() returns.
+  /// Event-tracing configuration. Environment variables (MPL_TRACE,
+  /// MPL_TRACE_CAPACITY) override these fields; with neither set, tracing
+  /// is fully disarmed and costs one null-pointer check per instrumentation
+  /// site. The trace file is written when run() returns.
   trace::TraceConfig trace;
   /// Deterministic fault injection and resilience knobs (drops + retransmit,
   /// delay jitter, stragglers, pool exhaustion, wait timeouts, progress
   /// watchdog). Environment overrides: MPL_FAULTS spec, MPL_TIMEOUT_MS.
   /// Fully disarmed by default at one null-pointer check per site.
   FaultConfig faults;
-  /// Production telemetry: per-rank latency/size histograms, lock-contention
-  /// probes, and the OpenMetrics exporter. Environment overrides:
-  /// MPL_TELEMETRY, MPL_OPENMETRICS, MPL_OPENMETRICS_PERIOD_MS. Disarmed by
-  /// default at one null-pointer (or relaxed-bool) check per site; the
-  /// flight recorder is always on regardless.
+  /// Telemetry, the one metrics registry: per-communicator counters,
+  /// per-rank latency/size histograms and per-phase traffic, lock-contention
+  /// probes, and its two exporters (metrics JSON, OpenMetrics). Environment
+  /// overrides: MPL_TELEMETRY, MPL_METRICS, MPL_OPENMETRICS,
+  /// MPL_OPENMETRICS_PERIOD_MS. Disarmed by default at one null-pointer (or
+  /// relaxed-bool) check per site; the flight recorder is always on
+  /// regardless.
   telemetry::TelemetryConfig telemetry;
 };
 

@@ -69,20 +69,16 @@ Schedule::Execution::Execution(const Schedule* s, const Comm& comm,
   scratch_->phase_end = 0;
   scratch_->next_slot = 0;
   trace::RankTrace* tr = comm.proc().trace();
-  if (tr && tr->active()) {
-    tr_ = tr;
-    if (tr_->metrics_on()) {
-      tr_->on_schedule_execution(comm_.state()->ctx);
-    }
-  }
+  if (tr && tr->tracing()) tr_ = tr;
+  counters_ = comm.state()->counters[static_cast<std::size_t>(comm.rank())];
+  if (counters_) counters_->add(telemetry::Count::schedule_executions);
   publish_point_ = comm.proc().faults() != nullptr;
-  // The flight recorder is always armed; the latency histogram only when
-  // telemetry is. The ordinal is per rank thread, so a stall report can
-  // line up "execution #k" across ranks.
+  // The flight recorder is always armed; the counters only when telemetry
+  // is. The ordinal is per rank thread, so a stall report can line up
+  // "execution #k" across ranks.
   thread_local std::int32_t tl_exec_ordinal = 0;
   exec_ordinal_ = tl_exec_ordinal++;
   flight_ = &comm.proc().flight();
-  telem_ = comm.proc().telem();
   t0_ = std::chrono::steady_clock::now();
   flight_->record(telemetry::FlightKind::sched_begin, exec_ordinal_);
   if (sched_->prepost_ && !sched_->phase_rounds_.empty()) prepost_receives();
@@ -125,11 +121,8 @@ void Schedule::Execution::begin_phase_scope(int phase) {
   if (!tr_) return;
   cur_phase_ = phase;
   tr_->set_phase(phase);
-  if (tr_->metrics_on()) tr_->on_phase(comm_.state()->ctx);
-  if (tr_->tracing()) {
-    phase_v0_ = comm_.model_enabled() ? comm_.proc().clock().now() : 0.0;
-    phase_w0_ = comm_.proc().tracer()->wall_now();
-  }
+  phase_v0_ = comm_.model_enabled() ? comm_.proc().clock().now() : 0.0;
+  phase_w0_ = comm_.proc().tracer()->wall_now();
 }
 
 // Emit the span event of the phase currently in flight: from its first
@@ -138,17 +131,15 @@ void Schedule::Execution::begin_phase_scope(int phase) {
 // attribution sum is never double counted.
 void Schedule::Execution::end_phase_scope() {
   if (!tr_ || cur_phase_ < 0) return;
-  if (tr_->tracing()) {
-    trace::Event e;
-    e.kind = trace::EventKind::phase;
-    e.phase = cur_phase_;
-    e.ctx = comm_.state()->ctx;
-    e.v_start = phase_v0_;
-    e.v_end = comm_.model_enabled() ? comm_.proc().clock().now() : 0.0;
-    e.w_start = phase_w0_;
-    e.w_end = comm_.proc().tracer()->wall_now();
-    tr_->record(std::move(e));
-  }
+  trace::Event e;
+  e.kind = trace::EventKind::phase;
+  e.phase = cur_phase_;
+  e.ctx = comm_.state()->ctx;
+  e.v_start = phase_v0_;
+  e.v_end = comm_.model_enabled() ? comm_.proc().clock().now() : 0.0;
+  e.w_start = phase_w0_;
+  e.w_end = comm_.proc().tracer()->wall_now();
+  tr_->record(std::move(e));
   cur_phase_ = -1;
   tr_->set_phase(-1);
   tr_->set_round(-1);
@@ -177,7 +168,7 @@ void Schedule::Execution::apply_folds(int below) {
       op.fold(f.dst, f.src, f.count);
     }
     if (comm_.model_enabled()) comm_.proc().clock().local_copy(bytes);
-    if (telem_) telem_->on_reduce_fold(bytes);
+    if (counters_) counters_->on_reduce_fold(bytes);
   }
 }
 
@@ -199,6 +190,7 @@ void Schedule::Execution::post_phase() {
     }
     flight_->record(telemetry::FlightKind::phase_begin,
                     static_cast<std::int32_t>(phase_));
+    if (counters_) counters_->add(telemetry::Count::phases);
     const int nrounds = sched_->phase_rounds_[phase_];
     for (int j = 0; j < nrounds; ++j) {
       const ScheduleRound& r = sched_->rounds_[round_base_ + static_cast<std::size_t>(j)];
@@ -208,10 +200,8 @@ void Schedule::Execution::post_phase() {
       if (publish_point_) {
         comm_.proc().set_sched_point(static_cast<int>(phase_), j);
       }
-      if (tr_) {
-        tr_->set_round(j);
-        if (tr_->metrics_on()) tr_->on_round(comm_.state()->ctx);
-      }
+      if (tr_) tr_->set_round(j);
+      if (counters_) counters_->add(telemetry::Count::rounds);
       // Each round posts its receive, then its send (the order the
       // combining schedules' virtual clocks are pinned to). A pre-posted
       // receive only joins this phase's wait range.
@@ -222,6 +212,9 @@ void Schedule::Execution::post_phase() {
       if (sends(r)) {
         comm_.isend_on(Comm::Channel::coll, r.sendbuf, r.sendcount,
                        r.sendtype, r.sendrank, tag_);
+        if (counters_) {
+          counters_->on_phase_send(static_cast<int>(phase_), r.send_bytes());
+        }
       }
     }
     if (tr_) tr_->set_round(-1);
@@ -236,42 +229,40 @@ void Schedule::Execution::finish_copies() {
   apply_folds(INT_MAX);
   // Final non-communication phase: local block copies, scoped one past the
   // last communication phase.
-  const bool scope = tr_ && !sched_->copies_.empty();
-  if (scope) begin_phase_scope(sched_->phases());
+  const bool copy_phase = !sched_->copies_.empty();
+  if (copy_phase && counters_) counters_->add(telemetry::Count::phases);
+  if (copy_phase && tr_) begin_phase_scope(sched_->phases());
   for (const ScheduleCopy& c : sched_->copies_) {
     const double v0 = comm_.model_enabled() ? comm_.proc().clock().now() : 0.0;
-    const double w0 =
-        (tr_ && tr_->tracing()) ? comm_.proc().tracer()->wall_now() : 0.0;
+    const double w0 = tr_ ? comm_.proc().tracer()->wall_now() : 0.0;
     const std::size_t bytes = c.src.pack_size(c.srccount);
     copy_typed(c.srcbuf, c.srccount, c.src, c.dstbuf, c.dstcount, c.dst);
     if (comm_.model_enabled()) comm_.proc().clock().local_copy(bytes);
+    if (counters_) counters_->on_copy(bytes);
     if (tr_) {
-      if (tr_->metrics_on()) tr_->on_copy(comm_.state()->ctx, bytes);
-      if (tr_->tracing()) {
-        trace::Event e;
-        e.kind = trace::EventKind::copy;
-        e.ctx = comm_.state()->ctx;
-        e.bytes = bytes;
-        e.blocks =
-            static_cast<std::uint32_t>(c.src.flat_block_count(c.srccount));
-        e.v_start = v0;
-        e.v_end = comm_.model_enabled() ? comm_.proc().clock().now() : 0.0;
-        e.w_start = w0;
-        e.w_end = comm_.proc().tracer()->wall_now();
-        e.comp[static_cast<int>(trace::Component::copy)] = e.v_end - v0;
-        tr_->record(std::move(e));
-      }
+      trace::Event e;
+      e.kind = trace::EventKind::copy;
+      e.ctx = comm_.state()->ctx;
+      e.bytes = bytes;
+      e.blocks =
+          static_cast<std::uint32_t>(c.src.flat_block_count(c.srccount));
+      e.v_start = v0;
+      e.v_end = comm_.model_enabled() ? comm_.proc().clock().now() : 0.0;
+      e.w_start = w0;
+      e.w_end = comm_.proc().tracer()->wall_now();
+      e.comp[static_cast<int>(trace::Component::copy)] = e.v_end - v0;
+      tr_->record(std::move(e));
     }
   }
-  if (scope) end_phase_scope();
+  if (copy_phase) end_phase_scope();
   if (publish_point_) comm_.proc().set_sched_point(-1, -1);
   flight_->record(telemetry::FlightKind::sched_end, exec_ordinal_);
-  if (telem_) {
+  if (counters_) {
     const auto dt = std::chrono::steady_clock::now() - t0_;
-    const auto ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
-    telem_->on_collective(ns);
-    if (sched_->op_.valid()) telem_->on_reduce(ns);
+    counters_->on_execution_done(
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()),
+        sched_->op_.valid());
   }
   done_ = true;
 }

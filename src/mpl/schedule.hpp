@@ -38,8 +38,8 @@
 #include "mpl/topology.hpp"
 
 namespace telemetry {
+class CommCounters;
 class FlightRecorder;
-class RankTelemetry;
 }
 
 namespace trace {
@@ -313,7 +313,7 @@ class Schedule::Execution {
   bool done_ = true;
   std::size_t next_fold_ = 0;  // applied prefix of the fold program
 
-  // Tracing scope (null when neither tracing nor metrics are armed).
+  // Tracing scope (null unless this rank records events).
   trace::RankTrace* tr_ = nullptr;
   int cur_phase_ = -1;          // phase currently in flight
   double phase_v0_ = 0.0;       // virtual/wall start of that phase
@@ -323,10 +323,11 @@ class Schedule::Execution {
   bool publish_point_ = false;
   // Telemetry (independent of the trace layer): the always-on flight
   // recorder gets phase/round transition events, and — when telemetry is
-  // armed — the whole execution's wall latency lands in the owning rank's
-  // per-collective histogram on completion.
+  // armed — the communicator's counters get the execution, phases, rounds,
+  // copies, folds and per-phase sends, and the whole execution's wall
+  // latency lands in the rank's per-collective histogram on completion.
   telemetry::FlightRecorder* flight_ = nullptr;
-  telemetry::RankTelemetry* telem_ = nullptr;
+  telemetry::CommCounters* counters_ = nullptr;
   std::int32_t exec_ordinal_ = -1;
   std::chrono::steady_clock::time_point t0_{};
 };

@@ -1,5 +1,6 @@
 #include "telemetry/openmetrics.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <ostream>
 
@@ -52,40 +53,124 @@ void histogram(std::ostream& os, const char* name, const char* help,
   os << name << "_count " << h.count() << '\n';
 }
 
+// Doubles with enough digits to round-trip exactly (metrics JSON).
+void put_num(std::ostream& os, double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  os << buf;
+}
+
+// One counter object: every Count by name, then every VTime. wait_ns is
+// printed as "wait_stall_wall", in seconds.
+void put_counts(std::ostream& os, const Counts& c) {
+  os << '{';
+  for (int i = 0; i < kCounts; ++i) {
+    const auto k = static_cast<Count>(i);
+    if (i) os << ", ";
+    os << '"' << count_name(k) << "\": ";
+    if (k == Count::wait_ns) {
+      put_num(os, static_cast<double>(c[k]) * 1e-9);
+    } else {
+      os << c[k];
+    }
+  }
+  for (int i = 0; i < kVTimes; ++i) {
+    const auto t = static_cast<VTime>(i);
+    os << ", \"" << vtime_name(t) << "\": ";
+    put_num(os, c[t]);
+  }
+  os << '}';
+}
+
 }  // namespace
+
+void write_metrics_json(
+    std::ostream& os,
+    const std::vector<std::pair<std::string, double>>& model,
+    const std::vector<std::unique_ptr<RankTelemetry>>& ranks,
+    const std::vector<std::uint64_t>& dropped_events) {
+  os << "{\n\"kind\": \"mpl-metrics\",\n\"nprocs\": " << ranks.size()
+     << ",\n\"model\": {";
+  for (std::size_t i = 0; i < model.size(); ++i) {
+    if (i) os << ", ";
+    os << '"' << model[i].first << "\": ";
+    put_num(os, model[i].second);
+  }
+  os << "},\n\"ranks\": [\n";
+  for (std::size_t r = 0; r < ranks.size(); ++r) {
+    const RankTelemetry& tm = *ranks[r];
+    if (r) os << ",\n";
+    os << "{\"rank\": " << tm.rank()
+       << ", \"dropped_events\": " << dropped_events[r] << ",\n \"totals\": ";
+    put_counts(os, tm.totals());
+    os << ",\n \"per_comm\": [";
+    std::vector<const CommCounters*> comms;
+    for (const CommCounters* c = tm.comms(); c; c = c->next()) {
+      if (c->snapshot() != Counts{}) comms.push_back(c);
+    }
+    std::sort(comms.begin(), comms.end(),
+              [](const CommCounters* a, const CommCounters* b) {
+                return a->label() < b->label();
+              });
+    for (std::size_t i = 0; i < comms.size(); ++i) {
+      if (i) os << ", ";
+      os << "{\"ctx\": " << comms[i]->label() << ", \"counters\": ";
+      put_counts(os, comms[i]->snapshot());
+      os << '}';
+    }
+    os << "],\n \"per_phase\": [";
+    for (std::size_t i = 0; i < tm.per_phase().size(); ++i) {
+      if (i) os << ", ";
+      os << "{\"phase\": " << i << ", \"msgs\": " << tm.per_phase()[i].msgs
+         << ", \"bytes\": " << tm.per_phase()[i].bytes << '}';
+    }
+    os << "],\n \"msg_size_hist\": [";
+    const Histogram& h = tm.message_sizes();
+    bool first = true;
+    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+      if (h.bucket_count(b) == 0) continue;
+      if (!first) os << ", ";
+      first = false;
+      os << "{\"le_bytes\": " << Histogram::bucket_upper(b)
+         << ", \"count\": " << h.bucket_count(b) << '}';
+    }
+    os << "]}";
+  }
+  os << "\n]\n}\n";
+}
 
 void write_openmetrics(std::ostream& os, const MetricsSnapshot& snap) {
   gauge(os, "mpl_ranks", "Simulated processes in the run.",
         static_cast<double>(snap.nprocs));
 
   counter(os, "mpl_msgs_sent", "Messages sent across all ranks.",
-          snap.msgs_sent);
+          snap.totals[Count::msgs_sent]);
   counter(os, "mpl_bytes_sent", "Payload bytes sent across all ranks.",
-          snap.bytes_sent);
+          snap.totals[Count::bytes_sent]);
   counter(os, "mpl_staged_bytes",
           "Sent bytes staged in a pooled payload because no receive was "
           "posted yet (the rest were copied once, straight into the "
           "receive).",
-          snap.staged_bytes);
+          snap.totals[Count::staged_bytes]);
   counter(os, "mpl_msgs_recv", "Messages received across all ranks.",
-          snap.msgs_recv);
+          snap.totals[Count::msgs_recv]);
   counter(os, "mpl_bytes_recv", "Payload bytes received across all ranks.",
-          snap.bytes_recv);
+          snap.totals[Count::bytes_recv]);
   counter(os, "mpl_waits", "Blocking request waits that actually parked.",
-          snap.waits);
+          snap.totals[Count::waits]);
   counter(os, "mpl_collectives", "Neighborhood schedule executions.",
-          snap.collectives);
+          snap.totals[Count::schedule_executions]);
   counter(os, "mpl_fault_retries",
           "Retransmits forced by injected message drops.",
-          snap.fault_retries);
+          snap.totals[Count::fault_retries]);
   counter(os, "mpl_fault_delays", "Messages given injected delay jitter.",
-          snap.fault_delays);
-  counter(os, "mpl_reduces", "Reducing schedule executions.", snap.reduces);
+          snap.totals[Count::fault_delays]);
+  counter(os, "mpl_reduces", "Reducing schedule executions.", snap.totals[Count::reduces]);
   counter(os, "mpl_reduce_folds",
-          "Combine steps applied by reducing schedules.", snap.reduce_folds);
+          "Combine steps applied by reducing schedules.", snap.totals[Count::reduce_folds]);
   counter(os, "mpl_reduce_fold_bytes",
           "Bytes combined by reducing-schedule fold steps.",
-          snap.reduce_fold_bytes);
+          snap.totals[Count::reduce_fold_bytes]);
 
   counter(os, "mpl_pool_hits", "Buffer-pool freelist hits.", snap.pool.hits);
   counter(os, "mpl_pool_misses", "Buffer-pool freelist misses (allocations).",
@@ -153,12 +238,6 @@ void write_openmetrics(std::ostream& os, const MetricsSnapshot& snap) {
   histogram(os, "mpl_reduce_latency_seconds",
             "Wall latency of one reducing schedule execution.", snap.reduce_ns,
             1e-9);
-
-  for (const auto& [name, value] : snap.extra_gauges) {
-    const std::string full = "mpl_" + name;
-    os << "# TYPE " << full << " gauge\n";
-    os << full << ' ' << fmt(value) << '\n';
-  }
 
   os << "# EOF\n";
 }

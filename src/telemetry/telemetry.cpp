@@ -52,12 +52,34 @@ ContentionTotals contention_totals() noexcept {
   return t;
 }
 
+// -- registry names ---------------------------------------------------------
+
+const char* count_name(Count c) noexcept {
+  static constexpr const char* kNames[kCounts] = {
+      "msgs_sent",      "bytes_sent",      "msgs_recv",
+      "bytes_recv",     "packed_msgs",     "packed_bytes",
+      "zero_copy_msgs", "zero_copy_bytes", "self_msgs",
+      "self_copies",    "self_copy_bytes", "rounds",
+      "phases",         "schedule_executions", "staged_bytes",
+      "waits",          "wait_stall_wall", "fault_retries",
+      "fault_delays",   "reduces",         "reduce_folds",
+      "reduce_fold_bytes"};
+  return kNames[static_cast<int>(c)];
+}
+
+const char* vtime_name(VTime t) noexcept {
+  static constexpr const char* kNames[kVTimes] = {
+      "wait_stall_v", "fault_backoff_v", "fault_delay_v", "fault_straggler_v"};
+  return kNames[static_cast<int>(t)];
+}
+
 // -- configuration ----------------------------------------------------------
 
 void TelemetryConfig::apply_env() {
   if (const char* v = std::getenv("MPL_TELEMETRY")) {
     enabled = !(v[0] == '\0' || v[0] == '0');
   }
+  if (const char* v = std::getenv("MPL_METRICS"); v && *v) metrics_path = v;
   if (const char* v = std::getenv("MPL_OPENMETRICS")) {
     if (v[0] != '\0') openmetrics_path = v;
   }

@@ -1,10 +1,8 @@
 #include "trace/trace.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iostream>
 #include <map>
 #include <ostream>
 
@@ -39,63 +37,8 @@ const char* event_kind_name(EventKind k) noexcept {
   return "?";
 }
 
-std::vector<std::pair<const char*, double>> Counters::named() const {
-  return {
-      {"msgs_sent", static_cast<double>(msgs_sent)},
-      {"bytes_sent", static_cast<double>(bytes_sent)},
-      {"msgs_recv", static_cast<double>(msgs_recv)},
-      {"bytes_recv", static_cast<double>(bytes_recv)},
-      {"packed_msgs", static_cast<double>(packed_msgs)},
-      {"packed_bytes", static_cast<double>(packed_bytes)},
-      {"zero_copy_msgs", static_cast<double>(zero_copy_msgs)},
-      {"zero_copy_bytes", static_cast<double>(zero_copy_bytes)},
-      {"self_msgs", static_cast<double>(self_msgs)},
-      {"self_copies", static_cast<double>(self_copies)},
-      {"self_copy_bytes", static_cast<double>(self_copy_bytes)},
-      {"rounds", static_cast<double>(rounds)},
-      {"phases", static_cast<double>(phases)},
-      {"schedule_executions", static_cast<double>(schedule_executions)},
-      {"wait_stall_v", wait_stall_v},
-      {"wait_stall_wall", wait_stall_wall},
-      {"fault_retries", static_cast<double>(fault_retries)},
-      {"fault_delays", static_cast<double>(fault_delays)},
-      {"fault_backoff_v", fault_backoff_v},
-      {"fault_delay_v", fault_delay_v},
-      {"fault_straggler_v", fault_straggler_v},
-  };
-}
-
-Counters RankTrace::totals() const {
-  Counters t;
-  for (const auto& [ctx, c] : by_comm_) {
-    t.msgs_sent += c.msgs_sent;
-    t.bytes_sent += c.bytes_sent;
-    t.msgs_recv += c.msgs_recv;
-    t.bytes_recv += c.bytes_recv;
-    t.packed_msgs += c.packed_msgs;
-    t.packed_bytes += c.packed_bytes;
-    t.zero_copy_msgs += c.zero_copy_msgs;
-    t.zero_copy_bytes += c.zero_copy_bytes;
-    t.self_msgs += c.self_msgs;
-    t.self_copies += c.self_copies;
-    t.self_copy_bytes += c.self_copy_bytes;
-    t.rounds += c.rounds;
-    t.phases += c.phases;
-    t.schedule_executions += c.schedule_executions;
-    t.wait_stall_v += c.wait_stall_v;
-    t.wait_stall_wall += c.wait_stall_wall;
-    t.fault_retries += c.fault_retries;
-    t.fault_delays += c.fault_delays;
-    t.fault_backoff_v += c.fault_backoff_v;
-    t.fault_delay_v += c.fault_delay_v;
-    t.fault_straggler_v += c.fault_straggler_v;
-  }
-  return t;
-}
-
 void TraceConfig::apply_env() {
   if (const char* p = std::getenv("MPL_TRACE"); p && *p) chrome_path = p;
-  if (const char* p = std::getenv("MPL_METRICS"); p && *p) metrics_path = p;
   if (const char* p = std::getenv("MPL_TRACE_CAPACITY"); p && *p) {
     const long long n = std::atoll(p);
     if (n > 0) capacity = static_cast<std::size_t>(n);
@@ -105,13 +48,12 @@ void TraceConfig::apply_env() {
 void Tracer::configure(const TraceConfig& cfg, int nprocs) {
   cfg_ = cfg;
   trace_armed_ = cfg.trace_armed();
-  metrics_armed_ = cfg.metrics_armed();
   ranks_.clear();
-  if (armed()) {
+  if (trace_armed_) {
     ranks_.reserve(static_cast<std::size_t>(nprocs));
     for (int r = 0; r < nprocs; ++r) {
-      ranks_.push_back(std::make_unique<RankTrace>(
-          r, cfg.capacity, trace_armed_, metrics_armed_, cfg.start_enabled));
+      ranks_.push_back(std::make_unique<RankTrace>(r, cfg.capacity, true,
+                                                   cfg.start_enabled));
     }
   }
   wall_base_ = std::chrono::steady_clock::now();
@@ -259,91 +201,12 @@ void Tracer::write_chrome_json(std::ostream& os) const {
   os << "]}\n}\n";
 }
 
-void Tracer::write_metrics_json(std::ostream& os) const {
-  os << "{\n\"kind\": \"mpl-metrics\",\n\"nprocs\": " << nprocs()
-     << ",\n\"model\": {";
-  for (std::size_t i = 0; i < model_meta_.size(); ++i) {
-    if (i) os << ", ";
-    put_str(os, model_meta_[i].first);
-    os << ": ";
-    put_num(os, model_meta_[i].second);
-  }
-  os << "},\n\"ranks\": [\n";
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    const RankTrace& rt = *ranks_[r];
-    if (r) os << ",\n";
-    os << "{\"rank\": " << rt.rank()
-       << ", \"dropped_events\": " << rt.dropped() << ",\n \"totals\": {";
-    const auto named = rt.totals().named();
-    for (std::size_t i = 0; i < named.size(); ++i) {
-      if (i) os << ", ";
-      os << '"' << named[i].first << "\": ";
-      put_num(os, named[i].second);
-    }
-    os << "},\n";
-    if (!rt.telemetry().empty()) {
-      os << " \"telemetry\": {";
-      for (std::size_t i = 0; i < rt.telemetry().size(); ++i) {
-        if (i) os << ", ";
-        os << '"' << rt.telemetry()[i].first << "\": ";
-        put_num(os, rt.telemetry()[i].second);
-      }
-      os << "},\n";
-    }
-    os << " \"per_comm\": [";
-    // Deterministic order: sort contexts.
-    std::vector<std::uint64_t> ctxs;
-    ctxs.reserve(rt.by_comm().size());
-    for (const auto& [ctx, c] : rt.by_comm()) ctxs.push_back(ctx);
-    std::sort(ctxs.begin(), ctxs.end());
-    for (std::size_t i = 0; i < ctxs.size(); ++i) {
-      if (i) os << ", ";
-      os << "{\"ctx\": " << ctxs[i] << ", \"counters\": {";
-      const auto cn = rt.by_comm().at(ctxs[i]).named();
-      for (std::size_t j = 0; j < cn.size(); ++j) {
-        if (j) os << ", ";
-        os << '"' << cn[j].first << "\": ";
-        put_num(os, cn[j].second);
-      }
-      os << "}}";
-    }
-    os << "],\n \"per_phase\": [";
-    for (std::size_t i = 0; i < rt.per_phase().size(); ++i) {
-      if (i) os << ", ";
-      os << "{\"phase\": " << i << ", \"msgs\": " << rt.per_phase()[i].msgs
-         << ", \"bytes\": " << rt.per_phase()[i].bytes << "}";
-    }
-    os << "],\n \"msg_size_hist\": [";
-    bool firstb = true;
-    const auto& hist = rt.msg_size_hist();
-    for (std::size_t b = 0; b < hist.size(); ++b) {
-      if (hist[b] == 0) continue;
-      if (!firstb) os << ", ";
-      firstb = false;
-      os << "{\"le_bytes\": " << (1ULL << b) << ", \"count\": " << hist[b]
-         << "}";
-    }
-    os << "]}";
-  }
-  os << "\n]\n}\n";
-}
-
 std::string Tracer::flush() const {
   if (trace_armed_ && !cfg_.chrome_path.empty()) {
     std::ofstream os(cfg_.chrome_path);
     if (!os) return "trace: cannot open " + cfg_.chrome_path;
     write_chrome_json(os);
     if (!os) return "trace: write failed for " + cfg_.chrome_path;
-  }
-  if (metrics_armed_ && !cfg_.metrics_path.empty()) {
-    if (cfg_.metrics_path == "-") {
-      write_metrics_json(std::cout);
-    } else {
-      std::ofstream os(cfg_.metrics_path);
-      if (!os) return "trace: cannot open " + cfg_.metrics_path;
-      write_metrics_json(os);
-      if (!os) return "trace: write failed for " + cfg_.metrics_path;
-    }
   }
   return {};
 }

@@ -1,12 +1,14 @@
-// Runtime tracing and metrics layer.
+// Runtime event tracing.
 //
 // Always compiled, cheap when disabled: every instrumentation site in the
 // transport and the schedule executor guards on one pointer/flag check, and
-// with tracing unarmed no event is ever allocated and no clock is read.
+// with tracing unarmed no RankTrace exists, no event is ever allocated and
+// no clock is read. Counting is not done here: every counter lives in the
+// telemetry registry (src/telemetry/telemetry.hpp).
 //
 // Per rank (simulated process) there is one RankTrace: a lock-free,
 // single-writer event ring buffer (drop-oldest on overflow, with a dropped
-// counter) plus a metrics block. "Lock-free" here is by construction: each
+// counter). "Lock-free" here is by construction: each
 // ring is written only by the thread that drives its process, and read only
 // after mpl::run() has joined all process threads, so no synchronization is
 // needed on the hot path at all.
@@ -20,8 +22,7 @@
 //
 // The Tracer aggregates the per-rank buffers and serializes them as Chrome
 // trace-event JSON (chrome://tracing / Perfetto loadable; one track per
-// rank, one process group per traced section) and the metrics registry as
-// a JSON document consumable by tools/bench_to_csv.py.
+// rank, one process group per traced section).
 #pragma once
 
 #include <array>
@@ -31,7 +32,6 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -101,59 +101,16 @@ struct Event {
 };
 
 // ---------------------------------------------------------------------------
-// Metrics
-// ---------------------------------------------------------------------------
-
-/// Per-communicator counters. All single-writer (the owning rank's thread).
-struct Counters {
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t msgs_recv = 0;
-  std::uint64_t bytes_recv = 0;
-  /// Messages that went through the datatype engine (blocks > 1) vs dense
-  /// zero-copy messages — the packed/zero-copy split of the paper's model.
-  std::uint64_t packed_msgs = 0;
-  std::uint64_t packed_bytes = 0;
-  std::uint64_t zero_copy_msgs = 0;
-  std::uint64_t zero_copy_bytes = 0;
-  std::uint64_t self_msgs = 0;
-  std::uint64_t self_copies = 0;      ///< schedule local-copy entries
-  std::uint64_t self_copy_bytes = 0;
-  std::uint64_t rounds = 0;           ///< schedule rounds executed
-  std::uint64_t phases = 0;           ///< schedule phases executed
-  std::uint64_t schedule_executions = 0;
-  double wait_stall_v = 0.0;     ///< virtual idle while waiting for arrivals
-  double wait_stall_wall = 0.0;  ///< wall time blocked in wait()
-
-  // Fault-injection counters (FaultPlan; all zero in fault-free runs).
-  std::uint64_t fault_retries = 0;  ///< retransmits after injected drops
-  std::uint64_t fault_delays = 0;   ///< messages given injected extra latency
-  double fault_backoff_v = 0.0;     ///< virtual time spent in backoff
-  double fault_delay_v = 0.0;       ///< injected extra latency (virtual)
-  double fault_straggler_v = 0.0;   ///< injected straggler overhead (virtual)
-
-  /// Stable (name, value) view for serialization; integers promoted.
-  [[nodiscard]] std::vector<std::pair<const char*, double>> named() const;
-};
-
-/// Per-phase traffic of schedule executions (indexed by phase number).
-struct PhaseCounters {
-  std::uint64_t msgs = 0;
-  std::uint64_t bytes = 0;
-};
-
-// ---------------------------------------------------------------------------
 // Per-rank recorder
 // ---------------------------------------------------------------------------
 
 class RankTrace {
  public:
   RankTrace(int rank, std::size_t capacity, bool trace_armed,
-            bool metrics_armed, bool start_enabled)
+            bool start_enabled)
       : rank_(rank),
         capacity_(capacity == 0 ? 1 : capacity),
         trace_armed_(trace_armed),
-        metrics_armed_(metrics_armed),
         tracing_(trace_armed && start_enabled) {}
 
   [[nodiscard]] int rank() const noexcept { return rank_; }
@@ -161,10 +118,6 @@ class RankTrace {
   // -- hot-path gates --------------------------------------------------------
 
   [[nodiscard]] bool tracing() const noexcept { return tracing_; }
-  [[nodiscard]] bool metrics_on() const noexcept { return metrics_armed_; }
-  [[nodiscard]] bool active() const noexcept {
-    return tracing_ || metrics_armed_;
-  }
 
   /// Toggle event recording for this rank (no-op when tracing is unarmed).
   void set_tracing(bool on) noexcept { tracing_ = trace_armed_ && on; }
@@ -238,118 +191,10 @@ class RankTrace {
   }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
-  // -- metrics ---------------------------------------------------------------
-
-  void on_send(std::uint64_t ctx, std::uint64_t bytes, std::uint32_t blocks,
-               bool self) {
-    Counters& c = comm_counters(ctx);
-    ++c.msgs_sent;
-    c.bytes_sent += bytes;
-    if (blocks > 1) {
-      ++c.packed_msgs;
-      c.packed_bytes += bytes;
-    } else {
-      ++c.zero_copy_msgs;
-      c.zero_copy_bytes += bytes;
-    }
-    if (self) ++c.self_msgs;
-    bump_hist(bytes);
-    if (phase_ >= 0) {
-      phase_slot(phase_).msgs += 1;
-      phase_slot(phase_).bytes += bytes;
-    }
-  }
-
-  void on_recv_complete(std::uint64_t ctx, std::uint64_t bytes,
-                        double stall_v) {
-    Counters& c = comm_counters(ctx);
-    ++c.msgs_recv;
-    c.bytes_recv += bytes;
-    c.wait_stall_v += stall_v;
-  }
-
-  void on_wait_wall(std::uint64_t ctx, double seconds) {
-    comm_counters(ctx).wait_stall_wall += seconds;
-  }
-
-  void on_copy(std::uint64_t ctx, std::uint64_t bytes) {
-    Counters& c = comm_counters(ctx);
-    ++c.self_copies;
-    c.self_copy_bytes += bytes;
-  }
-
-  void on_fault_retry(std::uint64_t ctx, double backoff_v) {
-    Counters& c = comm_counters(ctx);
-    ++c.fault_retries;
-    c.fault_backoff_v += backoff_v;
-  }
-
-  void on_fault_delay(std::uint64_t ctx, double delay_v) {
-    Counters& c = comm_counters(ctx);
-    ++c.fault_delays;
-    c.fault_delay_v += delay_v;
-  }
-
-  void on_fault_straggler(std::uint64_t ctx, double overhead_v) {
-    comm_counters(ctx).fault_straggler_v += overhead_v;
-  }
-
-  void on_round(std::uint64_t ctx) { ++comm_counters(ctx).rounds; }
-  void on_phase(std::uint64_t ctx) { ++comm_counters(ctx).phases; }
-  void on_schedule_execution(std::uint64_t ctx) {
-    ++comm_counters(ctx).schedule_executions;
-  }
-
-  /// This rank's counters for one communicator context (never null; zeroes
-  /// when nothing was recorded yet).
-  [[nodiscard]] const Counters& counters(std::uint64_t ctx) {
-    return comm_counters(ctx);
-  }
-  [[nodiscard]] const std::unordered_map<std::uint64_t, Counters>& by_comm()
-      const noexcept {
-    return by_comm_;
-  }
-  /// Aggregate over all communicators.
-  [[nodiscard]] Counters totals() const;
-  [[nodiscard]] const std::array<std::uint64_t, 64>& msg_size_hist()
-      const noexcept {
-    return hist_;
-  }
-  [[nodiscard]] const std::vector<PhaseCounters>& per_phase() const noexcept {
-    return per_phase_;
-  }
-
-  /// Per-rank totals owned by the telemetry layer (e.g. staged bytes),
-  /// handed over after the run for the metrics JSON. Empty when telemetry
-  /// was not armed; the trace layer never counts these itself.
-  void set_telemetry(std::vector<std::pair<const char*, double>> named) {
-    telemetry_ = std::move(named);
-  }
-  [[nodiscard]] const std::vector<std::pair<const char*, double>>& telemetry()
-      const noexcept {
-    return telemetry_;
-  }
-
  private:
-  Counters& comm_counters(std::uint64_t ctx) { return by_comm_[ctx]; }
-
-  PhaseCounters& phase_slot(int phase) {
-    const auto i = static_cast<std::size_t>(phase);
-    if (per_phase_.size() <= i) per_phase_.resize(i + 1);
-    return per_phase_[i];
-  }
-
-  void bump_hist(std::uint64_t bytes) {
-    int b = 0;
-    while ((1ULL << b) < bytes && b < 63) ++b;
-    ++hist_[static_cast<std::size_t>(b)];
-  }
-
-  std::vector<std::pair<const char*, double>> telemetry_;
   int rank_;
   std::size_t capacity_;
   bool trace_armed_;
-  bool metrics_armed_;
   bool tracing_;
   int phase_ = -1;
   int round_ = -1;
@@ -359,10 +204,6 @@ class RankTrace {
   std::vector<Event> ring_;
   std::size_t head_ = 0;  // oldest element once the ring wrapped
   std::uint64_t dropped_ = 0;
-
-  std::unordered_map<std::uint64_t, Counters> by_comm_;
-  std::array<std::uint64_t, 64> hist_{};
-  std::vector<PhaseCounters> per_phase_;
 };
 
 // ---------------------------------------------------------------------------
@@ -372,23 +213,18 @@ class RankTrace {
 struct TraceConfig {
   /// Chrome trace-event JSON output path; non-empty arms event tracing.
   std::string chrome_path;
-  /// Metrics JSON output path ("-" = stdout); non-empty arms metrics.
-  std::string metrics_path;
   /// Ring capacity in events per rank (drop-oldest beyond this).
   std::size_t capacity = 1 << 16;
   /// Whether ranks record from the start; when false, nothing is recorded
   /// until a rank calls Comm::trace_enabled(true) (bench section mode).
   bool start_enabled = true;
 
-  /// Environment overrides: MPL_TRACE (chrome path), MPL_METRICS (metrics
-  /// path), MPL_TRACE_CAPACITY (events per rank).
+  /// Environment overrides: MPL_TRACE (chrome path), MPL_TRACE_CAPACITY
+  /// (events per rank).
   void apply_env();
 
   [[nodiscard]] bool trace_armed() const noexcept {
     return !chrome_path.empty();
-  }
-  [[nodiscard]] bool metrics_armed() const noexcept {
-    return !metrics_path.empty();
   }
 };
 
@@ -398,17 +234,13 @@ class Tracer {
   void configure(const TraceConfig& cfg, int nprocs);
 
   [[nodiscard]] bool trace_armed() const noexcept { return trace_armed_; }
-  [[nodiscard]] bool metrics_armed() const noexcept { return metrics_armed_; }
-  [[nodiscard]] bool armed() const noexcept {
-    return trace_armed_ || metrics_armed_;
-  }
   [[nodiscard]] int nprocs() const noexcept {
     return static_cast<int>(ranks_.size());
   }
 
-  /// The per-rank recorder; null when nothing is armed.
+  /// The per-rank recorder; null when tracing is not armed.
   [[nodiscard]] RankTrace* rank(int r) noexcept {
-    return armed() ? ranks_[static_cast<std::size_t>(r)].get() : nullptr;
+    return trace_armed_ ? ranks_[static_cast<std::size_t>(r)].get() : nullptr;
   }
 
   /// Seconds since configure() on a monotonic wall clock.
@@ -418,8 +250,8 @@ class Tracer {
         .count();
   }
 
-  /// Model metadata embedded in both JSON documents (o, L, G, ... and an
-  /// "enabled" flag deciding whether chrome timestamps use virtual time).
+  /// Model metadata embedded in the trace (o, L, G, ... and an "enabled"
+  /// flag deciding whether chrome timestamps use virtual time).
   void set_model_meta(std::vector<std::pair<std::string, double>> meta,
                       bool model_enabled) {
     model_meta_ = std::move(meta);
@@ -427,15 +259,13 @@ class Tracer {
   }
 
   void write_chrome_json(std::ostream& os) const;
-  void write_metrics_json(std::ostream& os) const;
 
-  /// Write the configured output files. Returns an error message ("" = ok).
+  /// Write the configured trace file. Returns an error message ("" = ok).
   std::string flush() const;
 
  private:
   TraceConfig cfg_;
   bool trace_armed_ = false;
-  bool metrics_armed_ = false;
   bool model_enabled_ = false;
   std::vector<std::unique_ptr<RankTrace>> ranks_;
   std::vector<std::pair<std::string, double>> model_meta_;

@@ -22,6 +22,7 @@
 #include "telemetry/histogram.hpp"
 #include "telemetry/openmetrics.hpp"
 #include "telemetry/telemetry.hpp"
+#include "trace/json.hpp"
 
 using telemetry::FlightKind;
 using telemetry::FlightRecorder;
@@ -552,7 +553,7 @@ TEST_F(TelemetryExport, StagedBytesReachOpenMetricsAndMetricsJson) {
   std::remove(js.c_str());
   mpl::RunOptions opts;
   opts.telemetry.openmetrics_path = om;
-  opts.trace.metrics_path = js;
+  opts.telemetry.metrics_path = js;
   mpl::run(2, [](mpl::Comm& c) {
     std::vector<int> buf(16, c.rank());
     if (c.rank() == 0) {
@@ -576,13 +577,83 @@ TEST_F(TelemetryExport, StagedBytesReachOpenMetricsAndMetricsJson) {
   const std::string text = slurp(om);
   EXPECT_NE(text.find("mpl_staged_bytes_total 64\n"), std::string::npos)
       << text;
-  const std::string json = slurp(js);
-  EXPECT_NE(json.find("{\"rank\": 0,"), std::string::npos) << json;
-  const std::size_t r0 = json.find("\"telemetry\": {\"staged_bytes\": 64}");
-  const std::size_t r1 = json.find("\"telemetry\": {\"staged_bytes\": 0}");
-  EXPECT_NE(r0, std::string::npos) << json;
-  EXPECT_NE(r1, std::string::npos) << json;
-  EXPECT_LT(r0, r1) << "rank 0 staged, rank 1 did not";
+  const auto ranks = trace::json::parse_file(js).at("ranks").as_array();
+  ASSERT_EQ(ranks.size(), 2u);
+  EXPECT_EQ(ranks[0].num_or("rank", -1), 0.0);
+  EXPECT_EQ(ranks[0].at("totals").num_or("staged_bytes", -1), 64.0)
+      << "rank 0 staged";
+  EXPECT_EQ(ranks[1].at("totals").num_or("staged_bytes", -1), 0.0)
+      << "rank 1 did not";
+  std::remove(om.c_str());
+  std::remove(js.c_str());
+}
+
+namespace {
+
+/// The value of the OpenMetrics sample `name` (e.g. "mpl_msgs_sent_total").
+double om_sample(const std::string& text, const std::string& name) {
+  std::istringstream is(text);
+  std::string line;
+  while (std::getline(is, line)) {
+    if (line.rfind(name + ' ', 0) == 0) {
+      return std::stod(line.substr(name.size() + 1));
+    }
+  }
+  ADD_FAILURE() << "no sample " << name << " in\n" << text;
+  return -1.0;
+}
+
+}  // namespace
+
+TEST_F(TelemetryExport, MetricsJsonAndOpenMetricsSerializeOneSnapshot) {
+  // Traffic on two communicators, some of it staged, with injected drops
+  // and delays; the per-rank JSON totals must add up to the run-wide
+  // OpenMetrics counters.
+  const std::string om = ::testing::TempDir() + "telemetry_both.om";
+  const std::string js = ::testing::TempDir() + "telemetry_both.json";
+  std::remove(om.c_str());
+  std::remove(js.c_str());
+  mpl::RunOptions opts;
+  opts.telemetry.openmetrics_path = om;
+  opts.telemetry.metrics_path = js;
+  opts.faults.seed = 3;
+  opts.faults.drop = 0.3;
+  opts.faults.delay = 1e-6;
+  opts.faults.delay_prob = 0.3;
+  mpl::run(4, [](mpl::Comm& world) {
+    const cartcomm::Neighborhood nb = cartcomm::Neighborhood::von_neumann(2);
+    const std::vector<int> dims{2, 2};
+    auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
+    const int t = nb.count();
+    std::vector<int> sb(static_cast<std::size_t>(t), world.rank());
+    std::vector<int> rb(static_cast<std::size_t>(t), -1);
+    cartcomm::alltoall(sb.data(), 1, kInt, rb.data(), 1, kInt, cc,
+                       cartcomm::Algorithm::combining);
+    std::vector<int> buf(8, world.rank());
+    const int next = (world.rank() + 1) % world.size();
+    const int prev = (world.rank() + world.size() - 1) % world.size();
+    for (int i = 0; i < 10; ++i) {
+      world.send(buf.data(), 8, kInt, next, 1);
+      if (i == 0) world.hard_sync();  // the first round is staged
+      world.recv(buf.data(), 8, kInt, prev, 1);
+    }
+  }, opts);
+
+  const auto ranks = trace::json::parse_file(js).at("ranks").as_array();
+  ASSERT_EQ(ranks.size(), 4u);
+  std::ifstream is(om);
+  std::stringstream text;
+  text << is.rdbuf();
+  for (const char* name :
+       {"msgs_sent", "bytes_sent", "msgs_recv", "bytes_recv", "staged_bytes",
+        "fault_retries", "fault_delays"}) {
+    double sum = 0.0;
+    for (const auto& r : ranks) sum += r.at("totals").num_or(name, -1e9);
+    EXPECT_EQ(sum, om_sample(text.str(), std::string("mpl_") + name + "_total"))
+        << name;
+  }
+  EXPECT_GT(om_sample(text.str(), "mpl_fault_retries_total"), 0.0);
+  EXPECT_GT(om_sample(text.str(), "mpl_staged_bytes_total"), 0.0);
   std::remove(om.c_str());
   std::remove(js.c_str());
 }

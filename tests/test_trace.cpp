@@ -1,6 +1,7 @@
-// Tracing & metrics layer: ring-buffer semantics, env configuration,
-// dual-clock consistency with the model off, trace determinism, the
-// zero-perturbation guarantee, and the metrics counters.
+// Tracing layer: ring-buffer semantics, env configuration, dual-clock
+// consistency with the model off, trace determinism, the zero-perturbation
+// guarantee, the traced receive fast path, and the schedule counters of
+// the telemetry registry that the metrics JSON prints.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,6 +11,7 @@
 
 #include "cartcomm/cartcomm.hpp"
 #include "mpl/mpl.hpp"
+#include "telemetry/telemetry.hpp"
 #include "trace/json.hpp"
 #include "trace/trace.hpp"
 
@@ -80,7 +82,7 @@ void run_5point(mpl::Comm& world, int m) {
 
 TEST(TraceRing, DropOldestKeepsNewestAndCounts) {
   RankTrace rt(0, /*capacity=*/4, /*trace_armed=*/true,
-               /*metrics_armed=*/false, /*start_enabled=*/true);
+               /*start_enabled=*/true);
   ASSERT_TRUE(rt.tracing());
   for (std::uint64_t i = 0; i < 10; ++i) rt.record(make_event(i));
   EXPECT_EQ(rt.event_count(), 4u);
@@ -93,7 +95,7 @@ TEST(TraceRing, DropOldestKeepsNewestAndCounts) {
 }
 
 TEST(TraceRing, ZeroCapacityClampsToOne) {
-  RankTrace rt(0, 0, true, false, true);
+  RankTrace rt(0, 0, true, true);
   rt.record(make_event(1));
   rt.record(make_event(2));
   EXPECT_EQ(rt.capacity(), 1u);
@@ -103,9 +105,8 @@ TEST(TraceRing, ZeroCapacityClampsToOne) {
 }
 
 TEST(TraceRing, UnarmedRecordsNothing) {
-  RankTrace rt(0, 8, /*trace_armed=*/false, /*metrics_armed=*/false, true);
+  RankTrace rt(0, 8, /*trace_armed=*/false, true);
   EXPECT_FALSE(rt.tracing());
-  EXPECT_FALSE(rt.active());
   rt.record(make_event(1));
   rt.set_tracing(true);  // must stay off: tracing was never armed
   rt.record(make_event(2));
@@ -114,7 +115,7 @@ TEST(TraceRing, UnarmedRecordsNothing) {
 }
 
 TEST(TraceRing, SectionScopeResetsBetweenSections) {
-  RankTrace rt(0, 16, true, false, true);
+  RankTrace rt(0, 16, true, true);
   EXPECT_EQ(rt.section(), -1);
   EXPECT_EQ(rt.begin_section("a", 0.0, 0.0), 0);
   rt.record(make_event(1));
@@ -141,7 +142,6 @@ TEST(TraceRing, SectionScopeResetsBetweenSections) {
 TEST(TraceConfigTest, DefaultsDisarmed) {
   TraceConfig cfg;
   EXPECT_FALSE(cfg.trace_armed());
-  EXPECT_FALSE(cfg.metrics_armed());
   EXPECT_EQ(cfg.capacity, std::size_t{1} << 16);
   EXPECT_TRUE(cfg.start_enabled);
 }
@@ -152,14 +152,17 @@ TEST(TraceConfigTest, ApplyEnvOverrides) {
   ::setenv("MPL_TRACE_CAPACITY", "128", 1);
   TraceConfig cfg;
   cfg.apply_env();
+  telemetry::TelemetryConfig tcfg;
+  tcfg.apply_env();
   ::unsetenv("MPL_TRACE");
   ::unsetenv("MPL_METRICS");
   ::unsetenv("MPL_TRACE_CAPACITY");
   EXPECT_EQ(cfg.chrome_path, "/tmp/t.json");
-  EXPECT_EQ(cfg.metrics_path, "-");
   EXPECT_EQ(cfg.capacity, 128u);
   EXPECT_TRUE(cfg.trace_armed());
-  EXPECT_TRUE(cfg.metrics_armed());
+  // The metrics JSON is a telemetry export: MPL_METRICS arms telemetry.
+  EXPECT_EQ(tcfg.metrics_path, "-");
+  EXPECT_TRUE(tcfg.armed());
 }
 
 // ---------------------------------------------------------------------------
@@ -250,7 +253,7 @@ TEST(TraceRun, TracingDoesNotPerturbVirtualClock) {
     opts.net = test_model();
     if (traced) {
       opts.trace.chrome_path = out.path;
-      opts.trace.metrics_path = out.path + ".metrics";
+      opts.telemetry.metrics_path = out.path + ".metrics";
     }
     mpl::run(
         9,
@@ -280,7 +283,7 @@ TEST(TraceRun, ScheduleExecutionCounters) {
   TempFile out("trace_metrics.json");
   mpl::RunOptions opts;
   opts.net = test_model();
-  opts.trace.metrics_path = out.path;
+  opts.telemetry.metrics_path = out.path;
   mpl::run(
       9,
       [](mpl::Comm& world) {
@@ -300,32 +303,127 @@ TEST(TraceRun, ScheduleExecutionCounters) {
         }
         Schedule s = cartcomm::build_alltoall_schedule(cc, sends, recvs);
 
-        const trace::Counters* live = cc.comm().metrics();
+        using telemetry::Count;
+        const telemetry::CommCounters* live = cc.comm().counters();
+        const telemetry::CommCounters* world_live = world.counters();
         ASSERT_NE(live, nullptr);
-        const trace::Counters before = *live;  // creation traffic excluded
+        ASSERT_NE(world_live, nullptr);
+        ASSERT_NE(live, world_live);
+        // The Cartesian communicator is a dup: its own label, not world's.
+        EXPECT_NE(live->label(), 0u);
+        EXPECT_EQ(world_live->label(), 0u);
+        const telemetry::Counts before = live->snapshot();  // creation excluded
+        const telemetry::Counts world_before = world_live->snapshot();
         s.execute(cc.comm());
-        const trace::Counters& after = *live;
+        const telemetry::Counts after = live->snapshot();
+        const telemetry::Counts world_after = world_live->snapshot();
 
         // On a 3x3 torus the 5-point alltoall is 4 rounds in 2 phases, one
         // 4-byte message per round, no local copies.
-        EXPECT_EQ(after.schedule_executions - before.schedule_executions, 1u);
-        EXPECT_EQ(after.phases - before.phases,
-                  static_cast<std::uint64_t>(s.phases()));
-        EXPECT_EQ(after.rounds - before.rounds,
-                  static_cast<std::uint64_t>(s.rounds()));
-        EXPECT_EQ(after.msgs_sent - before.msgs_sent, 4u);
-        EXPECT_EQ(after.bytes_sent - before.bytes_sent, 16u);
-        EXPECT_EQ(after.msgs_recv - before.msgs_recv, 4u);
-        EXPECT_EQ(after.self_copies, before.self_copies);
+        auto delta = [&](Count k) { return after[k] - before[k]; };
+        EXPECT_EQ(delta(Count::schedule_executions), 1u);
+        EXPECT_EQ(delta(Count::phases), static_cast<std::uint64_t>(s.phases()));
+        EXPECT_EQ(delta(Count::rounds), static_cast<std::uint64_t>(s.rounds()));
+        EXPECT_EQ(delta(Count::msgs_sent), 4u);
+        EXPECT_EQ(delta(Count::bytes_sent), 16u);
+        EXPECT_EQ(delta(Count::msgs_recv), 4u);
+        EXPECT_EQ(delta(Count::self_copies), 0u);
+        // The schedule's traffic lands in the Cartesian communicator's
+        // block and none of it in world's.
+        for (int k = 0; k < telemetry::kCounts; ++k) {
+          const auto c = static_cast<Count>(k);
+          if (c == Count::waits || c == Count::wait_ns) continue;  // wall
+          EXPECT_EQ(world_after[c], world_before[c]) << count_name(c);
+        }
+        EXPECT_EQ(world_after[telemetry::VTime::wait_stall_v],
+                  world_before[telemetry::VTime::wait_stall_v]);
       },
       opts);
 }
 
 TEST(TraceRun, MetricsNullWhenDisarmed) {
   mpl::run(2, [](mpl::Comm& world) {
-    EXPECT_EQ(world.metrics(), nullptr);
+    EXPECT_EQ(world.telemetry(), nullptr);
+    EXPECT_EQ(world.counters(), nullptr);
     EXPECT_FALSE(world.trace_active());
     EXPECT_EQ(world.trace_section_begin("x"), -1);
     world.trace_section_end();  // must be a harmless no-op
   });
+}
+
+// ---------------------------------------------------------------------------
+// Receive fast path
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Rank 0 sends one message; once it is queued at rank 1 (hard_sync), rank
+/// 1 receives it with a blocking recv. Returns rank 1's trace events (none
+/// when no RankTrace exists).
+std::vector<Event> queued_recv(const mpl::RunOptions& opts) {
+  std::vector<Event> events;
+  mpl::run(
+      2,
+      [&](mpl::Comm& world) {
+        int v = 7;
+        if (world.rank() == 0) {
+          world.send(&v, 1, kInt, 1, 5);
+          world.hard_sync();
+        } else {
+          world.hard_sync();
+          int got = 0;
+          const mpl::Status st = world.recv(&got, 1, kInt, 0, 5);
+          EXPECT_EQ(got, 7);
+          EXPECT_EQ(st.bytes, sizeof(int));
+          if (const telemetry::RankTelemetry* tm = world.telemetry()) {
+            EXPECT_EQ(tm->msgs_recv(), 1u);
+            EXPECT_EQ(tm->bytes_recv(), sizeof(int));
+          }
+          if (const trace::RankTrace* tr = world.proc().trace()) {
+            events = tr->snapshot();
+          }
+        }
+      },
+      opts);
+  return events;
+}
+
+}  // namespace
+
+TEST(TraceRun, TracedFastPathRecvRecordsItsCompletion) {
+  TempFile out("trace_fastpath.json");
+  mpl::RunOptions opts;  // clock off
+  opts.trace.chrome_path = out.path;
+  const std::vector<Event> events = queued_recv(opts);
+  int completes = 0;
+  int posts = 0;
+  for (const Event& e : events) {
+    if (e.kind == EventKind::recv_post) ++posts;
+    if (e.kind == EventKind::recv_complete) {
+      ++completes;
+      EXPECT_EQ(e.peer, 0);
+      EXPECT_EQ(e.tag, 5);
+      EXPECT_EQ(e.bytes, sizeof(int));
+      EXPECT_GE(e.w_end, e.w_start);
+      EXPECT_EQ(e.v_start, 0.0);
+      EXPECT_EQ(e.v_end, 0.0);
+      for (const double c : e.comp) EXPECT_EQ(c, 0.0);
+    }
+  }
+  EXPECT_EQ(completes, 1);
+  EXPECT_EQ(posts, 0) << "the queued message must not go through irecv";
+}
+
+TEST(TraceRun, MetricsAloneCreateNoTracer) {
+  TempFile out("trace_fastpath_metrics.json");
+  mpl::RunOptions opts;  // clock off
+  opts.telemetry.metrics_path = out.path;
+  bool traced = true;
+  mpl::run(2, [&](mpl::Comm& world) {
+    if (world.rank() == 1) traced = world.proc().trace() != nullptr;
+  }, opts);
+  // The fast path's only condition is the clock; no RankTrace exists to
+  // record into, and the receive is still counted once.
+  EXPECT_FALSE(traced) << "arming metrics must not create a RankTrace";
+  EXPECT_TRUE(queued_recv(opts).empty());
 }

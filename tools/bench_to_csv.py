@@ -129,7 +129,7 @@ TOTALS_COLUMNS = [
     "self_copies", "self_copy_bytes", "rounds", "phases",
     "schedule_executions", "wait_stall_v", "wait_stall_wall",
     "fault_retries", "fault_delays", "fault_backoff_v", "fault_delay_v",
-    "fault_straggler_v",
+    "fault_straggler_v", "staged_bytes",
 ]
 
 

@@ -137,7 +137,7 @@ class MetricsConversion(unittest.TestCase):
             "msgs_sent": 7, "bytes_sent": 448, "msgs_recv": 7,
             "bytes_recv": 448, "fault_retries": 3, "fault_delays": 2,
             "fault_backoff_v": 0.25, "fault_delay_v": 0.5,
-            "fault_straggler_v": 0.0,
+            "fault_straggler_v": 0.0, "staged_bytes": 192,
         }
         doc = {
             "kind": "mpl-metrics",
@@ -156,9 +156,11 @@ class MetricsConversion(unittest.TestCase):
         self.assertEqual(named["fault_retries"], "3")
         self.assertEqual(named["fault_delays"], "2")
         self.assertEqual(float(named["fault_backoff_v"]), 0.25)
+        self.assertEqual(named["staged_bytes"], "192")
         per_comm_header, per_comm_row = tables["metrics_per_comm.csv"][:2]
         named_pc = dict(zip(per_comm_header, per_comm_row))
         self.assertEqual(named_pc["fault_retries"], "3")
+        self.assertEqual(named_pc["staged_bytes"], "192")
 
 
 if __name__ == "__main__":
