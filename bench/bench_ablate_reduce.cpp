@@ -1,13 +1,13 @@
 // Ablation: trivial vs combining Cart_neighbor_reduce and the crossover
 // between them. The trivial reduction posts one round per neighbor (t
 // rounds, t blocks of m elements); the combining reduction runs the
-// allgather tree in reverse with combine-on-unpack (C = sum C_k rounds,
-// one partial aggregate of m elements per tree edge). Both the round
-// count and the byte volume shrink, so combining wins as soon as the
-// tree has fewer edges than the neighborhood has members — the sweep
-// below walks the stencil radius across that boundary and also records
-// the "automatic" algorithm, which must track the winner (it picks
-// combining exactly when C < t).
+// allgather tree in reverse with combine-on-unpack and shares equal
+// subtrees (C = sum C_k rounds, one partial aggregate of m elements per
+// distinct (level, coordinate, class) — C blocks on these stencil boxes).
+// Both the round count and the byte volume shrink, so combining wins as
+// soon as C < t — the sweep below walks the stencil radius across that
+// boundary and also records the "automatic" algorithm, which must track
+// the winner (it picks combining exactly when C < t).
 //
 // Timed on virtual clocks under the Hydra/OmniPath model (deterministic:
 // the dump doubles as a perf-gate baseline, see tools/perf_diff.py).

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
+#include <set>
+#include <utility>
 
+#include "cartcomm/tree.hpp"
 #include "mpl/error.hpp"
 
 namespace cartcomm {
@@ -60,6 +63,26 @@ long long allgather_volume(const Neighborhood& nb, std::span<const int> perm) {
 
 long long allgather_volume(const Neighborhood& nb, DimOrder order) {
   return allgather_volume(nb, dimension_order(nb, order));
+}
+
+long long reduce_volume(const Neighborhood& nb, std::span<const int> perm) {
+  const detail::AllgatherTree tree = detail::build_tree(nb, perm);
+  const detail::TreeClasses dag = detail::classify(tree, false);
+  long long v = 0;
+  std::set<std::pair<int, int>> carried;
+  for (std::size_t level = 0; level < tree.edges.size(); ++level) {
+    carried.clear();
+    for (const detail::TreeEdge& e : tree.edges[level]) {
+      carried.emplace(e.coordinate,
+                      dag.of[level + 1][static_cast<std::size_t>(e.child)]);
+    }
+    v += static_cast<long long>(carried.size());
+  }
+  return v;
+}
+
+long long reduce_volume(const Neighborhood& nb, DimOrder order) {
+  return reduce_volume(nb, dimension_order(nb, order));
 }
 
 NeighborhoodStats analyze(const Neighborhood& nb) {

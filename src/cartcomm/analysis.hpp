@@ -28,6 +28,18 @@ long long allgather_volume(const Neighborhood& nb, std::span<const int> perm);
 long long allgather_volume(const Neighborhood& nb,
                            DimOrder order = DimOrder::increasing_ck);
 
+/// Per-process volume of the message-combining neighbor reduce built in the
+/// given dimension permutation: the number of distinct (level, coordinate,
+/// class) triples of the tree hash-consed into its shared-partial DAG
+/// (tree.hpp), one block each. Never above allgather_volume; C on product
+/// neighborhoods, where every level holds one class. reduce_scatter has
+/// no equal subtrees and moves allgather_volume blocks.
+long long reduce_volume(const Neighborhood& nb, std::span<const int> perm);
+
+/// Convenience: reduce volume for a DimOrder policy.
+long long reduce_volume(const Neighborhood& nb,
+                        DimOrder order = DimOrder::increasing_ck);
+
 /// Summary statistics for one neighborhood (one row of Table 1).
 struct NeighborhoodStats {
   int t = 0;                ///< neighborhood size (list length, self included)

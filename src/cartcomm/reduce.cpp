@@ -31,9 +31,9 @@ Algorithm resolve_reduce(const CartNeighborComm& cc, const mpl::ReduceOp& op,
     return Algorithm::combining;
   }
   if (alg == Algorithm::trivial) return Algorithm::trivial;
-  const Neighborhood& nb = cc.neighborhood();
-  const bool combine = op.commutative() && nb.count() > 0 &&
-                       nb.combining_rounds() < nb.trivial_rounds();
+  const NeighborhoodStats& st = cc.stats();  // computed once, at creation
+  const bool combine = op.commutative() && st.t > 0 &&
+                       st.combining_rounds < st.trivial_rounds;
   return combine ? Algorithm::combining : Algorithm::trivial;
 }
 

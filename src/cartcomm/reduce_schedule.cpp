@@ -1,5 +1,6 @@
 // Reducing Cartesian schedules: the allgather routing tree of Algorithm 2
-// run in *reverse*, with the reduction applied during unpack.
+// run in *reverse*, with the reduction applied during unpack, and with
+// equal subtrees shared (a DAG instead of a tree).
 //
 // Semantics. For a tree node u write S(u)@me = op over the members i of u
 // of the contribution sendblock(i) of process me - N[i] + path(u). The
@@ -10,28 +11,54 @@
 // every process sends its partial aggregate S(v) to the process at +c*e_k
 // and *folds* the aggregate arriving from -c*e_k into S(parent). Folding
 // at every hop is the combine-on-the-fly unpack: the per-hop payload stays
-// one block per tree node, so the per-process volume equals the number of
-// tree edges (the allgather volume) instead of the alltoall volume
-// sum(z_i) — this is the V -> t shrinkage.
+// one block per partial.
+//
+// Shared partials. S(u)@me depends only on which send blocks u's subtree
+// contributes from which offsets relative to me, not on path(u). The tree
+// is hash-consed bottom-up into per-level classes (detail::classify): a
+// leaf is keyed by the blocks it contributes (the multiplicity of block 0
+// for a neighbor reduce, whose sources all send the same block; the
+// members' own block indices for reduce_scatter), an inner node by its
+// children's (coordinate, class) pairs. Every round of level l then
+// carries one block per distinct (c, child class) pair, and the partial
+// arriving for it is folded into every parent class holding that pair. On
+// product neighborhoods (Moore, stencil boxes) each level is one class, so
+// the reduce moves C blocks in C rounds — a separable dimension-by-
+// dimension sum — instead of one block per tree edge; elsewhere the
+// volume is the number of distinct (level, c, class) triples
+// (reduce_volume), never above the tree's edge count. reduce_scatter has
+// no equal leaves, so its DAG is exactly the tree.
 //
 // Mesh boundaries. A contribution i is present in S(u)@me iff both the
 // consumer me + path(u) and the origin me + path(u) - N[i] lie on the
 // mesh: every intermediate holder's coordinate in each dimension is either
 // the consumer's or the origin's (each dimension flips exactly once along
-// the chain), so the whole forwarding chain exists exactly then. Sender
-// and receiver of an edge evaluate the same predicate (they share the
-// consumer), so partial aggregates shrink consistently at mesh boundaries
-// and no special-casing of PROC_NULL partners is needed beyond empty
-// payloads — this is what removes the old fully-periodic-only restriction.
+// the chain), so the whole forwarding chain exists exactly then. A class
+// partial is built in full (every on-mesh origin) wherever some node of
+// the class has an on-mesh consumer, and a (c, class) block travels when
+// some tree edge carrying it does. Sender and receiver of a round evaluate
+// the same predicates (they share the consumers), so partial aggregates
+// shrink consistently at mesh boundaries, per-process volume never
+// exceeds the tree's, and no special-casing of PROC_NULL partners is
+// needed beyond empty payloads.
 //
-// Storage. The root accumulator is the receive block itself; a child
-// reached by a zero-coordinate edge shares its parent's accumulator (its
-// contributions fold straight through); every communicated (non-zero
-// coordinate) node gets a dedicated temp slot, and every receiving edge a
-// staging slot the fold program drains after the phase. The fold program
-// is recorded in compile order and gated on phase indices, so the combine
-// order is a pure function of the tree — float results are bit-identical
-// regardless of message arrival order, fault seeds or jitter.
+// Storage. The root accumulator is the receive block itself. A class that
+// exactly one parent class holds at coordinate zero lives in that
+// parent's accumulator (its contributions fold straight through); every
+// other class gets a dedicated temp slot, and every received block a
+// staging slot the fold program drains after the phase. A shared
+// accumulator may be sent and folded into in the same phase: sends pack
+// at post time, and a phase's folds run only once it has drained.
+//
+// Fold order. The fold program is recorded in compile order and gated on
+// phase indices: leaves fold their blocks in member order; each partial
+// then takes its zero child first and the arrivals in increasing
+// coordinate, deepest dimension first. On a product neighborhood that is
+// S_k(x) = ((S_{k+1}(x) + S_{k+1}(x - c_1 e_k)) + S_{k+1}(x - c_2 e_k)) ...
+// for c_1 < c_2 < ... The order is a pure function of the DAG, so float
+// results are bit-identical regardless of message arrival order, fault
+// seeds or jitter.
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -176,6 +203,7 @@ CompiledPlan compile_reduce_combining(const CartNeighborComm& cc,
 
   const std::vector<int> perm = dimension_order(nb, order);
   const detail::AllgatherTree tree = detail::build_tree(nb, perm);
+  const detail::TreeClasses dag = detail::classify(tree, scatter);
   const std::size_t nlevels = tree.levels.size();
 
   auto dim_ok = [&](int j, int delta) {
@@ -207,27 +235,43 @@ CompiledPlan compile_reduce_combining(const CartNeighborComm& cc,
     }
     return false;
   };
-  // S(node)@me carries at least one contribution.
-  auto node_present = [&](const detail::TreeNode& n) {
-    return consumer_ok(n.path) && any_member_ok(n.path, n.members);
-  };
 
-  // Accumulator storage: root = receive block; zero-coordinate children
-  // inherit; communicated nodes get dedicated temp slots.
+  // needed[l][U]: some node of class U has its consumer on the mesh, so
+  // this process must assemble S(U) in full.
+  std::vector<std::vector<char>> needed(nlevels);
+  for (std::size_t level = 0; level < nlevels; ++level) {
+    needed[level].assign(dag.classes[level].size(), 0);
+    for (std::size_t v = 0; v < tree.levels[level].size(); ++v) {
+      if (consumer_ok(tree.levels[level][v].path)) {
+        needed[level][static_cast<std::size_t>(dag.of[level][v])] = 1;
+      }
+    }
+  }
+
+  // Accumulator storage: root = receive block; a class that exactly one
+  // parent class holds at coordinate zero lives in that parent's
+  // accumulator (its contributions fold straight through); every other
+  // class gets a dedicated temp slot. Sharing is safe even when the class
+  // is also sent at the parent's level: sends pack at post time, and the
+  // parent's folds run only after the phase has drained.
   std::vector<std::vector<RStorage>> storage(nlevels);
   int temp_slots = 0;
   storage[0].push_back(RStorage{true, -1});
   for (std::size_t level = 0; level + 1 < nlevels; ++level) {
-    const std::vector<detail::TreeNode>& nxt = tree.levels[level + 1];
-    storage[level + 1].resize(nxt.size());
-    for (std::size_t v = 0; v < nxt.size(); ++v) {
-      const detail::TreeNode& n = nxt[v];
-      if (n.coordinate == 0) {
-        storage[level + 1][v] =
-            storage[level][static_cast<std::size_t>(n.parent)];
-      } else {
-        storage[level + 1][v] = RStorage{false, temp_slots++};
+    const std::size_t nnext = dag.classes[level + 1].size();
+    std::vector<int> zero_of(nnext, -1);  // sole zero holder; -2 if several
+    for (std::size_t u = 0; u < dag.classes[level].size(); ++u) {
+      for (const auto& [c, v] : dag.classes[level][u].children) {
+        int& z = zero_of[static_cast<std::size_t>(v)];
+        if (c == 0) z = z == -1 ? static_cast<int>(u) : -2;
       }
+    }
+    storage[level + 1].resize(nnext);
+    for (std::size_t v = 0; v < nnext; ++v) {
+      const int u = zero_of[v];
+      storage[level + 1][v] = u >= 0
+                                  ? storage[level][static_cast<std::size_t>(u)]
+                                  : RStorage{false, temp_slots++};
     }
   }
 
@@ -247,63 +291,113 @@ CompiledPlan compile_reduce_combining(const CartNeighborComm& cc,
   };
 
   // Leaf contributions (phase tag -1: before any send is packed). A leaf's
-  // members all share the full offset vector N[i] = path, so presence
-  // reduces to the consumer me + N[i] being on the mesh.
-  const std::vector<detail::TreeNode>& leaves = tree.levels.back();
-  for (std::size_t v = 0; v < leaves.size(); ++v) {
-    const detail::TreeNode& leaf = leaves[v];
-    if (!consumer_ok(leaf.path)) continue;
-    for (const int i : leaf.members) {
-      record_fold(send_block_placement(scatter ? i : 0), storage.back()[v],
-                  -1);
+  // members all share the full offset vector N[i] = path, so their origin
+  // is this process itself.
+  const std::size_t leaf_level = nlevels - 1;
+  for (std::size_t v = 0; v < dag.classes[leaf_level].size(); ++v) {
+    if (needed[leaf_level][v] == 0) continue;
+    const std::size_t rep =
+        static_cast<std::size_t>(dag.classes[leaf_level][v].rep);
+    for (const int i : tree.levels[leaf_level][rep].members) {
+      record_fold(send_block_placement(scatter ? i : 0),
+                  storage[leaf_level][v], -1);
     }
   }
 
   // Reverse execution: phase p handles level d-1-p. Every process emits
-  // the identical round sequence (a function of the tree alone), with
+  // the identical round sequence (a function of the DAG alone), with
   // per-direction payloads empty where the mesh cuts the chain.
+  struct Carried {
+    int cls;                   // child class in levels[level + 1]
+    int edge;                  // first edge carrying it this round
+    bool send = false;         // some edge's consumer is on the mesh
+    std::vector<int> parents;  // distinct parent classes, edge order
+  };
+  std::vector<Carried> carried;
+  std::vector<int> slot;
   std::vector<int> offv(static_cast<std::size_t>(d), 0);
   for (int p = 0; p < d; ++p) {
     const std::size_t level = static_cast<std::size_t>(d - 1 - p);
     const int k = perm[level];
     const std::vector<detail::TreeEdge>& evec = tree.edges[level];
+    const std::vector<RStorage>& up = storage[level];
+    const std::vector<RStorage>& down = storage[level + 1];
+    // What this phase's sends read: folds recorded below run only after
+    // the phase has drained, when every send is already packed.
+    const std::vector<char> ready = inited;
+    // A partial folds its zero child first, then the arrivals in
+    // increasing coordinate, so the combine order is fixed per class.
+    for (std::size_t u = 0; u < up.size(); ++u) {
+      if (needed[level][u] == 0) continue;
+      for (const auto& [c, z] : dag.classes[level][u].children) {
+        const RStorage& zs = down[static_cast<std::size_t>(z)];
+        if (c == 0 && storage_id(zs) != storage_id(up[u]) &&
+            inited[static_cast<std::size_t>(storage_id(zs))] != 0) {
+          record_fold(storage_placement(zs, m), up[u], p);
+        }
+      }
+    }
+    slot.assign(dag.classes[level + 1].size(), -1);
     std::size_t s = 0;
     while (s < evec.size()) {
       const int c = evec[s].coordinate;
       std::size_t e = s;
       while (e < evec.size() && evec[e].coordinate == c) ++e;
+      // One block per distinct child class of this round's edges.
+      carried.clear();
+      for (std::size_t q = s; q < e; ++q) {
+        const std::size_t child = static_cast<std::size_t>(evec[q].child);
+        const int v = dag.of[level + 1][child];
+        int& at = slot[static_cast<std::size_t>(v)];
+        if (at < 0) {
+          at = static_cast<int>(carried.size());
+          carried.push_back({v, static_cast<int>(q), false, {}});
+        }
+        Carried& x = carried[static_cast<std::size_t>(at)];
+        x.send = x.send || consumer_ok(tree.levels[level + 1][child].path);
+        const int u = dag.of[level][static_cast<std::size_t>(evec[q].parent)];
+        if (std::find(x.parents.begin(), x.parents.end(), u) ==
+            x.parents.end()) {
+          x.parents.push_back(u);
+        }
+      }
       PlanRound round;
       round.reduce = true;
-      for (std::size_t q = s; q < e; ++q) {
+      for (const Carried& x : carried) {
+        slot[static_cast<std::size_t>(x.cls)] = -1;
+        const detail::TreeEdge& rep = evec[static_cast<std::size_t>(x.edge)];
         const detail::TreeNode& parent =
-            tree.levels[level][static_cast<std::size_t>(evec[q].parent)];
+            tree.levels[level][static_cast<std::size_t>(rep.parent)];
         const detail::TreeNode& child =
-            tree.levels[level + 1][static_cast<std::size_t>(evec[q].child)];
-        const RStorage& child_sto =
-            storage[level + 1][static_cast<std::size_t>(evec[q].child)];
-        if (node_present(child)) {
+            tree.levels[level + 1][static_cast<std::size_t>(rep.child)];
+        const RStorage& child_sto = down[static_cast<std::size_t>(x.cls)];
+        if (x.send && any_member_ok(child.path, child.members)) {
           // The aggregate must have been assembled by earlier folds
           // (deeper phases and leaf inits); a violation would send
           // uninitialized staging memory.
           MPL_REQUIRE(
-              inited[static_cast<std::size_t>(storage_id(child_sto))] != 0,
+              ready[static_cast<std::size_t>(storage_id(child_sto))] != 0,
               "reduce schedule: sending uninitialized aggregate (internal)");
           round.send_items.push_back(storage_placement(child_sto, m));
           ++round.blocks_sent;
         }
-        // The same aggregate arriving from -c*e_k, viewed from this
-        // process: consumer me + path(parent), contributions of child's
-        // members.
-        if (consumer_ok(parent.path) &&
-            any_member_ok(parent.path, child.members)) {
+        // The same partial arriving from -c*e_k: contributions of the
+        // child class, viewed from this process' parent consumers.
+        bool wanted = false;
+        for (const int u : x.parents) {
+          wanted = wanted || needed[level][static_cast<std::size_t>(u)] != 0;
+        }
+        if (wanted && any_member_ok(parent.path, child.members)) {
           PlanPlacement staging;
           staging.kind = PlanPlacement::Kind::temp;
           staging.offset = builder.allocate_temp(m);
           staging.bytes = m;
           round.recv_items.push_back(staging);
-          record_fold(staging,
-                      storage[level][static_cast<std::size_t>(evec[q].parent)],
-                      p);
+          for (const int u : x.parents) {
+            if (needed[level][static_cast<std::size_t>(u)] != 0) {
+              record_fold(staging, up[static_cast<std::size_t>(u)], p);
+            }
+          }
         }
       }
       offv[static_cast<std::size_t>(k)] = c;

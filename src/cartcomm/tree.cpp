@@ -1,20 +1,13 @@
 #include "cartcomm/tree.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <unordered_map>
 
 #include "mpl/error.hpp"
 
 namespace cartcomm::detail {
-
-int AllgatherTree::zero_child(std::size_t level, int parent) const {
-  const std::vector<TreeNode>& next = levels[level + 1];
-  for (std::size_t c = 0; c < next.size(); ++c) {
-    if (next[c].parent == parent && next[c].coordinate == 0) {
-      return static_cast<int>(c);
-    }
-  }
-  return -1;
-}
 
 AllgatherTree build_tree(const Neighborhood& nb, std::span<const int> perm) {
   const int d = nb.ndims();
@@ -71,6 +64,72 @@ AllgatherTree build_tree(const Neighborhood& nb, std::span<const int> perm) {
                      });
   }
   return t;
+}
+
+TreeClasses classify(const AllgatherTree& t, bool distinct_leaves) {
+  const std::size_t nlevels = t.levels.size();
+  TreeClasses c;
+  c.of.resize(nlevels);
+  c.classes.resize(nlevels);
+  // Leaves: keyed by the send blocks they contribute.
+  {
+    const std::vector<TreeNode>& leaves = t.levels.back();
+    std::map<std::size_t, int> by_multiplicity;
+    std::vector<int>& of = c.of.back();
+    of.resize(leaves.size());
+    for (std::size_t v = 0; v < leaves.size(); ++v) {
+      int id = static_cast<int>(v);  // distinct blocks: every leaf its own
+      if (!distinct_leaves) {
+        id = by_multiplicity
+                 .try_emplace(leaves[v].members.size(),
+                              static_cast<int>(by_multiplicity.size()))
+                 .first->second;
+      }
+      if (id == static_cast<int>(c.classes.back().size())) {
+        c.classes.back().push_back({static_cast<int>(v), {}});
+      }
+      of[v] = id;
+    }
+  }
+  // Inner levels, deepest first: keyed by (coordinate, child class). The
+  // children of cur[u] are the contiguous run of nxt whose parent is u.
+  std::vector<std::pair<int, int>> key;
+  std::unordered_map<std::uint64_t, int> by_hash;
+  for (std::size_t level = nlevels - 1; level-- > 0;) {
+    const std::vector<TreeNode>& cur = t.levels[level];
+    const std::vector<TreeNode>& nxt = t.levels[level + 1];
+    std::vector<TreeClass>& classes = c.classes[level];
+    std::vector<int>& of = c.of[level];
+    of.resize(cur.size());
+    by_hash.clear();
+    std::size_t v = 0;
+    for (std::size_t u = 0; u < cur.size(); ++u) {
+      key.clear();
+      std::uint64_t h = 1469598103934665603ull;
+      for (; v < nxt.size() && nxt[v].parent == static_cast<int>(u); ++v) {
+        key.emplace_back(nxt[v].coordinate, c.of[level + 1][v]);
+        for (const int x : {key.back().first, key.back().second}) {
+          h = (h ^ static_cast<std::uint32_t>(x)) * 1099511628211ull;
+        }
+      }
+      const auto [it, fresh] =
+          by_hash.try_emplace(h, static_cast<int>(classes.size()));
+      int id = it->second;
+      if (!fresh && classes[static_cast<std::size_t>(id)].children != key) {
+        // Hash collision: fall back to a scan of this level's classes.
+        id = -1;
+        for (std::size_t j = 0; j < classes.size() && id < 0; ++j) {
+          if (classes[j].children == key) id = static_cast<int>(j);
+        }
+      }
+      if (fresh || id < 0) {
+        id = static_cast<int>(classes.size());
+        classes.push_back({static_cast<int>(u), key});
+      }
+      of[u] = id;
+    }
+  }
+  return c;
 }
 
 }  // namespace cartcomm::detail

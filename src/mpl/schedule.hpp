@@ -129,7 +129,8 @@ struct ScheduleFold {
   /// Applied once communication phase `phase` has fully drained (incoming
   /// staging slots are final). Leaf initializations carry -1: they read
   /// only the caller's send buffer and must run before phase 0 posts
-  /// (eager transport packs data at isend time).
+  /// (eager transport packs data at isend time). The same eager packing
+  /// lets a phase's folds overwrite a buffer that phase sent from.
   int phase = 0;
   bool init = false;  ///< first write to dst: copy instead of combine
 };

@@ -493,9 +493,12 @@ VerifyReport verify_schedule(const Schedule& s, const CartNeighborComm& cc,
         }
       }
     }
-    const long long expected_volume = kind == ScheduleKind::alltoall
-                                          ? nb.alltoall_volume()
-                                          : allgather_volume(nb, perm);
+    // The neighbor reduce shares equal partials (one block per distinct
+    // (level, coordinate, class)); reduce_scatter has none to share.
+    const long long expected_volume =
+        kind == ScheduleKind::alltoall ? nb.alltoall_volume()
+        : kind == ScheduleKind::reduce ? reduce_volume(nb, perm)
+                                       : allgather_volume(nb, perm);
     // On tori the volume formula is exact; meshes filter relays whose
     // origin or target falls off the mesh, so the formula caps it.
     if (fully_periodic ? s.send_block_count() != expected_volume

@@ -45,8 +45,10 @@ namespace cartcomm {
 /// Which closed-form structure a schedule is expected to have (check (d)).
 /// `unknown` skips the formula checks (e.g. for merged schedules).
 /// `reduce`/`reduce_scatter` are the message-combining reducing schedules
-/// (the allgather tree in reverse: same phase/round/volume closed forms,
-/// phases in reversed dimension order); `trivial` is the Listing 4
+/// (the allgather tree in reverse: same phase and round closed forms,
+/// phases in reversed dimension order; the volume is reduce_volume for
+/// `reduce`, whose equal partials travel once, and the allgather volume
+/// for `reduce_scatter`); `trivial` is the Listing 4
 /// alltoall/allgather schedule (one phase of one round per non-zero
 /// neighbor, zero vectors copied) and `reduce_trivial` the one-phase
 /// trivial reducing schedule.

@@ -541,3 +541,302 @@ TEST(CartReduce, EmptyNeighborhoodZeroFills) {
     EXPECT_EQ(iout, 0);  // zero-filled
   });
 }
+
+// ---------------------------------------------------------------------------
+// The shared-partial DAG: tree nodes covering equal subtrees compute equal
+// partials, so one block per distinct (level, coordinate, class) travels.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct CallCounts {
+  std::uint64_t rounds = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t folds = 0;
+};
+
+// What one call adds to this rank's production telemetry counters.
+template <class F>
+CallCounts counted(const mpl::Comm& world, F&& call) {
+  const telemetry::RankTelemetry* tm = world.telemetry();
+  const telemetry::Counts a = tm->totals();
+  call();
+  const telemetry::Counts b = tm->totals();
+  return {b[telemetry::Count::rounds] - a[telemetry::Count::rounds],
+          b[telemetry::Count::bytes_sent] - a[telemetry::Count::bytes_sent],
+          b[telemetry::Count::reduce_folds] - a[telemetry::Count::reduce_folds]};
+}
+
+// The neighborhoods whose DAG is not one class per level: unit offsets,
+// long hops, repeated offsets and the zero vector.
+std::vector<Neighborhood> irregular_neighborhoods() {
+  std::vector<Neighborhood> out;
+  out.push_back(Neighborhood::von_neumann(2));
+  out.push_back(Neighborhood::von_neumann(3, true));
+  out.push_back(Neighborhood(2, {2, 0, 0, 1, -1, -1, 0, 0, 2, 0, 1, 2}));
+  out.push_back(Neighborhood(2, {1, 0, 1, 0, 0, 1, 1, 1, 1, 1, 0, 0, -1, 1}));
+  std::mt19937 rng(2025);
+  std::uniform_int_distribution<int> off(-2, 2);
+  for (int trial = 0; trial < 4; ++trial) {
+    const int d = 2 + trial % 2;
+    std::vector<int> flat;
+    for (int i = 0; i < (5 + 2 * trial) * d; ++i) flat.push_back(off(rng));
+    out.emplace_back(d, std::move(flat));
+  }
+  return out;
+}
+
+int contribution_of(int rank) { return 3 * rank + 1; }
+
+}  // namespace
+
+TEST(CartReduceDag, BoxesMoveCBlocksInCRounds) {
+  // Stencil/Moore boxes are products of per-dimension offset sets: each
+  // tree level is one class, so reduce and allreduce send one block per
+  // round (C blocks in C rounds) and fold at most twice per round plus the
+  // leaf init. The sums are exact.
+  mpl::RunOptions opts;
+  opts.telemetry.enabled = true;
+  const int m = 3;
+  for (int d = 2; d <= 5; ++d) {
+    for (const int n : {3, 5}) {
+      const Neighborhood nb = Neighborhood::stencil(d, n, -(n / 2));
+      const int C = nb.combining_rounds();
+      EXPECT_EQ(cartcomm::reduce_volume(nb), C) << "d=" << d << " n=" << n;
+      std::vector<int> dims(static_cast<std::size_t>(d), 1);
+      dims[static_cast<std::size_t>(d - 1)] = 2;
+      dims[static_cast<std::size_t>(d - 2)] = 2;
+      mpl::run(
+          4,
+          [&](mpl::Comm& world) {
+            auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
+            std::vector<int> mine(m, contribution_of(world.rank()));
+            int expect = 0;
+            for (const int s : cc.source_ranks()) expect += contribution_of(s);
+            for (const bool all : {false, true}) {
+              std::vector<int> out(m, -1);
+              const CallCounts k = counted(world, [&] {
+                const auto fn = all ? cartcomm::cart_neighbor_allreduce
+                                    : cartcomm::cart_neighbor_reduce;
+                fn(mine.data(), out.data(), m, mpl::Datatype::of<int>(),
+                   mpl::ReduceOp::sum<int>(), cc,
+                   cartcomm::Algorithm::combining,
+                   cartcomm::DimOrder::increasing_ck);
+              });
+              SCOPED_TRACE("d=" + std::to_string(d) + " n=" +
+                           std::to_string(n) + (all ? " allreduce" : " reduce") +
+                           " rank " + std::to_string(world.rank()));
+              EXPECT_EQ(k.rounds, static_cast<std::uint64_t>(C));
+              EXPECT_EQ(k.bytes, static_cast<std::uint64_t>(C) * m * sizeof(int));
+              EXPECT_LE(k.folds, static_cast<std::uint64_t>(2 * C + 1));
+              for (const int v : out) EXPECT_EQ(v, expect);
+            }
+          },
+          opts);
+    }
+  }
+}
+
+TEST(CartReduceDag, IrregularNeverExceedsTreeAndMatchesTrivial) {
+  // Where equal subtrees are rarer the DAG gains partly, and never moves
+  // more than the tree (the allgather volume). On a torus every rank moves
+  // exactly reduce_volume blocks; on a mesh at most that. Integer results
+  // equal the trivial ones exactly, float results within the reassociation
+  // bound, for reduce and allreduce.
+  mpl::RunOptions opts;
+  opts.telemetry.enabled = true;
+  const int m = 2;
+  for (const Neighborhood& nb : irregular_neighborhoods()) {
+    const int d = nb.ndims();
+    const long long tree = cartcomm::allgather_volume(nb);
+    const long long dag = cartcomm::reduce_volume(nb);
+    EXPECT_LE(dag, tree);
+    for (const int periodic : {1, 0}) {
+      const std::vector<int> dims(static_cast<std::size_t>(d), 3);
+      const std::vector<int> periods(static_cast<std::size_t>(d), periodic);
+      mpl::run(
+          carttest::product(dims),
+          [&](mpl::Comm& world) {
+            auto cc =
+                cartcomm::cart_neighborhood_create(world, dims, periods, nb);
+            SCOPED_TRACE("t=" + std::to_string(nb.count()) + " d=" +
+                         std::to_string(d) + " periodic=" +
+                         std::to_string(periodic) + " rank " +
+                         std::to_string(world.rank()));
+            std::vector<int> mine(m, contribution_of(world.rank()));
+            std::vector<double> dmine(m, 1.0 / (3.0 + world.rank()));
+            for (const bool all : {false, true}) {
+              const auto fn = all ? cartcomm::cart_neighbor_allreduce
+                                  : cartcomm::cart_neighbor_reduce;
+              std::vector<int> a(m, -1), b(m, -2);
+              fn(mine.data(), a.data(), m, mpl::Datatype::of<int>(),
+                 mpl::ReduceOp::sum<int>(), cc, cartcomm::Algorithm::trivial,
+                 cartcomm::DimOrder::increasing_ck);
+              const CallCounts k = counted(world, [&] {
+                fn(mine.data(), b.data(), m, mpl::Datatype::of<int>(),
+                   mpl::ReduceOp::sum<int>(), cc,
+                   cartcomm::Algorithm::combining,
+                   cartcomm::DimOrder::increasing_ck);
+              });
+              EXPECT_EQ(a, b) << (all ? "allreduce" : "reduce");
+              if (!all) {
+                const std::uint64_t blocks = k.bytes / (m * sizeof(int));
+                EXPECT_LE(blocks, static_cast<std::uint64_t>(tree));
+                if (periodic == 1) {
+                  EXPECT_EQ(blocks, static_cast<std::uint64_t>(dag));
+                } else {
+                  EXPECT_LE(blocks, static_cast<std::uint64_t>(dag));
+                }
+              }
+              std::vector<double> da(m, -1.0), db(m, -2.0);
+              fn(dmine.data(), da.data(), m, mpl::Datatype::of<double>(),
+                 mpl::ReduceOp::sum<double>(), cc,
+                 cartcomm::Algorithm::trivial,
+                 cartcomm::DimOrder::increasing_ck);
+              fn(dmine.data(), db.data(), m, mpl::Datatype::of<double>(),
+                 mpl::ReduceOp::sum<double>(), cc,
+                 cartcomm::Algorithm::combining,
+                 cartcomm::DimOrder::increasing_ck);
+              for (int e = 0; e < m; ++e) {
+                const double tol = 64.0 *
+                                   std::numeric_limits<double>::epsilon() *
+                                   (nb.count() + 1.0);
+                EXPECT_NEAR(db[static_cast<std::size_t>(e)],
+                            da[static_cast<std::size_t>(e)], tol);
+              }
+            }
+          },
+          opts);
+    }
+  }
+}
+
+TEST(CartReduceDag, DuplicatesMeshesAndIdentityFills) {
+  // Repeated offsets put leaves of different multiplicity into different
+  // classes; on a mesh the partials shrink where origins fall off; a rank
+  // none of whose sources exists gets the op identity. max and min agree
+  // with the trivial algorithm everywhere, for reduce and allreduce (whose
+  // appended zero vector joins an existing leaf class).
+  const Neighborhood nb(2, {2, 0, 2, 0, 2, 1, 1, 1, 1, 1, 0, 1});
+  for (const std::vector<int>& periods :
+       {std::vector<int>{0, 0}, std::vector<int>{1, 0}}) {
+    mpl::run(9, [&](mpl::Comm& world) {
+      const std::vector<int> dims{3, 3};
+      auto cc = cartcomm::cart_neighborhood_create(world, dims, periods, nb);
+      const int mine[2] = {contribution_of(world.rank()), -world.rank()};
+      bool any_source = false;
+      for (const int s : cc.source_ranks()) any_source |= s != mpl::PROC_NULL;
+      for (const bool all : {false, true}) {
+        const auto fn = all ? cartcomm::cart_neighbor_allreduce
+                            : cartcomm::cart_neighbor_reduce;
+        const mpl::ReduceOp ops[] = {mpl::ReduceOp::max<int>(),
+                                     mpl::ReduceOp::min<int>(),
+                                     mpl::ReduceOp::sum<int>()};
+        const int identity[] = {std::numeric_limits<int>::min(),
+                                std::numeric_limits<int>::max(), 0};
+        for (int o = 0; o < 3; ++o) {
+          int a[2] = {7, 7}, b[2] = {9, 9};
+          fn(mine, a, 2, mpl::Datatype::of<int>(), ops[o], cc,
+             cartcomm::Algorithm::trivial, cartcomm::DimOrder::increasing_ck);
+          fn(mine, b, 2, mpl::Datatype::of<int>(), ops[o], cc,
+             cartcomm::Algorithm::combining,
+             cartcomm::DimOrder::increasing_ck);
+          EXPECT_EQ(a[0], b[0]) << ops[o].name() << " rank " << world.rank();
+          EXPECT_EQ(a[1], b[1]) << ops[o].name() << " rank " << world.rank();
+          if (!all && !any_source) {
+            EXPECT_EQ(b[0], identity[o]) << ops[o].name();
+            EXPECT_EQ(b[1], identity[o]) << ops[o].name();
+          }
+        }
+      }
+    });
+  }
+}
+
+TEST(CartReduceDag, FloatFoldOrderIsFixedDimensionByDimension) {
+  // The documented combine order on a product neighborhood: the deepest
+  // dimension first, and within a dimension the zero child, then the
+  // arrivals in increasing coordinate (coordinate c arrives from -c*e_k).
+  // On a 3x3 torus with Moore(2), increasing-C_k order keeps dimensions
+  // (0, 1), so phase 0 sums along dimension 1 and phase 1 along 0:
+  //   S(x)  = (v(x) + v(x + e1)) + v(x - e1)
+  //   R(x)  = (S(x) + S(x + e0)) + S(x - e0)
+  // Floats chosen so association matters must match bit for bit.
+  std::vector<double> got(9);
+  mpl::run(9, [&](mpl::Comm& world) {
+    const std::vector<int> dims{3, 3};
+    auto cc = cartcomm::cart_neighborhood_create(world, dims, {},
+                                                 Neighborhood::moore(2));
+    const double mine = 1.0 / (7.0 + world.rank()) + world.rank() * 1e8;
+    double r = 0.0;
+    cartcomm::cart_neighbor_allreduce(&mine, &r, 1,
+                                      mpl::Datatype::of<double>(),
+                                      mpl::ReduceOp::sum<double>(), cc,
+                                      cartcomm::Algorithm::combining);
+    got[static_cast<std::size_t>(world.rank())] = r;
+  });
+  const mpl::CartGrid grid(std::vector<int>{3, 3}, std::vector<int>{1, 1});
+  auto v = [&](std::vector<int> x) {
+    for (int& c : x) c = (c + 3) % 3;
+    const int r = grid.rank_of(x);
+    return 1.0 / (7.0 + r) + r * 1e8;
+  };
+  auto S = [&](int x0, int x1) {
+    return (v({x0, x1}) + v({x0, x1 + 1})) + v({x0, x1 - 1});
+  };
+  for (int r = 0; r < 9; ++r) {
+    const std::vector<int> x = grid.coords_of(r);
+    const double expect =
+        (S(x[0], x[1]) + S(x[0] + 1, x[1])) + S(x[0] - 1, x[1]);
+    const double g = got[static_cast<std::size_t>(r)];
+    EXPECT_EQ(std::memcmp(&g, &expect, sizeof(double)), 0)
+        << "rank " << r << ": " << g << " vs " << expect;
+  }
+}
+
+TEST(CartReduceDag, FloatResultsBitIdenticalAcrossRunsAndFaultSeeds) {
+  // The fold program is a function of the DAG alone: results do not depend
+  // on arrival order, so runs without faults and under two different
+  // drop/jitter seeds agree bit for bit, zero-child folds and partials
+  // folded into several parents included.
+  const Neighborhood nb(2, {1, 0, 1, 0, 0, 1, 1, 1, 1, 1, 0, 0, -1, 1, 2, -1});
+  auto run_once = [&](const char* faults) {
+    mpl::RunOptions opts;
+    opts.net = mpl::NetConfig::omnipath();
+    if (faults != nullptr) opts.faults = mpl::FaultConfig::parse(faults);
+    std::vector<double> res(12 * 2);
+    mpl::run(
+        12,
+        [&](mpl::Comm& world) {
+          auto cc = cartcomm::cart_neighborhood_create(
+              world, std::vector<int>{4, 3}, std::vector<int>{1, 0}, nb);
+          const double mine[2] = {0.1 * (world.rank() + 1),
+                                  1.0 / (world.rank() + 3.0)};
+          double out[2] = {0.0, 0.0};
+          for (int rep = 0; rep < 2; ++rep) {
+            cartcomm::cart_neighbor_allreduce(
+                mine, out, 2, mpl::Datatype::of<double>(),
+                mpl::ReduceOp::sum<double>(), cc,
+                cartcomm::Algorithm::combining);
+          }
+          std::memcpy(&res[static_cast<std::size_t>(world.rank()) * 2], out,
+                      sizeof out);
+        },
+        opts);
+    return res;
+  };
+  const std::vector<double> clean = run_once(nullptr);
+  const std::vector<double> seed11 =
+      run_once("seed=11,drop=0.05,delay=1e-6,delay_prob=0.5");
+  const std::vector<double> seed12 =
+      run_once("seed=12,drop=0.1,delay=2e-6,delay_prob=0.3");
+  EXPECT_EQ(std::memcmp(clean.data(), seed11.data(),
+                        clean.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(clean.data(), seed12.data(),
+                        clean.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(clean.data(), run_once(nullptr).data(),
+                        clean.size() * sizeof(double)),
+            0);
+}

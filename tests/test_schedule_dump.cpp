@@ -115,14 +115,61 @@ TEST(ScheduleDump, ReducingGoldenCornerRankOnMesh) {
   // Rank 0 of a non-periodic 1-D 3-mesh: the -1 consumer is off-mesh, so
   // that round sends nothing (boundary provenance) but still folds the
   // arriving aggregate; the +1 round sends the leaf aggregate and receives
-  // nothing. Reducing rounds render as "reduce<-" and the fold program is
-  // listed with its phase tags (-1 = leaf init before any send packs).
+  // nothing. The three leaves contribute the same block, so they form one
+  // class whose partial lives in the receive block itself: one leaf init,
+  // no temp slot but the staging one. Reducing rounds render as "reduce<-"
+  // and the fold program is listed with its phase tags (-1 = leaf init
+  // before any send packs).
   std::string corner;
   mpl::run(3, [&](mpl::Comm& world) {
     const std::string d = dump_reduce_3point(world, {3}, {0}, 1);
     if (world.rank() == 0) corner = d;
   });
   const std::string kGolden =
+      "schedule: 1 phases, 2 rounds, 1 blocks sent, 0 local copies, "
+      "4 temp bytes, reduce op sum.i4, 2 folds\n"
+      "  phase 0 (2 rounds)\n"
+      "    round 0: offset (-1) send->null(boundary) [0 blk, 0 B]  "
+      "reduce<-1 [1 blk, 4 B]\n"
+      "    round 1: offset (1) send->1 [1 blk, 4 B]  "
+      "reduce<-null(boundary) [0 blk, 0 B]\n"
+      "  folds (2)\n"
+      "    fold 0: phase -1 init 1 elems\n"
+      "    fold 1: phase 0 combine 1 elems\n";
+  EXPECT_EQ(corner, kGolden) << corner;
+}
+
+TEST(ScheduleDump, ReduceScatterAndTrivialGoldenCornerRankOnMesh) {
+  // reduce_scatter contributes a distinct block toward every neighbor, so
+  // no two subtrees are equal and its DAG is the allgather tree: three leaf
+  // classes, two leaf inits on the corner rank (the -1 consumer is off
+  // the mesh) and 8 temp bytes of partials plus one staging slot. The
+  // trivial reducing schedule stages its one arrival and folds in neighbor
+  // order.
+  std::string scatter, trivial;
+  mpl::run(3, [&](mpl::Comm& world) {
+    const Neighborhood nb(1, {-1, 0, 1});
+    auto cc = cartcomm::cart_neighborhood_create(world, std::vector<int>{3},
+                                                 std::vector<int>{0}, nb);
+    std::vector<int> sb(3, world.rank() + 1);
+    int rb = -1;
+    const cartcomm::SendBlock sends[3] = {
+        {&sb[0], 1, kInt}, {&sb[1], 1, kInt}, {&sb[2], 1, kInt}};
+    const cartcomm::RecvBlock recv{&rb, 1, kInt};
+    Schedule s = cartcomm::build_reduce_schedule(
+        cc, sends, recv, mpl::ReduceOp::sum<int>(),
+        cartcomm::ReduceVariant::reduce_scatter, /*combining=*/true);
+    s.execute(cc.comm());
+    Schedule t = cartcomm::build_reduce_schedule(
+        cc, std::span(sends).first(1), recv, mpl::ReduceOp::sum<int>(),
+        cartcomm::ReduceVariant::reduce, /*combining=*/false);
+    t.execute(cc.comm());
+    if (world.rank() == 0) {
+      scatter = s.dump();
+      trivial = t.dump();
+    }
+  });
+  const std::string kScatter =
       "schedule: 1 phases, 2 rounds, 1 blocks sent, 0 local copies, "
       "12 temp bytes, reduce op sum.i4, 3 folds\n"
       "  phase 0 (2 rounds)\n"
@@ -134,7 +181,19 @@ TEST(ScheduleDump, ReducingGoldenCornerRankOnMesh) {
       "    fold 0: phase -1 init 1 elems\n"
       "    fold 1: phase -1 init 1 elems\n"
       "    fold 2: phase 0 combine 1 elems\n";
-  EXPECT_EQ(corner, kGolden) << corner;
+  const std::string kTrivial =
+      "schedule: 1 phases, 2 rounds, 1 blocks sent, 0 local copies, "
+      "4 temp bytes, reduce op sum.i4, 2 folds\n"
+      "  phase 0 (2 rounds)\n"
+      "    round 0: offset (-1) send->null(boundary) [0 blk, 0 B]  "
+      "reduce<-1 [1 blk, 4 B]\n"
+      "    round 1: offset (1) send->1 [1 blk, 4 B]  "
+      "reduce<-null(boundary) [0 blk, 0 B]\n"
+      "  folds (2)\n"
+      "    fold 0: phase 0 init 1 elems\n"
+      "    fold 1: phase 0 combine 1 elems\n";
+  EXPECT_EQ(scatter, kScatter) << scatter;
+  EXPECT_EQ(trivial, kTrivial) << trivial;
 }
 
 TEST(ScheduleDump, ReducingDumpBitIdenticalAcrossBuildsAndCacheHits) {

@@ -382,6 +382,59 @@ TEST(VerifyNegativeLocal, OverlappingRecvBlocksAreDetected) {
   }
 }
 
+TEST(VerifyNegativeLocal, ReduceSendingOneClassTwiceInARoundIsFlagged) {
+  // On a ring with {-1, 0, +1} every leaf contributes the same block, so
+  // the neighbor reduce's DAG has one class and each round carries one
+  // partial: reduce_volume = 2 blocks. A schedule that packs that partial
+  // twice into one round, as a tree keeping one partial per edge would
+  // where equal subtrees meet, breaks the closed form.
+  const std::vector<int> dims = {4}, periods = {1};
+  const Neighborhood nb(1, {-1, 0, 1});
+  EXPECT_EQ(cartcomm::reduce_volume(nb), 2);
+  std::vector<VerifyReport> good(4), bad(4);
+  mpl::run(4, [&](mpl::Comm& world) {
+    auto cc = cartcomm::cart_neighborhood_create(world, dims, periods, nb);
+    const std::size_t r = static_cast<std::size_t>(world.rank());
+    int mine = world.rank();
+    int out = 0;
+    const mpl::Datatype kInt = mpl::Datatype::of<int>();
+    const cartcomm::SendBlock send[1] = {{&mine, 1, kInt}};
+    const cartcomm::RecvBlock recv{&out, 1, kInt};
+    good[r] = cartcomm::verify_schedule(
+        cartcomm::build_reduce_schedule(cc, send, recv,
+                                        mpl::ReduceOp::sum<int>(),
+                                        cartcomm::ReduceVariant::reduce, true),
+        cc, ScheduleKind::reduce);
+    // The same phase of two rounds, but round 0 sends the partial twice.
+    cartcomm::ScheduleBuilder b;
+    b.set_grid(cc.grid());
+    int staging[3] = {0, 0, 0};
+    int* slot = staging;
+    for (const int c : {-1, 1}) {
+      const long long copies = c == -1 ? 2 : 1;
+      mpl::TypeBuilder sb, rb;
+      for (long long i = 0; i < copies; ++i) {
+        sb.append_bytes(&out, sizeof out);
+        rb.append_bytes(slot++, sizeof(int));
+      }
+      const int offset[] = {c};
+      const int back[] = {-c};
+      b.add_round({cc.relative_rank(offset), cc.relative_rank(back),
+                   sb.build(), rb.build(), offset, /*send_boundary=*/false,
+                   /*recv_boundary=*/false, /*reduce=*/true},
+                  copies);
+    }
+    b.end_phase();
+    bad[r] = cartcomm::verify_schedule(b.finish(), cc, ScheduleKind::reduce);
+  });
+  for (int r = 0; r < 4; ++r) {
+    const std::size_t ur = static_cast<std::size_t>(r);
+    EXPECT_TRUE(good[ur].ok()) << good[ur].to_string();
+    EXPECT_TRUE(has_issue_at(bad[ur], VerifyIssue::Code::volume, r, -1, -1))
+        << bad[ur].to_string();
+  }
+}
+
 TEST(VerifyNegativeLocal, ExecutionRefusesNullPartnerWithoutProvenance) {
   // The runtime-side half of the boundary-provenance satellite: executing
   // a schedule whose PROC_NULL partner lacks the boundary flag throws

@@ -1,15 +1,16 @@
 // Sweep a family of grids and neighborhoods, build the message-combining
-// alltoall and allgather schedules and the trivial (Listing 4) schedule on
-// every rank, and statically verify them — single-rank structural checks
-// (verify_schedule) plus the cross-rank deadlock-freedom/pairing proof
-// (verify_global) — without moving any payload. The trivial schedule
-// pre-posts its receives, so its memory check covers the whole schedule
-// and its pairing check the whole execution. Exits non-zero when any
-// invariant fails.
+// alltoall, allgather and neighbor allreduce schedules and the trivial
+// (Listing 4) schedule on every rank, and statically verify them —
+// single-rank structural checks (verify_schedule) plus the cross-rank
+// deadlock-freedom/pairing proof (verify_global) — without moving any
+// payload. The trivial schedule pre-posts its receives, so its memory
+// check covers the whole schedule and its pairing check the whole
+// execution. Exits non-zero when any invariant fails.
 //
 //   verify_schedule [--verbose]
 //
 // --verbose additionally prints rank 0's schedule structure per case.
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <mutex>
@@ -87,6 +88,16 @@ int run_case(const Case& c, cartcomm::ScheduleKind kind, bool verbose) {
       recvs[static_cast<std::size_t>(i)] = {
           recvbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
     }
+    // The allreduce is the neighbor reduce over the neighborhood with the
+    // zero vector appended when absent.
+    cartcomm::CartNeighborComm vcc = cc;
+    if (kind == cartcomm::ScheduleKind::reduce &&
+        !c.nb.contains_zero_vector()) {
+      std::vector<int> flat(c.nb.flat().size() + c.dims.size(), 0);
+      std::copy(c.nb.flat().begin(), c.nb.flat().end(), flat.begin());
+      vcc = cc.with_neighborhood(
+          cartcomm::Neighborhood(c.nb.ndims(), std::move(flat)));
+    }
     cartcomm::Schedule sched;
     switch (kind) {
       case cartcomm::ScheduleKind::alltoall:
@@ -95,13 +106,19 @@ int run_case(const Case& c, cartcomm::ScheduleKind kind, bool verbose) {
       case cartcomm::ScheduleKind::allgather:
         sched = cartcomm::build_allgather_schedule(cc, sends.front(), recvs);
         break;
+      case cartcomm::ScheduleKind::reduce:
+        sched = cartcomm::build_reduce_schedule(
+            vcc, std::span(sends).first(1), recvs.front(),
+            mpl::ReduceOp::sum<int>(), cartcomm::ReduceVariant::reduce,
+            /*combining=*/true);
+        break;
       default:
         sched = cartcomm::build_trivial_schedule(cc, sends, recvs);
         break;
     }
     const int r = world.rank();
-    local[static_cast<std::size_t>(r)] = cartcomm::verify_schedule(sched, cc, kind);
-    summaries[static_cast<std::size_t>(r)] = cartcomm::summarize(sched, cc);
+    local[static_cast<std::size_t>(r)] = cartcomm::verify_schedule(sched, vcc, kind);
+    summaries[static_cast<std::size_t>(r)] = cartcomm::summarize(sched, vcc);
     if (verbose && r == 0) {
       std::lock_guard lk(describe_mtx);
       description = sched.dump();
@@ -144,10 +161,12 @@ int main(int argc, char** argv) {
   for (const Case& c : sweep_cases()) {
     for (const auto kind : {cartcomm::ScheduleKind::alltoall,
                             cartcomm::ScheduleKind::allgather,
+                            cartcomm::ScheduleKind::reduce,
                             cartcomm::ScheduleKind::trivial}) {
       const char* kname =
           kind == cartcomm::ScheduleKind::alltoall    ? "alltoall "
           : kind == cartcomm::ScheduleKind::allgather ? "allgather"
+          : kind == cartcomm::ScheduleKind::reduce    ? "allreduce"
                                                       : "trivial  ";
       std::cout << "  " << kname << "  " << c.name << " ... " << std::flush;
       const int before = total_issues;
