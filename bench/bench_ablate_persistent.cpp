@@ -38,7 +38,7 @@ double wall_per_iter_max(const mpl::Comm& world, int iters, int warmups,
   const auto t1 = std::chrono::steady_clock::now();
   const double local =
       std::chrono::duration<double>(t1 - t0).count() / iters;
-  return mpl::allreduce(local, mpl::op::max{}, world);
+  return mpl::allreduce(local, mpl::ReduceOp::max<double>(), world);
 }
 
 void run_case(int d, int n, int m) {
@@ -64,8 +64,9 @@ void run_case(int d, int n, int m) {
     auto op = cartcomm::alltoall_init(sb.data(), m, kInt, rb.data(), m, kInt,
                                       cc, cartcomm::Algorithm::combining);
     const auto i1 = std::chrono::steady_clock::now();
-    const double init_cost = mpl::allreduce(
-        std::chrono::duration<double>(i1 - i0).count(), mpl::op::max{}, world);
+    const double init_cost =
+        mpl::allreduce(std::chrono::duration<double>(i1 - i0).count(),
+                       mpl::ReduceOp::max<double>(), world);
 
     const double persistent =
         wall_per_iter_max(world, iters, 1, [&] { op.execute(); });

@@ -189,7 +189,8 @@ std::vector<double> time_collective(const mpl::Comm& comm, int reps, F&& op,
     op();
     const double elapsed = comm.vclock();
     comm.hard_sync();
-    const double t = mpl::allreduce(elapsed, mpl::op::max{}, comm);
+    const double t =
+        mpl::allreduce(elapsed, mpl::ReduceOp::max<double>(), comm);
     if (r >= 0) out.push_back(t);
   }
   return out;

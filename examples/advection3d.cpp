@@ -64,7 +64,7 @@ int main() {
           }
         }
       }
-      return mpl::allreduce(local, mpl::op::plus{}, world);
+      return mpl::allreduce(local, mpl::ReduceOp::sum<double>(), world);
     };
 
     const double mass0 = mass();
@@ -120,7 +120,8 @@ int main() {
         }
       }
     }
-    const double global_max = mpl::allreduce(local_max, mpl::op::max{}, world);
+    const double global_max =
+        mpl::allreduce(local_max, mpl::ReduceOp::max<double>(), world);
     if (world.rank() == 0) {
       std::printf("final mass %.6f (drift %.2e)\n", mass1,
                   std::abs(mass1 - mass0));
@@ -129,7 +130,7 @@ int main() {
     // output does not depend on thread scheduling.
     const int holder = mpl::allreduce(
         local_max == global_max ? world.rank() : world.size(),
-        mpl::op::min{}, world);
+        mpl::ReduceOp::min<int>(), world);
     mpl::bcast(local_arg.data(), 3, mpl::Datatype::of<int>(), holder, world);
     if (world.rank() == 0) {
       std::printf("peak %.4f at global cell (%d,%d,%d) on rank %d\n",

@@ -56,7 +56,8 @@ int main() {
       for (int i = 1; i <= kLocal; ++i) {
         for (int j = 1; j <= kLocal; ++j) local_pop += board.at(i, j);
       }
-      const int pop = mpl::allreduce(local_pop, mpl::op::plus{}, world);
+      const int pop =
+          mpl::allreduce(local_pop, mpl::ReduceOp::sum<int>(), world);
       if (world.rank() == 0 && gen % 8 == 0) {
         std::printf("generation %2d: population %d\n", gen, pop);
       }

@@ -99,7 +99,7 @@ int main() {
           matrix[static_cast<std::size_t>(idx(i, j))] = next[static_cast<std::size_t>(idx(i, j))];
         }
       }
-      residual = mpl::allreduce(local, mpl::op::max{}, world);
+      residual = mpl::allreduce(local, mpl::ReduceOp::max<double>(), world);
       if (world.rank() == 0 && iter % 200 == 0) {
         std::printf("iter %4d  residual %.3e\n", iter, residual);
       }

@@ -87,8 +87,8 @@ int main() {
           local_umax = std::max(local_umax, std::abs(mx / rho));
         }
       }
-      mass = mpl::allreduce(local_mass, mpl::op::plus{}, world);
-      umax = mpl::allreduce(local_umax, mpl::op::max{}, world);
+      mass = mpl::allreduce(local_mass, mpl::ReduceOp::sum<double>(), world);
+      umax = mpl::allreduce(local_umax, mpl::ReduceOp::max<double>(), world);
     };
 
     double mass0, u0;

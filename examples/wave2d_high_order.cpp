@@ -110,8 +110,9 @@ int main() {
         local_norm += analytic(gi, gj, tend) * analytic(gi, gj, tend);
       }
     }
-    const double err = mpl::allreduce(local_err, mpl::op::plus{}, world);
-    const double norm = mpl::allreduce(local_norm, mpl::op::plus{}, world);
+    const mpl::ReduceOp sum = mpl::ReduceOp::sum<double>();
+    const double err = mpl::allreduce(local_err, sum, world);
+    const double norm = mpl::allreduce(local_norm, sum, world);
     if (world.rank() == 0) {
       std::printf("relative L2 error after one period: %.3e\n",
                   std::sqrt(err / norm));

@@ -98,6 +98,17 @@ CartNeighborComm CartNeighborComm::with_neighborhood(Neighborhood sub) const {
   return cc;
 }
 
+const CartNeighborComm& CartNeighborComm::with_self() const {
+  if (nb_.contains_zero_vector()) return *this;
+  if (!*self_view_) {
+    std::vector<int> flat(nb_.flat().begin(), nb_.flat().end());
+    flat.resize(flat.size() + static_cast<std::size_t>(nb_.ndims()), 0);
+    *self_view_ = std::make_unique<const CartNeighborComm>(
+        with_neighborhood(Neighborhood(nb_.ndims(), std::move(flat))));
+  }
+  return **self_view_;
+}
+
 std::uint64_t CartNeighborComm::next_uid() noexcept {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -222,7 +233,8 @@ std::optional<CartNeighborComm> detect_cartesian(
     flat.insert(flat.end(), rel.begin(), rel.end());
   }
   // Agree on validity first so every process executes the same collectives.
-  if (mpl::allreduce(valid ? 1 : 0, mpl::op::logical_and{}, cart.comm()) == 0) {
+  if (mpl::allreduce(valid ? 1 : 0, mpl::ReduceOp::logical_and<int>(),
+                     cart.comm()) == 0) {
     return std::nullopt;
   }
   Neighborhood nb(d, std::move(flat));
@@ -250,7 +262,8 @@ bool is_isomorphic_neighborhood(const mpl::Comm& comm, const Neighborhood& nb) {
     same = std::equal(root_flat.begin(), root_flat.end(), nb.flat().begin(),
                       nb.flat().end());
   }
-  return mpl::allreduce(same ? 1 : 0, mpl::op::logical_and{}, comm) != 0;
+  return mpl::allreduce(same ? 1 : 0, mpl::ReduceOp::logical_and<int>(),
+                        comm) != 0;
 }
 
 }  // namespace cartcomm

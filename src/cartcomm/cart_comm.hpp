@@ -104,6 +104,12 @@ class CartNeighborComm {
   /// several sub-neighborhoods of one stencil.
   [[nodiscard]] CartNeighborComm with_neighborhood(Neighborhood sub) const;
 
+  /// The neighborhood a sparse allreduce reduces over: this communicator
+  /// if it contains the zero vector, else a view with it appended (last,
+  /// so neighbor indices keep their meaning). Built on first use and shared
+  /// by this communicator's copies; a with_neighborhood view builds its own.
+  [[nodiscard]] const CartNeighborComm& with_self() const;
+
   // -- algorithm selection defaults (from the Info object) -------------------
 
   [[nodiscard]] Algorithm default_alltoall_algorithm() const noexcept {
@@ -150,6 +156,10 @@ class CartNeighborComm {
   std::uint64_t uid_ = next_uid();
   // Persistent-operation tag sequence, shared with with_neighborhood views.
   std::shared_ptr<std::uint32_t> op_seq_;
+  // with_self()'s view, rank-private like op_seq_ but fresh in each
+  // with_neighborhood view.
+  std::shared_ptr<std::unique_ptr<const CartNeighborComm>> self_view_ =
+      std::make_shared<std::unique_ptr<const CartNeighborComm>>();
   Algorithm a2a_alg_ = Algorithm::automatic;
   Algorithm ag_alg_ = Algorithm::automatic;
   DimOrder ag_order_ = DimOrder::increasing_ck;

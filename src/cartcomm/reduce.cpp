@@ -1,12 +1,9 @@
 #include "cartcomm/reduce.hpp"
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "cartcomm/build_schedule.hpp"
-#include "cartcomm/neighborhood.hpp"
-#include "mpl/error.hpp"
 
 namespace cartcomm {
 
@@ -19,35 +16,16 @@ const char* at_bytes(const void* base, std::ptrdiff_t disp) {
 /// Resolve `automatic` for a reducing collective. Unlike the movement
 /// collectives there is no fully-periodic requirement — the combining
 /// schedule handles mesh boundaries — but the op must be commutative
-/// (partial aggregates reassociate and reorder contributions), and the
+/// (partial aggregates reassociate and reorder contributions; the schedule
+/// builder rejects an explicit combining request otherwise), and the
 /// combining tree must actually save rounds over the trivial algorithm.
 Algorithm resolve_reduce(const CartNeighborComm& cc, const mpl::ReduceOp& op,
                          Algorithm alg) {
-  if (alg == Algorithm::combining) {
-    MPL_REQUIRE(op.commutative(),
-                "cartcomm reduce: the message-combining algorithm requires a "
-                "commutative op; '" +
-                    op.name() + "' is not (use Algorithm::trivial)");
-    return Algorithm::combining;
-  }
-  if (alg == Algorithm::trivial) return Algorithm::trivial;
+  if (alg != Algorithm::automatic) return alg;
   const NeighborhoodStats& st = cc.stats();  // computed once, at creation
   const bool combine = op.commutative() && st.t > 0 &&
                        st.combining_rounds < st.trivial_rounds;
   return combine ? Algorithm::combining : Algorithm::trivial;
-}
-
-/// The allreduce is a reduce over the neighborhood with the zero vector
-/// included: append it (at the end, so existing neighbor indices keep
-/// their meaning) when absent. Purely local — every process derives the
-/// identical augmented neighborhood, preserving isomorphism.
-CartNeighborComm with_self(const CartNeighborComm& cc) {
-  const Neighborhood& nb = cc.neighborhood();
-  if (nb.contains_zero_vector()) return cc;
-  const std::span<const int> f = nb.flat();
-  std::vector<int> flat(f.begin(), f.end());
-  flat.insert(flat.end(), static_cast<std::size_t>(nb.ndims()), 0);
-  return cc.with_neighborhood(Neighborhood(nb.ndims(), std::move(flat)));
 }
 
 /// Number of contribution blocks folded into this process's result: the
@@ -131,8 +109,7 @@ int cart_neighbor_allreduce(const void* sendbuf, void* recvbuf, int count,
                             const mpl::Datatype& type, const mpl::ReduceOp& op,
                             const CartNeighborComm& cc, Algorithm alg,
                             DimOrder order) {
-  const CartNeighborComm acc = with_self(cc);
-  return run_reduce_oneshot(acc, sendbuf, recvbuf, count, type, op,
+  return run_reduce_oneshot(cc.with_self(), sendbuf, recvbuf, count, type, op,
                             ReduceVariant::reduce, alg, order);
 }
 
@@ -162,8 +139,7 @@ PersistentColl cart_neighbor_allreduce_init(const void* sendbuf, void* recvbuf,
                                             const mpl::ReduceOp& op,
                                             const CartNeighborComm& cc,
                                             Algorithm alg, DimOrder order) {
-  const CartNeighborComm acc = with_self(cc);
-  return ReduceBuilder::make(acc, sendbuf, recvbuf, count, type, op,
+  return ReduceBuilder::make(cc.with_self(), sendbuf, recvbuf, count, type, op,
                              ReduceVariant::reduce, alg, order);
 }
 

@@ -36,7 +36,7 @@
 #include "cartcomm/cart_comm.hpp"
 #include "cartcomm/coll.hpp"
 #include "mpl/datatype.hpp"
-#include "mpl/reduce.hpp"
+#include "mpl/op.hpp"
 
 namespace cartcomm {
 

@@ -1,15 +1,16 @@
-// Type-erased reduction operators for the reducing Cartesian collectives.
+// Type-erased reduction operators: the one op type that every reduction
+// takes, the rank reductions (reduce.hpp) and the Cartesian ones alike.
 //
 // A ReduceOp folds arrays of fixed-size elements in place. Built-in ops
-// (sum/prod/min/max/bit ops) carry an identity element and a deterministic
-// digest so structurally equal plans are shared through the plan cache;
-// user-defined ops get a process-unique digest (two distinct user ops never
-// alias each other in the bound-schedule cache, at the cost of one compiled
-// plan per op instance).
+// are one shared instance per (op, element type) with an identity element
+// and a deterministic digest, so structurally equal plans are shared
+// through the plan cache; user-defined ops get a process-unique digest
+// (two user ops never alias in the bound-schedule cache).
 //
-// Commutativity matters for algorithm selection only: the message-combining
-// reduction tree reassociates and reorders contributions, so non-commutative
-// ops are restricted to the trivial (fixed neighbor-order) algorithm.
+// Commutativity matters for algorithm selection only: the binomial rank
+// reductions and the combining Cartesian reduction reorder contributions,
+// so non-commutative ops run only in the rank-order scans and the trivial
+// (fixed neighbor-order) Cartesian algorithm.
 #pragma once
 
 #include <atomic>
@@ -30,14 +31,11 @@ namespace mpl {
 
 class ReduceOp {
  public:
-  /// fold(acc, in, count): acc[j] = op(acc[j], in[j]) element-wise.
-  using FoldFn = std::function<void(void*, const void*, int)>;
-
   ReduceOp() = default;
 
   [[nodiscard]] bool valid() const noexcept { return st_ != nullptr; }
 
-  /// Element-wise in-place combination of `count` elements.
+  /// Element-wise in place: acc[j] = op(acc[j], in[j]) for j < count.
   void fold(void* acc, const void* in, int count) const {
     st_->fold(acc, in, count);
   }
@@ -108,24 +106,37 @@ class ReduceOp {
     return builtin<T>("band", [](T a, T b) { return static_cast<T>(a & b); },
                       static_cast<T>(~T{0}));
   }
+  template <typename T>
+  static ReduceOp logical_or() {
+    return builtin<T>("lor", [](T a, T b) { return static_cast<T>(a || b); },
+                      T{0});
+  }
+  template <typename T>
+  static ReduceOp logical_and() {
+    return builtin<T>("land", [](T a, T b) { return static_cast<T>(a && b); },
+                      T{1});
+  }
 
   /// User-defined op over a trivially copyable element type. `f` is any
-  /// T(T, T) callable; pass `commutative = false` to force the trivial
-  /// (fixed combine order) algorithm. The identity overload enables
-  /// identity-fill on processes with zero contributions; without one such
-  /// processes fail at execution time.
+  /// T(T, T) callable; pass `commutative = false` for an op whose operands
+  /// must keep their order: it then runs only in the rank-order scans and
+  /// the trivial (fixed neighbor-order) Cartesian algorithm. The identity
+  /// overload enables identity-fill on processes with zero contributions;
+  /// without one such processes fail at execution time.
   template <typename T, typename F>
   static ReduceOp make(std::string name, F f, bool commutative) {
-    return make_impl<T>(std::move(name), std::move(f), commutative, nullptr);
+    return build<T>(std::move(name), std::move(f), commutative, nullptr,
+                    user_salt());
   }
   template <typename T, typename F>
   static ReduceOp make(std::string name, F f, bool commutative, T identity) {
-    return make_impl<T>(std::move(name), std::move(f), commutative, &identity);
+    return build<T>(std::move(name), std::move(f), commutative, &identity,
+                    user_salt());
   }
 
  private:
   struct State {
-    FoldFn fold;
+    std::function<void(void*, const void*, int)> fold;
     std::vector<std::byte> identity;  // empty = no identity
     std::size_t elem = 0;
     bool commutative = true;
@@ -156,62 +167,52 @@ class ReduceOp {
 
   template <typename T>
   static std::string type_tag() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::string t(1, std::is_floating_point_v<T> ? 'f'
-                     : std::is_integral_v<T>
-                         ? (std::is_signed_v<T> ? 'i' : 'u')
-                         : 'x');
-    t += std::to_string(sizeof(T));
-    return t;
+    const char kind = std::is_floating_point_v<T> ? 'f'
+                      : !std::is_integral_v<T>    ? 'x'
+                      : std::is_signed_v<T>       ? 'i'
+                                                  : 'u';
+    return kind + std::to_string(sizeof(T));
   }
 
+  // Every factory passes its own lambda, so each (factory, T) pair
+  // instantiates builtin once and builds its shared instance once.
   template <typename T, typename F>
   static ReduceOp builtin(const char* base, F f, T identity) {
-    auto st = std::make_shared<State>();
-    st->fold = typed_fold<T>(std::move(f));
-    st->identity.resize(sizeof(T));
-    std::memcpy(st->identity.data(), &identity, sizeof(T));
-    st->elem = sizeof(T);
-    st->commutative = true;
-    st->name = base;
-    st->name += '.';
-    st->name += type_tag<T>();
-    st->digest = state_digest(*st, /*salt=*/0);
-    ReduceOp op;
-    op.st_ = std::move(st);
-    return op;
+    static const ReduceOp shared =
+        build<T>(base, std::move(f), /*commutative=*/true, &identity,
+                 /*salt=*/0);
+    return shared;
+  }
+
+  // Process-unique salt of a user op: the fold function itself cannot be
+  // hashed, so two user ops must never share a digest (the bound-schedule
+  // cache embeds the op).
+  static std::uint64_t user_salt() {
+    static std::atomic<std::uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
   }
 
   template <typename T, typename F>
-  static ReduceOp make_impl(std::string name, F f, bool commutative,
-                            const T* identity) {
+  static ReduceOp build(std::string name, F f, bool commutative,
+                        const T* identity, std::uint64_t salt) {
     static_assert(std::is_trivially_copyable_v<T>);
     auto st = std::make_shared<State>();
-    st->fold = typed_fold<T>(std::move(f));
-    if (identity != nullptr) {
-      st->identity.resize(sizeof(T));
-      std::memcpy(st->identity.data(), identity, sizeof(T));
-    }
-    st->elem = sizeof(T);
-    st->commutative = commutative;
-    st->name = std::move(name) + "." + type_tag<T>();
-    // Process-unique salt: the fold function itself cannot be hashed, so two
-    // user ops must never share a digest (the bound-schedule cache embeds the
-    // op).
-    static std::atomic<std::uint64_t> next{1};
-    st->digest = state_digest(*st, next.fetch_add(1, std::memory_order_relaxed));
-    ReduceOp op;
-    op.st_ = std::move(st);
-    return op;
-  }
-
-  template <typename T, typename F>
-  static FoldFn typed_fold(F f) {
-    return [f = std::move(f)](void* acc, const void* in, int count) {
+    st->fold = [f = std::move(f)](void* acc, const void* in, int count) {
       auto* a = static_cast<T*>(acc);
       const auto* b = static_cast<const T*>(in);
       for (int j = 0; j < count; ++j) a[j] = f(a[j], b[j]);
     };
+    if (identity != nullptr) {
+      const auto* id = reinterpret_cast<const std::byte*>(identity);
+      st->identity.assign(id, id + sizeof(T));
+    }
+    st->elem = sizeof(T);
+    st->commutative = commutative;
+    st->name = std::move(name) + "." + type_tag<T>();
+    st->digest = state_digest(*st, salt);
+    ReduceOp op;
+    op.st_ = std::move(st);
+    return op;
   }
 
   std::shared_ptr<const State> st_;

@@ -1,185 +1,48 @@
-// Typed reduction collectives (header-only templates on element type and op).
-//
-// Reductions assume a commutative and associative operator (the combine
-// order follows the binomial tree, not rank order).
+// Rank reductions over mpl::ReduceOp (op.hpp), the MPI_Op analogue. Buffers
+// hold `count` elements of a datatype of the op's element size that is one
+// block at displacement 0 spanning its extent. reduce, allreduce and
+// reduce_scatter_block combine along a binomial tree, not in rank order, so
+// they need a commutative op; scan and exscan keep the lower rank's partial
+// on the left, so any associative op works.
 #pragma once
 
-#include <vector>
-
-#include "mpl/collectives.hpp"
 #include "mpl/comm.hpp"
-#include "mpl/error.hpp"
+#include "mpl/datatype.hpp"
+#include "mpl/op.hpp"
 
 namespace mpl {
 
-namespace op {
-struct plus {
-  template <typename T>
-  T operator()(const T& a, const T& b) const {
-    return a + b;
-  }
-};
-struct prod {
-  template <typename T>
-  T operator()(const T& a, const T& b) const {
-    return a * b;
-  }
-};
-struct min {
-  template <typename T>
-  T operator()(const T& a, const T& b) const {
-    return b < a ? b : a;
-  }
-};
-struct max {
-  template <typename T>
-  T operator()(const T& a, const T& b) const {
-    return a < b ? b : a;
-  }
-};
-struct logical_or {
-  template <typename T>
-  T operator()(const T& a, const T& b) const {
-    return static_cast<T>(a || b);
-  }
-};
-struct logical_and {
-  template <typename T>
-  T operator()(const T& a, const T& b) const {
-    return static_cast<T>(a && b);
-  }
-};
-struct bit_or {
-  template <typename T>
-  T operator()(const T& a, const T& b) const {
-    return a | b;
-  }
-};
-}  // namespace op
-
-namespace detail {
-inline constexpr int kReduceTag = 7;
-}
-
 /// Element-wise reduction of `count` values to `out` on `root` (out may be
 /// null on non-root processes). Binomial tree, ceil(log2 p) rounds.
-template <typename T, typename BinOp>
-void reduce(const T* in, T* out, int count, BinOp combine, int root,
-            const Comm& comm) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const int p = comm.size();
-  const int r = comm.rank();
-  MPL_REQUIRE(root >= 0 && root < p, "reduce: root out of range");
-  MPL_REQUIRE(count >= 0, "reduce: negative count");
-
-  const int v = (r - root + p) % p;
-  std::vector<T> acc(in, in + count);
-  std::vector<T> tmp(static_cast<std::size_t>(count));
-  const Datatype t = Datatype::of<T>();
-
-  int mask = 1;
-  for (; mask < p; mask <<= 1) {
-    if (v & mask) break;  // this process sends and is done
-    const int src = v | mask;
-    if (src < p) {
-      comm.irecv_on(Comm::Channel::coll, tmp.data(), count, t,
-                    (src + root) % p, detail::kReduceTag)
-          .wait();
-      for (int i = 0; i < count; ++i) acc[static_cast<std::size_t>(i)] =
-          combine(acc[static_cast<std::size_t>(i)], tmp[static_cast<std::size_t>(i)]);
-    }
-  }
-  if (v != 0) {
-    const int parent = ((v & ~mask) + root) % p;
-    comm.isend_on(Comm::Channel::coll, acc.data(), count, t, parent,
-                  detail::kReduceTag);
-  } else {
-    MPL_REQUIRE(out != nullptr, "reduce: root needs an output buffer");
-    std::copy(acc.begin(), acc.end(), out);
-  }
-}
+void reduce(const void* in, void* out, int count, const Datatype& type,
+            const ReduceOp& op, int root, const Comm& comm);
 
 /// Reduce-to-all: binomial reduce to rank 0, then binomial broadcast.
-template <typename T, typename BinOp>
-void allreduce(const T* in, T* out, int count, BinOp combine,
-               const Comm& comm) {
-  reduce(in, out, count, combine, 0, comm);
-  bcast(out, count, Datatype::of<T>(), 0, comm);
-}
+void allreduce(const void* in, void* out, int count, const Datatype& type,
+               const ReduceOp& op, const Comm& comm);
 
-/// Single-value convenience overloads.
-template <typename T, typename BinOp>
-T allreduce(T value, BinOp combine, const Comm& comm) {
+/// Single-value convenience overload.
+template <typename T>
+T allreduce(T value, const ReduceOp& op, const Comm& comm) {
   T out{};
-  allreduce(&value, &out, 1, combine, comm);
+  allreduce(&value, &out, 1, Datatype::of<T>(), op, comm);
   return out;
 }
 
 /// Inclusive prefix reduction over ranks: out on rank r combines the
 /// inputs of ranks 0..r. Hillis-Steele doubling, ceil(log2 p) rounds.
-template <typename T, typename BinOp>
-void scan(const T* in, T* out, int count, BinOp combine, const Comm& comm) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  MPL_REQUIRE(count >= 0, "scan: negative count");
-  const int p = comm.size();
-  const int r = comm.rank();
-  std::copy(in, in + count, out);
-  std::vector<T> tmp(static_cast<std::size_t>(count));
-  const Datatype t = Datatype::of<T>();
-  for (int k = 1; k < p; k <<= 1) {
-    Request req;
-    if (r - k >= 0) {
-      req = comm.irecv_on(Comm::Channel::coll, tmp.data(), count, t, r - k,
-                          detail::kReduceTag + 1);
-    }
-    if (r + k < p) {
-      comm.isend_on(Comm::Channel::coll, out, count, t, r + k,
-                    detail::kReduceTag + 1);
-    }
-    if (req.valid()) {
-      req.wait();
-      // Left operand is the lower-rank partial: order matters for
-      // non-commutative operators.
-      for (int i = 0; i < count; ++i) out[i] = combine(tmp[static_cast<std::size_t>(i)], out[i]);
-    }
-  }
-}
+void scan(const void* in, void* out, int count, const Datatype& type,
+          const ReduceOp& op, const Comm& comm);
 
 /// Exclusive prefix reduction: out on rank r combines ranks 0..r-1
-/// (undefined/zero-initialized on rank 0, like MPI_Exscan).
-template <typename T, typename BinOp>
-void exscan(const T* in, T* out, int count, BinOp combine, const Comm& comm) {
-  std::vector<T> incl(static_cast<std::size_t>(count));
-  scan(in, incl.data(), count, combine, comm);
-  // Shift the inclusive result down by one rank.
-  const Datatype t = Datatype::of<T>();
-  const int r = comm.rank();
-  Request req;
-  if (r > 0) {
-    req = comm.irecv_on(Comm::Channel::coll, out, count, t, r - 1,
-                        detail::kReduceTag + 2);
-  }
-  if (r + 1 < comm.size()) {
-    comm.isend_on(Comm::Channel::coll, incl.data(), count, t, r + 1,
-                  detail::kReduceTag + 2);
-  }
-  if (req.valid()) {
-    req.wait();
-  } else {
-    std::fill(out, out + count, T{});
-  }
-}
+/// (zero bytes on rank 0, like MPI_Exscan leaves it undefined).
+void exscan(const void* in, void* out, int count, const Datatype& type,
+            const ReduceOp& op, const Comm& comm);
 
 /// Reduce-scatter with equal block sizes: element-wise reduction of p
 /// blocks of `count` values, block r delivered to rank r.
-template <typename T, typename BinOp>
-void reduce_scatter_block(const T* in, T* out, int count, BinOp combine,
-                          const Comm& comm) {
-  const int p = comm.size();
-  std::vector<T> full(static_cast<std::size_t>(p) * static_cast<std::size_t>(count));
-  reduce(in, full.data(), p * count, combine, 0, comm);
-  scatter(full.data(), count, Datatype::of<T>(), out, count, Datatype::of<T>(),
-          0, comm);
-}
+void reduce_scatter_block(const void* in, void* out, int count,
+                          const Datatype& type, const ReduceOp& op,
+                          const Comm& comm);
 
 }  // namespace mpl

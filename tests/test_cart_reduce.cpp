@@ -407,6 +407,31 @@ TEST(CartReduce, UserOpAndFloatConsistency) {
   }
 }
 
+TEST(CartReduce, UserOpsSharingANameNeverShareASchedule) {
+  // Two user ops under one name and element type fold differently. The
+  // bound-schedule cache keys on the op digest, so a repeated call on the
+  // same buffers must not replay the other op's schedule.
+  mpl::run(4, [](mpl::Comm& world) {
+    const std::vector<int> dims{4};
+    auto cc = cartcomm::cart_neighborhood_create(world, dims, {},
+                                                 Neighborhood::von_neumann(1));
+    const mpl::ReduceOp first = mpl::ReduceOp::make<int>(
+        "pick", [](int a, int) { return a; }, /*commutative=*/false);
+    const mpl::ReduceOp last = mpl::ReduceOp::make<int>(
+        "pick", [](int, int b) { return b; }, /*commutative=*/false);
+    EXPECT_NE(first.digest(), last.digest());
+    const int mine = world.rank() * 10;
+    int out = -1;
+    // The trivial algorithm folds in neighbor order.
+    cartcomm::cart_neighbor_reduce(&mine, &out, 1, mpl::Datatype::of<int>(),
+                                   first, cc, cartcomm::Algorithm::trivial);
+    EXPECT_EQ(out, cc.source_ranks().front() * 10);
+    cartcomm::cart_neighbor_reduce(&mine, &out, 1, mpl::Datatype::of<int>(),
+                                   last, cc, cartcomm::Algorithm::trivial);
+    EXPECT_EQ(out, cc.source_ranks().back() * 10);
+  });
+}
+
 TEST(CartReduce, AutomaticPrefersCombiningOnTorus) {
   // No direct introspection for the chosen path; verify automatic gives
   // trivially-correct results on a case where combining is selected.

@@ -57,8 +57,8 @@ TEST(CartStress, VclockDeterminismAcrossRuns) {
           world.vclock_reset_sync();
           op.execute();
           op.execute();
-          const double v =
-              mpl::allreduce(world.vclock(), mpl::op::max{}, world);
+          const double v = mpl::allreduce(
+              world.vclock(), mpl::ReduceOp::max<double>(), world);
           if (world.rank() == 0) result = v;
         },
         opts);

@@ -77,7 +77,7 @@ TEST(CommSplit, EvenOddGroups) {
     EXPECT_EQ(g.size(), 3);
     EXPECT_EQ(g.rank(), c.rank() / 2);
     // Sum the world ranks within each group.
-    const int sum = mpl::allreduce(c.rank(), mpl::op::plus{}, g);
+    const int sum = mpl::allreduce(c.rank(), mpl::ReduceOp::sum<int>(), g);
     EXPECT_EQ(sum, c.rank() % 2 == 0 ? 0 + 2 + 4 : 1 + 3 + 5);
   });
 }

@@ -262,7 +262,8 @@ double chaos_alltoall(const FaultConfig& faults, const std::string& metrics) {
                 << "rank " << world.rank() << " block " << i << " elem " << e;
           }
         }
-        const double total = mpl::allreduce(mine, mpl::op::plus{}, world);
+        const double total =
+            mpl::allreduce(mine, mpl::ReduceOp::sum<double>(), world);
         if (world.rank() == 0) events = total;
       },
       opts);

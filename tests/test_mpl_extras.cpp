@@ -270,7 +270,7 @@ TEST(Scan, InclusivePrefixSums) {
   mpl::run(7, [](Comm& c) {
     const int v = c.rank() + 1;
     int out = -1;
-    mpl::scan(&v, &out, 1, mpl::op::plus{}, c);
+    mpl::scan(&v, &out, 1, kInt, mpl::ReduceOp::sum<int>(), c);
     EXPECT_EQ(out, (c.rank() + 1) * (c.rank() + 2) / 2);
   });
 }
@@ -279,7 +279,7 @@ TEST(Scan, VectorValuedMax) {
   mpl::run(5, [](Comm& c) {
     const int v[2] = {c.rank() % 3, -c.rank()};
     int out[2];
-    mpl::scan(v, out, 2, mpl::op::max{}, c);
+    mpl::scan(v, out, 2, kInt, mpl::ReduceOp::max<int>(), c);
     int emax = 0;
     for (int r = 0; r <= c.rank(); ++r) emax = std::max(emax, r % 3);
     EXPECT_EQ(out[0], emax);
@@ -291,7 +291,7 @@ TEST(Exscan, ExclusivePrefix) {
   mpl::run(6, [](Comm& c) {
     const int v = 2;
     int out = -1;
-    mpl::exscan(&v, &out, 1, mpl::op::plus{}, c);
+    mpl::exscan(&v, &out, 1, kInt, mpl::ReduceOp::sum<int>(), c);
     EXPECT_EQ(out, c.rank() == 0 ? 0 : 2 * c.rank());
   });
 }
@@ -302,7 +302,8 @@ TEST(ReduceScatterBlock, DistributesReducedBlocks) {
     std::vector<int> in(8);
     for (int i = 0; i < 8; ++i) in[static_cast<std::size_t>(i)] = c.rank() * 100 + i;
     int out[2] = {-1, -1};
-    mpl::reduce_scatter_block(in.data(), out, 2, mpl::op::plus{}, c);
+    mpl::reduce_scatter_block(in.data(), out, 2, kInt,
+                              mpl::ReduceOp::sum<int>(), c);
     // Sum over ranks of (rank*100 + 2r + j) = 600 + 4*(2r + j).
     EXPECT_EQ(out[0], 600 + 4 * (2 * c.rank()));
     EXPECT_EQ(out[1], 600 + 4 * (2 * c.rank() + 1));
@@ -313,9 +314,10 @@ TEST(Scan, SingleProcessIdentity) {
   mpl::run(1, [](Comm& c) {
     const double v = 3.5;
     double out = 0;
-    mpl::scan(&v, &out, 1, mpl::op::plus{}, c);
+    const mpl::Datatype dbl = mpl::Datatype::of<double>();
+    mpl::scan(&v, &out, 1, dbl, mpl::ReduceOp::sum<double>(), c);
     EXPECT_DOUBLE_EQ(out, 3.5);
-    mpl::exscan(&v, &out, 1, mpl::op::plus{}, c);
+    mpl::exscan(&v, &out, 1, dbl, mpl::ReduceOp::sum<double>(), c);
     EXPECT_DOUBLE_EQ(out, 0.0);
   });
 }

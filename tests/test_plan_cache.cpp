@@ -6,6 +6,8 @@
 // ranks, and the counters must flow through to OpenMetrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -428,4 +430,71 @@ TEST_F(PlanCache, ReduceKeySeparatesOpAlgorithmAndVariant) {
   });
   // sum/combining, max/combining, sum/trivial, scatter/combining.
   EXPECT_EQ(cartcomm::plan_cache_size(), 4u);
+}
+
+TEST_F(PlanCache, AllreduceBuildsItsSelfViewOnce) {
+  // A von Neumann neighborhood lacks the zero vector, so the allreduce runs
+  // over the communicator's augmented with_self() view. The view is built
+  // once per communicator, so repeated one-shot and persistent allreduces
+  // compile one plan per boundary signature (exactly one on a torus) and
+  // every later call hits.
+  struct Grid {
+    std::vector<int> dims;
+    std::vector<int> periods;
+  };
+  const Grid grids[] = {{{3, 3}, {1, 1}},
+                        {{2, 2, 2}, {1, 1, 1}},
+                        {{3, 3}, {0, 0}},
+                        {{4, 2}, {0, 1}}};
+  for (const Grid& g : grids) {
+    for (const Algorithm alg : {Algorithm::trivial, Algorithm::combining}) {
+      cartcomm::plan_cache_clear();
+      const auto before = telemetry::plan_cache_totals();
+      int p = 1;
+      for (const int n : g.dims) p *= n;
+      std::vector<std::vector<int>> sigs(static_cast<std::size_t>(p));
+      mpl::run(p, [&](mpl::Comm& world) {
+        const int d = static_cast<int>(g.dims.size());
+        auto cc = cartcomm::cart_neighborhood_create(
+            world, g.dims, g.periods, Neighborhood::von_neumann(d));
+        const auto r = static_cast<std::size_t>(world.rank());
+        sigs[r] = cc.boundary_signature();
+        const cartcomm::CartNeighborComm& view = cc.with_self();
+        const cartcomm::CartNeighborComm copy = cc;
+        ASSERT_EQ(&copy.with_self(), &view);  // built once, shared by copies
+        ASSERT_EQ(&view.with_self(), &view);  // the view has the zero vector
+        ASSERT_EQ(view.neighbor_count(), cc.neighbor_count() + 1);
+        const long long mine = world.rank() * 7 + 1;
+        long long expect = mine;
+        for (const int s : cc.source_ranks()) {
+          if (s != mpl::PROC_NULL) expect += s * 7 + 1;
+        }
+        const mpl::Datatype ll = mpl::Datatype::of<long long>();
+        const mpl::ReduceOp sum = mpl::ReduceOp::sum<long long>();
+        long long out = -1;
+        for (int it = 0; it < 3; ++it) {
+          out = -1;
+          cartcomm::cart_neighbor_allreduce(&mine, &out, 1, ll, sum, cc, alg);
+          ASSERT_EQ(out, expect) << "one-shot, rank " << r << " call " << it;
+        }
+        auto op = cartcomm::cart_neighbor_allreduce_init(&mine, &out, 1, ll,
+                                                         sum, cc, alg);
+        for (int it = 0; it < 3; ++it) {
+          out = -1;
+          op.execute();
+          ASSERT_EQ(out, expect) << "persistent, rank " << r << " run " << it;
+        }
+      });
+      const std::set<std::vector<int>> plans(sigs.begin(), sigs.end());
+      const bool torus = std::all_of(g.periods.begin(), g.periods.end(),
+                                     [](int q) { return q == 1; });
+      if (torus) {
+        EXPECT_EQ(plans.size(), 1u);
+      }
+      const auto after = telemetry::plan_cache_totals();
+      EXPECT_EQ(after.misses - before.misses, plans.size())
+          << "dims " << ::testing::PrintToString(g.dims) << " combining "
+          << (alg == Algorithm::combining);
+    }
+  }
 }

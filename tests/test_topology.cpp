@@ -129,7 +129,8 @@ TEST(CartSub, SplitsIntoRows) {
     // My rank within the row is my column coordinate.
     EXPECT_EQ(row.rank(), cart.grid().coords_of(c.rank())[1]);
     // Sum of world ranks along my row.
-    const int sum = mpl::allreduce(c.rank(), mpl::op::plus{}, row.comm());
+    const int sum =
+        mpl::allreduce(c.rank(), mpl::ReduceOp::sum<int>(), row.comm());
     const int r0 = cart.grid().coords_of(c.rank())[0] * 4;
     EXPECT_EQ(sum, r0 + (r0 + 1) + (r0 + 2) + (r0 + 3));
   });
