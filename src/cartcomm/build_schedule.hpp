@@ -66,8 +66,9 @@ Schedule build_trivial_schedule(const CartNeighborComm& cc,
 /// Reducing schedules (the allgather tree run in reverse with
 /// combine-on-unpack; reduce_schedule.cpp). `sends` holds one block for
 /// ReduceVariant::reduce and t blocks for reduce_scatter; `recv` is the
-/// single result block. All blocks must be dense (extent == packed size)
-/// with a byte size that is a multiple of the op element. With
+/// single result block. Every block type must be dense at displacement 0
+/// (one block at offset 0 spanning the extent) with a byte size that is a
+/// multiple of the op element. With
 /// `combining = false` the trivial one-phase schedule is built (required
 /// for non-commutative ops).
 Schedule build_reduce_schedule(const CartNeighborComm& cc,

@@ -220,7 +220,6 @@ PlanKey make_reduce_key(const CartNeighborComm& cc, ReduceVariant variant,
   w.push_back(static_cast<std::int64_t>(order));
   w.push_back(static_cast<std::int64_t>(send.bytes()));
   w.push_back(type_digest(send.type, send.count));
-  w.push_back(static_cast<std::int64_t>(op.digest()));
   w.push_back(static_cast<std::int64_t>(op.elem_size()));
   return seal(std::move(w));
 }
@@ -463,12 +462,14 @@ void plan_cache_clear() {
 
 PlanKey make_bound_key(const PlanKey& plan, int rank,
                        std::span<const SendBlock> sends,
-                       std::span<const RecvBlock> recvs) {
+                       std::span<const RecvBlock> recvs,
+                       std::uint64_t op_digest) {
   std::vector<std::int64_t> w;
-  w.reserve(3 + sends.size() + recvs.size());
+  w.reserve(4 + sends.size() + recvs.size());
   w.push_back(3);  // key kind: bound schedule
   w.push_back(static_cast<std::int64_t>(plan.hash));
   w.push_back(rank);
+  w.push_back(static_cast<std::int64_t>(op_digest));
   for (const SendBlock& b : sends) {
     w.push_back(
         static_cast<std::int64_t>(reinterpret_cast<std::uintptr_t>(b.addr)));

@@ -196,11 +196,11 @@ struct PlanKey {
 /// (the source contributes its i-th block toward neighbor i).
 enum class ReduceVariant : std::uint8_t { reduce = 0, reduce_scatter = 1 };
 
-/// Key for a reducing plan. Includes the op *digest* — plan structure does
-/// not depend on the fold function, but the digest separates element sizes
-/// and (for user ops) op instances so the bound-schedule cache, which
-/// embeds the op, can never serve a schedule folding with the wrong
-/// function.
+/// Key for a reducing plan. The plan reads only the op's element size, so
+/// that is all the key holds of the op: every op of one element size,
+/// built-in or user-defined on each rank, shares the compiled plan. The
+/// bound schedule embeds the op, so its key adds the op digest (see
+/// make_bound_key).
 [[nodiscard]] PlanKey make_reduce_key(const CartNeighborComm& cc,
                                       ReduceVariant variant, bool combining,
                                       DimOrder order, const SendBlock& send,
@@ -322,10 +322,12 @@ struct BoundSchedule {
   ExecutionScratch scratch;
 };
 
-/// Key for a bound schedule: `plan` identity + rank + block addresses.
+/// Key for a bound schedule: `plan` identity + rank + block addresses, and
+/// for a reducing schedule the digest of the op it folds with.
 [[nodiscard]] PlanKey make_bound_key(const PlanKey& plan, int rank,
                                      std::span<const SendBlock> sends,
-                                     std::span<const RecvBlock> recvs);
+                                     std::span<const RecvBlock> recvs,
+                                     std::uint64_t op_digest = 0);
 
 /// Cached bound schedule, or null. A hit counts as a plan-cache hit (the
 /// plan was implicitly found too); a miss is left to the compiled-plan

@@ -422,11 +422,13 @@ CompiledPlan compile_reduce_combining(const CartNeighborComm& cc,
   return builder.finish();
 }
 
+/// The fold program walks each block as an array at its base address, so
+/// a block's type must be one block at displacement 0 spanning its extent.
 void require_dense(const mpl::Datatype& type, const char* what) {
-  MPL_REQUIRE(type.valid() &&
-                  static_cast<std::size_t>(type.extent()) == type.size(),
+  MPL_REQUIRE(type.valid() && type.dense() && type.lb() == 0,
               std::string("reduce schedule: ") + what +
-                  " block datatype must be dense (extent == size)");
+                  " block datatype must be one block at displacement 0 "
+                  "spanning its extent");
 }
 
 struct ReduceArgs {
@@ -515,7 +517,8 @@ std::shared_ptr<BoundSchedule> build_reduce_schedule_shared(
   const ReduceArgs a =
       reduce_key_checked(cc, sends, recv, op, variant, combining, order);
   const RecvBlock recvs[1] = {recv};
-  const PlanKey bkey = make_bound_key(a.key, cc.comm().rank(), sends, recvs);
+  const PlanKey bkey =
+      make_bound_key(a.key, cc.comm().rank(), sends, recvs, op.digest());
   if (std::shared_ptr<BoundSchedule> s = schedule_cache_lookup(bkey)) {
     return s;
   }

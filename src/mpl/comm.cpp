@@ -30,9 +30,7 @@ std::uint64_t channel_ctx(std::uint64_t ctx, Comm::Channel ch) {
 // into a single block; otherwise each element contributes its own blocks.
 std::size_t message_blocks(const Datatype& type, int count) {
   if (count <= 0 || !type.valid() || type.block_count() == 0) return 1;
-  const bool dense = type.block_count() == 1 &&
-                     type.extent() == static_cast<std::ptrdiff_t>(type.size());
-  if (dense) return 1;
+  if (type.dense()) return 1;
   return type.block_count() * static_cast<std::size_t>(count);
 }
 

@@ -18,10 +18,8 @@ struct TypeNode {
   std::ptrdiff_t ub = 0;        // upper bound (lb + extent)
   bool absolute = false;        // built from absolute addresses (use BOTTOM)
 
-  /// Dense: one block covering the whole extent, so `count` consecutive
-  /// elements tile into one contiguous byte range — pack/unpack collapse
-  /// to a single memcpy instead of a per-element block loop. This is the
-  /// transport's hottest case (every basic type and contiguous() thereof).
+  /// Datatype::dense(): pack/unpack collapse to a single memcpy instead of
+  /// a per-element block loop. This is the transport's hottest case.
   [[nodiscard]] bool dense() const noexcept {
     return blocks.size() == 1 && blocks[0].disp == lb &&
            blocks[0].len == static_cast<std::size_t>(ub - lb);
@@ -247,6 +245,7 @@ std::size_t Datatype::size() const { return node().size; }
 std::ptrdiff_t Datatype::lb() const { return node().lb; }
 std::ptrdiff_t Datatype::extent() const { return node().ub - node().lb; }
 std::size_t Datatype::block_count() const { return node().blocks.size(); }
+bool Datatype::dense() const { return node().dense(); }
 
 std::span<const TypeBlock> Datatype::blocks() const { return node().blocks; }
 

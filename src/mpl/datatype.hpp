@@ -122,6 +122,11 @@ class Datatype {
   /// Number of (merged) contiguous blocks per element.
   [[nodiscard]] std::size_t block_count() const;
 
+  /// One block at the lower bound spanning the whole extent, so `count`
+  /// consecutive elements tile one contiguous byte range (every basic type
+  /// and contiguous() thereof).
+  [[nodiscard]] bool dense() const;
+
   /// Number of contiguous blocks that `count` consecutive elements flatten
   /// to (the size flatten() appends to an empty vector), in O(1).
   [[nodiscard]] std::size_t flat_block_count(int count) const;

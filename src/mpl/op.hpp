@@ -3,9 +3,9 @@
 //
 // A ReduceOp folds arrays of fixed-size elements in place. Built-in ops
 // are one shared instance per (op, element type) with an identity element
-// and a deterministic digest, so structurally equal plans are shared
-// through the plan cache; user-defined ops get a process-unique digest
-// (two user ops never alias in the bound-schedule cache).
+// and a deterministic digest; user-defined ops get a process-unique digest,
+// so two user ops never alias in the bound-schedule cache. Compiled plans
+// key on the element size alone and are shared by every op.
 //
 // Commutativity matters for algorithm selection only: the binomial rank
 // reductions and the combining Cartesian reduction reorder contributions,

@@ -19,9 +19,7 @@ constexpr int kReduceTag = 7;  // scan uses +1, exscan's shift +2
 std::size_t reduce_bytes(const char* what, int count, const Datatype& type,
                          const ReduceOp& op) {
   MPL_REQUIRE(count >= 0, std::string(what) + ": negative count");
-  MPL_REQUIRE(op.valid() && type.block_count() == 1 &&
-                  type.blocks()[0].disp == 0 &&
-                  type.extent() == static_cast<std::ptrdiff_t>(type.size()) &&
+  MPL_REQUIRE(op.valid() && type.dense() && type.lb() == 0 &&
                   type.size() == op.elem_size(),
               std::string(what) + ": op '" + op.name() + "' needs one " +
                   std::to_string(op.elem_size()) +

@@ -432,6 +432,51 @@ TEST(CartReduce, UserOpsSharingANameNeverShareASchedule) {
   });
 }
 
+TEST(CartReduce, RejectsPermutedTwoBlockLayout) {
+  // Two ints stored in swapped order: 8 bytes of payload over an 8-byte
+  // extent, but two blocks, so the fold cannot walk it as an int array
+  // (it used to sum the wrong halves). Every Cartesian reduction, with
+  // either algorithm, refuses it.
+  const mpl::Datatype kInt = mpl::Datatype::of<int>();
+  const int lens[] = {1, 1};
+  const std::ptrdiff_t displs[] = {4, 0};
+  const mpl::Datatype types[] = {kInt, kInt};
+  const mpl::Datatype swapped = mpl::Datatype::strukt(lens, displs, types);
+  ASSERT_FALSE(swapped.dense());
+  for (const auto alg :
+       {cartcomm::Algorithm::trivial, cartcomm::Algorithm::combining}) {
+    for (int entry = 0; entry < 3; ++entry) {
+      EXPECT_THROW(
+          mpl::run(4,
+                   [&](mpl::Comm& world) {
+                     const std::vector<int> dims{2, 2};
+                     auto cc = cartcomm::cart_neighborhood_create(
+                         world, dims, {},
+                         Neighborhood::von_neumann(2, /*include_self=*/true));
+                     const std::vector<int> in(2 * 5, world.rank());
+                     std::vector<int> out(2, -1);
+                     const mpl::ReduceOp sum = mpl::ReduceOp::sum<int>();
+                     switch (entry) {
+                       case 0:
+                         cartcomm::cart_neighbor_reduce(
+                             in.data(), out.data(), 1, swapped, sum, cc, alg);
+                         break;
+                       case 1:
+                         cartcomm::cart_neighbor_allreduce(
+                             in.data(), out.data(), 1, swapped, sum, cc, alg);
+                         break;
+                       default:
+                         cartcomm::cart_reduce_scatter_block(
+                             in.data(), out.data(), 1, swapped, sum, cc, alg);
+                     }
+                   }),
+          mpl::Error)
+          << "entry point " << entry << " combining "
+          << (alg == cartcomm::Algorithm::combining);
+    }
+  }
+}
+
 TEST(CartReduce, AutomaticPrefersCombiningOnTorus) {
   // No direct introspection for the chosen path; verify automatic gives
   // trivially-correct results on a case where combining is selected.
