@@ -389,6 +389,10 @@ std::size_t Schedule::temp_bytes() const noexcept {
   return n;
 }
 
+std::vector<std::span<const std::byte>> Schedule::temp_pools() const {
+  return {temp_pools_.begin(), temp_pools_.end()};
+}
+
 namespace {
 
 // Append what one direction of a round moves to an absolute type.

@@ -200,6 +200,8 @@ class Schedule {
     return static_cast<int>(copies_.size());
   }
   [[nodiscard]] std::size_t temp_bytes() const noexcept;
+  /// The in-transit pools the rounds' datatypes address (tests, checks).
+  [[nodiscard]] std::vector<std::span<const std::byte>> temp_pools() const;
 
   /// True when the executor posts every receive at start (see the file
   /// comment). Set only by the builders of caller-block schedules (the

@@ -3,6 +3,7 @@
 // Proposition 3.2, randomized isomorphic neighborhoods.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -140,6 +141,128 @@ TEST(CartAlltoallSchedule, TempBufferOnlyForMultiHopBlocks) {
                                       cc, Algorithm::combining);
     EXPECT_EQ(op.schedule().temp_bytes(), 0u);
   });
+}
+
+namespace {
+
+/// Combining alltoall schedule of `nb` on this process, one block of `m`
+/// ints per neighbor, the blocks back to back in one send and one receive
+/// buffer (which must outlive the schedule).
+cartcomm::Schedule contiguous_alltoall(const cartcomm::CartNeighborComm& cc,
+                                       std::vector<int>& sb,
+                                       std::vector<int>& rb, int m) {
+  const int t = cc.neighborhood().count();
+  sb.assign(static_cast<std::size_t>(t * m), 0);
+  rb.assign(static_cast<std::size_t>(t * m), 0);
+  std::vector<cartcomm::SendBlock> sends(static_cast<std::size_t>(t));
+  std::vector<cartcomm::RecvBlock> recvs(static_cast<std::size_t>(t));
+  for (std::size_t i = 0; i < sends.size(); ++i) {
+    sends[i] = {&sb[i * static_cast<std::size_t>(m)], m,
+                mpl::Datatype::of<int>()};
+    recvs[i] = {&rb[i * static_cast<std::size_t>(m)], m,
+                mpl::Datatype::of<int>()};
+  }
+  return cartcomm::build_alltoall_schedule(cc, sends, recvs);
+}
+
+}  // namespace
+
+TEST(CartAlltoallSchedule, LandingZonesMergeRunsPerRound) {
+  // Each round's blocks sit in order (send blocks by index, then temp by
+  // offset) and intermediate arrivals land back to back, so neighbouring
+  // blocks share one contiguous datatype run. Pinned: the summed send and
+  // receive runs over all rounds of the stencil alltoall, one int per
+  // block, on a 1x..x1x2x2 torus (every rank alike). `parked` is the total
+  // of the earlier layout, which parked each block in a slot of its own in
+  // neighbor-index order; from d = 3 on the zones need strictly fewer.
+  // Temp space is one slot per intermediate hop: (V - moving blocks) ints.
+  struct Case {
+    int d, n;
+    std::size_t runs, parked;
+  };
+  for (const Case c : {Case{2, 3, 20, 20}, Case{3, 3, 64, 88},
+                       Case{4, 3, 192, 360}, Case{5, 3, 572, 1388},
+                       Case{3, 5, 280, 368}, Case{5, 5, 6888, 14072}}) {
+    mpl::run(4, [&](mpl::Comm& world) {
+      std::vector<int> dims(static_cast<std::size_t>(c.d), 1);
+      dims[dims.size() - 1] = dims[dims.size() - 2] = 2;
+      const Neighborhood nb = Neighborhood::stencil(c.d, c.n, -(c.n / 2));
+      auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
+      std::vector<int> sb, rb;
+      const cartcomm::Schedule s = contiguous_alltoall(cc, sb, rb, 1);
+      std::size_t runs = 0;
+      for (const cartcomm::ScheduleRound& r : s.round_list()) {
+        runs += r.send_blocks() + r.recv_blocks();
+      }
+      EXPECT_EQ(runs, c.runs) << "d=" << c.d << " n=" << c.n;
+      if (c.d >= 3) {
+        EXPECT_LT(runs, c.parked) << "d=" << c.d << " n=" << c.n;
+      }
+      const long long moving = nb.count() - 1;  // all but the zero vector
+      EXPECT_EQ(s.temp_bytes(),
+                static_cast<std::size_t>(s.send_block_count() - moving) *
+                    sizeof(int))
+          << "d=" << c.d << " n=" << c.n;
+    });
+  }
+}
+
+TEST(CartAlltoallSchedule, TempBytesWrittenOnceAndSentInALaterPhase) {
+  // Every temp byte of a combining alltoall is received at most once per
+  // execution and sent only in a later phase: on tori, on meshes (where
+  // boundary filtering leaves holes in the landing zones) and with
+  // irregular neighborhoods with repeated offsets. Blocks of four or more
+  // hops (d = 4) would reuse a slot under per-block parking. The schedule
+  // is also executed and its result checked.
+  struct Grid {
+    std::vector<int> dims, periods;
+    Neighborhood nb;
+  };
+  const Neighborhood irregular(2, {2, 1, -1, 0, 0, -2, 0, 0, 2, 1, 1, -1});
+  const Grid grids[] = {
+      {{3, 3}, {1, 1}, Neighborhood::stencil(2, 3, -1)},
+      {{2, 2, 2}, {1, 1, 1}, Neighborhood::stencil(3, 3, -1)},
+      {{3, 3}, {0, 0}, Neighborhood::stencil(2, 3, -1)},
+      {{4, 3}, {0, 1}, Neighborhood::stencil(2, 5, -2)},
+      {{3, 2, 2}, {0, 0, 0}, Neighborhood::stencil(3, 3, -1)},
+      {{2, 2, 2, 2}, {1, 1, 1, 1}, Neighborhood::stencil(4, 3, -1)},
+      {{2, 2, 2, 2}, {0, 1, 0, 0}, Neighborhood::stencil(4, 3, -1)},
+      {{5, 4}, {0, 0}, irregular},
+      {{5, 4}, {1, 1}, irregular},
+  };
+  for (const Grid& g : grids) {
+    std::vector<std::size_t> temp(static_cast<std::size_t>(
+        carttest::product(g.dims)));
+    mpl::run(carttest::product(g.dims), [&](mpl::Comm& world) {
+      auto cc = cartcomm::cart_neighborhood_create(world, g.dims, g.periods,
+                                                   g.nb);
+      const int m = 2;
+      std::vector<int> sb, rb;
+      const cartcomm::Schedule s = contiguous_alltoall(cc, sb, rb, m);
+      temp[static_cast<std::size_t>(world.rank())] = s.temp_bytes();
+      EXPECT_EQ(carttest::temp_write_once_issue(s), "")
+          << "rank " << world.rank() << "\n" << s.dump();
+      const int t = g.nb.count();
+      for (int i = 0; i < t; ++i) {
+        for (int e = 0; e < m; ++e) {
+          sb[static_cast<std::size_t>(i * m + e)] =
+              carttest::pattern(world.rank(), i, e);
+        }
+      }
+      std::fill(rb.begin(), rb.end(), -777);
+      s.execute(cc.comm());
+      for (int i = 0; i < t; ++i) {
+        const int src = cc.source_ranks()[static_cast<std::size_t>(i)];
+        for (int e = 0; e < m; ++e) {
+          ASSERT_EQ(rb[static_cast<std::size_t>(i * m + e)],
+                    src == mpl::PROC_NULL ? -777 : carttest::pattern(src, i, e))
+              << "rank " << world.rank() << " block " << i << " elem " << e;
+        }
+      }
+    });
+    // Every grid has multi-hop blocks, so the check is never vacuous.
+    EXPECT_GT(*std::max_element(temp.begin(), temp.end()), 0u);
+  }
 }
 
 TEST(CartAlltoall, CombiningMatchesTrivialElementwise) {

@@ -174,6 +174,8 @@ void run_case(const FuzzCase& fc) {
     const cartcomm::VerifyReport ra =
         cartcomm::verify_schedule(a2a, cc, cartcomm::ScheduleKind::alltoall);
     EXPECT_TRUE(ra.ok()) << ra.to_string();
+    EXPECT_EQ(carttest::temp_write_once_issue(a2a), "")
+        << "rank " << world.rank();
     for (int i = 0; i < t; ++i) {
       recvs[static_cast<std::size_t>(i)] = {
           &triv[static_cast<std::size_t>(i) * m], m, ty};
