@@ -18,7 +18,6 @@
 // placement program (CompiledPlan); build_allgather_schedule routes it
 // through the plan cache and binds the program to the caller's buffers.
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
 #include "cartcomm/build_schedule.hpp"
@@ -42,112 +41,98 @@ struct Storage {
 CompiledPlan compile_allgather_plan(const CartNeighborComm& cc,
                                     std::size_t block_bytes, DimOrder order) {
   const Neighborhood& nb = cc.neighborhood();
-  const mpl::CartGrid& grid = cc.grid();
-  const std::span<const int> R = cc.coords();
   const int d = nb.ndims();
   const std::size_t m = block_bytes;
 
   const std::vector<int> perm = dimension_order(nb, order);
   const detail::AllgatherTree tree = detail::build_tree(nb, perm);
-
-  // A member i terminates at level L if its coordinates in perm[L..d-1]
-  // are all zero.
-  auto terminates_at = [&](int i, std::size_t level) {
-    for (std::size_t l = level; l < perm.size(); ++l) {
-      if (nb.coord(i, perm[l]) != 0) return false;
-    }
-    return true;
+  const std::size_t nlevels = tree.levels();
+  auto first = [&](std::size_t level) {
+    return static_cast<std::size_t>(tree.level_begin[level]);
   };
 
-  // Assign storage: root = send buffer; zero-coordinate children inherit;
-  // communicated children park at a terminating member's receive slot or
-  // in a fresh temp slot.
-  std::vector<std::vector<Storage>> storage(tree.levels.size());
+  // Member i terminates at level L (its coordinates in perm[L..d-1] are
+  // all zero) iff L >= last[i], the level after its last non-zero hop.
+  std::vector<std::size_t> last(static_cast<std::size_t>(nb.count()), 0);
+  for (std::size_t l = 0; l < perm.size(); ++l) {
+    for (int i = 0; i < nb.count(); ++i) {
+      if (nb.coord(i, perm[l]) != 0) last[static_cast<std::size_t>(i)] = l + 1;
+    }
+  }
+
+  // Assign storage (indexed like tree.nodes): root = send buffer;
+  // zero-coordinate children inherit; communicated children park at a
+  // terminating member's receive slot or in a fresh temp slot.
+  std::vector<Storage> storage(tree.nodes.size());  // root: the send buffer
   int temp_slots = 0;
-  storage[0].push_back(Storage{});  // root: temp_slot = -1 -> send buffer
-  for (std::size_t level = 0; level + 1 < tree.levels.size(); ++level) {
-    const std::vector<detail::TreeNode>& nxt = tree.levels[level + 1];
-    storage[level + 1].resize(nxt.size());
-    for (std::size_t v = 0; v < nxt.size(); ++v) {
-      const detail::TreeNode& n = nxt[v];
+  for (std::size_t level = 1; level < nlevels; ++level) {
+    const std::span<const detail::TreeNode> nodes = tree.level(level);
+    for (std::size_t v = 0; v < nodes.size(); ++v) {
+      const detail::TreeNode& n = nodes[v];
+      Storage& s = storage[first(level) + v];
       if (n.coordinate == 0) {
-        storage[level + 1][v] = storage[level][static_cast<std::size_t>(n.parent)];
+        s = storage[first(level - 1) + static_cast<std::size_t>(n.parent)];
         continue;
       }
-      int term = -1;
-      for (int i : n.members) {
-        if (terminates_at(i, level + 1)) {
-          term = i;
-          break;
-        }
-      }
-      Storage s;
-      if (term >= 0) {
+      const std::span<const int> mem = tree.members(n);
+      const auto term = std::find_if(mem.begin(), mem.end(), [&](int i) {
+        return last[static_cast<std::size_t>(i)] <= level;
+      });
+      if (term != mem.end()) {
         s.is_recv = true;
-        s.recv_slot = term;
+        s.recv_slot = *term;
       } else {
         s.temp_slot = temp_slots++;
       }
-      storage[level + 1][v] = s;
     }
   }
 
   PlanBuilder builder;
   builder.allocate_temp(static_cast<std::size_t>(temp_slots) * m);
 
-  auto placement = [&](const Storage& s) {
-    PlanPlacement p;
-    if (s.is_recv) {
-      p.kind = PlanPlacement::Kind::recv_block;
-      p.index = s.recv_slot;
-    } else if (s.temp_slot < 0) {
-      p.kind = PlanPlacement::Kind::send_block;
-      p.index = 0;  // the single send block
-    } else {
-      p.kind = PlanPlacement::Kind::temp;
-      p.offset = static_cast<std::size_t>(s.temp_slot) * m;
-      p.bytes = m;
-    }
-    return p;
+  auto placement = [&](const Storage& s) -> PlanPlacement {
+    if (s.is_recv) return {PlanPlacement::Kind::recv_block, s.recv_slot};
+    if (s.temp_slot < 0) return {PlanPlacement::Kind::send_block, 0};  // the one
+    return {PlanPlacement::Kind::temp, 0, static_cast<std::size_t>(s.temp_slot) * m, m};
   };
 
-  auto dim_ok = [&](int j, int delta) {
-    if (grid.periodic(j)) return true;
-    const int v = R[static_cast<std::size_t>(j)] + delta;
-    return v >= 0 && v < grid.dims()[static_cast<std::size_t>(j)];
-  };
-  // The instance of a node held here originates at R - path(node); valid
-  // iff that process lies on the mesh (always, on tori).
-  auto origin_valid = [&](const std::vector<int>& path) {
-    for (int j = 0; j < d; ++j) {
-      if (!dim_ok(j, -path[static_cast<std::size_t>(j)])) return false;
+  // origin[v] (indexed like tree.nodes): the instance of node v held here
+  // originates at R - path(v) on the mesh (always, on tori). A node's path
+  // is its parent's plus its coordinate in the dimension of its level.
+  std::vector<char> origin(tree.nodes.size(), 1);
+  for (std::size_t level = 1; level < nlevels; ++level) {
+    const std::span<const detail::TreeNode> nodes = tree.level(level);
+    for (std::size_t v = 0; v < nodes.size(); ++v) {
+      origin[first(level) + v] =
+          origin[first(level - 1) + static_cast<std::size_t>(nodes[v].parent)] &&
+          cc.on_mesh(perm[level - 1], -nodes[v].coordinate);
     }
-    return true;
+  }
+  auto origin_valid = [&](std::size_t level, int node) {
+    return origin[first(level) + static_cast<std::size_t>(node)] != 0;
   };
 
   std::vector<int> offv(static_cast<std::size_t>(d), 0);
   for (std::size_t level = 0; level < perm.size(); ++level) {
     const int k = perm[level];
-    const std::vector<detail::TreeEdge>& evec = tree.edges[level];
+    const std::span<const detail::TreeEdge> evec = tree.edges(level);
     std::size_t s = 0;
     while (s < evec.size()) {
       const int c = evec[s].coordinate;
       std::size_t e = s;
       while (e < evec.size() && evec[e].coordinate == c) ++e;
       PlanRound round;
+      round.send_items.reserve(e - s);
+      round.recv_items.reserve(e - s);
       for (std::size_t q = s; q < e; ++q) {
-        const detail::TreeNode& parent =
-            tree.levels[level][static_cast<std::size_t>(evec[q].parent)];
-        const detail::TreeNode& child =
-            tree.levels[level + 1][static_cast<std::size_t>(evec[q].child)];
-        if (origin_valid(parent.path)) {
+        if (origin_valid(level, evec[q].parent)) {
           round.send_items.push_back(placement(
-              storage[level][static_cast<std::size_t>(evec[q].parent)]));
+              storage[first(level) + static_cast<std::size_t>(evec[q].parent)]));
           ++round.blocks_sent;
         }
-        if (origin_valid(child.path)) {
+        if (origin_valid(level + 1, evec[q].child)) {
           round.recv_items.push_back(placement(
-              storage[level + 1][static_cast<std::size_t>(evec[q].child)]));
+              storage[first(level + 1) + static_cast<std::size_t>(evec[q].child)]));
         }
       }
       offv[static_cast<std::size_t>(k)] = c;
@@ -161,17 +146,14 @@ CompiledPlan compile_allgather_plan(const CartNeighborComm& cc,
 
   // Final phase: local copies for every member whose receive slot is not
   // the parking location of its leaf node (duplicates and the self block).
-  const std::vector<detail::TreeNode>& leaves = tree.levels.back();
+  const std::span<const detail::TreeNode> leaves = tree.level(nlevels - 1);
   for (std::size_t v = 0; v < leaves.size(); ++v) {
-    const detail::TreeNode& leaf = leaves[v];
-    if (!origin_valid(leaf.path)) continue;  // source off the mesh: untouched
-    const Storage& s = storage.back()[v];
-    for (int i : leaf.members) {
+    // Source off the mesh: untouched.
+    if (!origin_valid(nlevels - 1, static_cast<int>(v))) continue;
+    const Storage& s = storage[first(nlevels - 1) + v];
+    for (const int i : tree.members(leaves[v])) {
       if (s.is_recv && s.recv_slot == i) continue;
-      PlanPlacement dst;
-      dst.kind = PlanPlacement::Kind::recv_block;
-      dst.index = i;
-      builder.add_copy(placement(s), dst);
+      builder.add_copy(placement(s), {PlanPlacement::Kind::recv_block, i});
     }
   }
   return builder.finish();

@@ -24,8 +24,8 @@
 // through the plan cache and binds the program to the caller's buffers.
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cartcomm/build_schedule.hpp"
@@ -37,57 +37,56 @@ namespace cartcomm {
 CompiledPlan compile_alltoall_plan(const CartNeighborComm& cc,
                                    std::span<const std::size_t> block_bytes) {
   const Neighborhood& nb = cc.neighborhood();
-  const mpl::CartGrid& grid = cc.grid();
-  const std::span<const int> R = cc.coords();
   const int t = nb.count();
   const int d = nb.ndims();
   const std::span<const std::size_t> bytes = block_bytes;
 
-  // Per-coordinate boundary check: is R[j] + delta on the mesh?
-  auto dim_ok = [&](int j, int delta) {
-    if (grid.periodic(j)) return true;
-    const int v = R[static_cast<std::size_t>(j)] + delta;
-    return v >= 0 && v < grid.dims()[static_cast<std::size_t>(j)];
-  };
-  // This process relays block i in phase k iff the instance's origin and
-  // final target both lie on the mesh (Section 2: on tori always true).
-  auto sender_valid = [&](int i, int k) {
+  // This process relays block i in phase k iff the instance's origin
+  // (dimensions j < k undone) and final target (dimensions j >= k ahead)
+  // both lie on the mesh (Section 2: on tori always true), i.e. iff
+  // first[i] <= k <= last[i]; it receives the instance iff that holds for
+  // k + 1.
+  std::vector<int> first(static_cast<std::size_t>(t), 0);
+  std::vector<int> last(static_cast<std::size_t>(t), d);
+  std::vector<int> hops_left(static_cast<std::size_t>(t));
+  for (int i = 0; i < t; ++i) {
+    const std::size_t ui = static_cast<std::size_t>(i);
+    hops_left[ui] = nb.nonzeros(i);
     for (int j = 0; j < d; ++j) {
-      const int c = nb.coord(i, j);
-      if (!dim_ok(j, j < k ? -c : +c)) return false;
+      if (!cc.on_mesh(j, -nb.coord(i, j)) && last[ui] == d) last[ui] = j;
+      if (!cc.on_mesh(j, nb.coord(i, j))) first[ui] = j + 1;
     }
-    return true;
-  };
-  auto receiver_valid = [&](int i, int k) {
-    for (int j = 0; j < d; ++j) {
-      const int c = nb.coord(i, j);
-      if (!dim_ok(j, j <= k ? -c : +c)) return false;
-    }
-    return true;
+  }
+  auto relays = [&](int i, int k) {
+    return first[static_cast<std::size_t>(i)] <= k &&
+           k <= last[static_cast<std::size_t>(i)];
   };
 
   // Where block i's instance sits between hops: its send block until the
   // first hop, then the temp offset it landed at.
   constexpr std::size_t kSendBlock = SIZE_MAX;
   std::vector<std::size_t> at(static_cast<std::size_t>(t), kSendBlock);
-  std::vector<int> hops_left(static_cast<std::size_t>(t));
-  for (int i = 0; i < t; ++i) {
-    hops_left[static_cast<std::size_t>(i)] = nb.nonzeros(i);
-  }
-  // Round order: send blocks by index, then temp blocks by offset (ties
-  // between zero-byte blocks by index).
-  auto sits_before = [&](int a, int b) {
-    auto key = [&](int i) {
-      const std::size_t off = at[static_cast<std::size_t>(i)];
-      return std::pair(off == kSendBlock ? 0 : off + 1, i);
-    };
-    return key(a) < key(b);
-  };
+  // The blocks still in transit, in the order they sit: send blocks by
+  // index, then temp blocks by offset (ties between zero-byte blocks by
+  // index). A phase's stable bucketing keeps that order within each
+  // round; the blocks that stay keep theirs, and the landed ones follow
+  // at increasing offsets.
+  std::vector<int> sits(static_cast<std::size_t>(t));
+  std::iota(sits.begin(), sits.end(), 0);
+  std::vector<int> key, order, next;
+  next.reserve(static_cast<std::size_t>(t));
 
   PlanBuilder builder;
   std::vector<int> offv(static_cast<std::size_t>(d), 0);
   for (int k = 0; k < d; ++k) {
-    std::vector<int> order = nb.order_by_dim(k);
+    key.resize(sits.size());
+    next.clear();
+    for (std::size_t p = 0; p < sits.size(); ++p) {
+      key[p] = nb.coord(sits[p], k);
+      if (key[p] == 0) next.push_back(sits[p]);  // does not move
+    }
+    order.resize(sits.size());  // the blocks in sits order, by coordinate
+    stable_order(key, [&](std::size_t x, std::size_t p) { order[x] = sits[p]; });
     std::size_t s = 0;
     while (s < order.size()) {
       const int c = nb.coord(order[s], k);
@@ -97,28 +96,31 @@ CompiledPlan compile_alltoall_plan(const CartNeighborComm& cc,
         s = e;
         continue;  // blocks that do not move in this dimension
       }
-      const auto first = order.begin() + static_cast<std::ptrdiff_t>(s);
-      const auto last = order.begin() + static_cast<std::ptrdiff_t>(e);
-      std::sort(first, last, sits_before);
+      // Every member is written, and the write positions advance for the
+      // members this process relays: no branch on the mesh predicates.
       PlanRound round;
-      for (auto it = first; it != last; ++it) {
-        const int i = *it;
+      round.send_items.resize(e - s);
+      round.recv_items.resize(e - s);
+      PlanPlacement* send = round.send_items.data();
+      PlanPlacement* recv = round.recv_items.data();
+      for (std::size_t q = s; q < e; ++q) {
+        const int i = order[q];
         const std::size_t ui = static_cast<std::size_t>(i);
-        PlanPlacement from{PlanPlacement::Kind::send_block, i};
-        if (at[ui] != kSendBlock) {
-          from = {PlanPlacement::Kind::temp, 0, at[ui], bytes[ui]};
-        }
-        if (sender_valid(i, k)) {
-          round.send_items.push_back(from);
-          ++round.blocks_sent;
-        }
-        PlanPlacement to{PlanPlacement::Kind::recv_block, i};
+        *send = at[ui] == kSendBlock
+                    ? PlanPlacement{PlanPlacement::Kind::send_block, i}
+                    : PlanPlacement{PlanPlacement::Kind::temp, 0, at[ui], bytes[ui]};
+        send += relays(i, k);
+        *recv = {PlanPlacement::Kind::recv_block, i};
         if (--hops_left[ui] > 0) {
           at[ui] = builder.allocate_temp(bytes[ui]);
-          to = {PlanPlacement::Kind::temp, 0, at[ui], bytes[ui]};
+          *recv = {PlanPlacement::Kind::temp, 0, at[ui], bytes[ui]};
+          next.push_back(i);
         }
-        if (receiver_valid(i, k)) round.recv_items.push_back(to);
+        recv += relays(i, k + 1);
       }
+      round.send_items.resize(static_cast<std::size_t>(send - round.send_items.data()));
+      round.recv_items.resize(static_cast<std::size_t>(recv - round.recv_items.data()));
+      round.blocks_sent = static_cast<long long>(round.send_items.size());
       offv[static_cast<std::size_t>(k)] = c;
       round.offset = offv;
       offv[static_cast<std::size_t>(k)] = 0;
@@ -126,6 +128,17 @@ CompiledPlan compile_alltoall_plan(const CartNeighborComm& cc,
       s = e;
     }
     builder.end_phase();
+    // Zero-byte blocks share their offset with the block landed after
+    // them: each such run of equal offsets goes back to index order.
+    for (auto run = next.begin(); run != next.end();) {
+      const std::size_t off = at[static_cast<std::size_t>(*run)];
+      const auto end = std::find_if(run, next.end(), [&](int i) {
+        return at[static_cast<std::size_t>(i)] != off;
+      });
+      if (off != kSendBlock) std::sort(run, end);
+      run = end;
+    }
+    sits.swap(next);
   }
 
   // Extra non-communication phase: the self blocks (zero vectors).

@@ -2,20 +2,19 @@
 
 #include <algorithm>
 #include <numeric>
-#include <set>
-#include <utility>
 
 #include "cartcomm/tree.hpp"
 #include "mpl/error.hpp"
 
 namespace cartcomm {
 
-std::vector<int> dimension_order(const Neighborhood& nb, DimOrder order) {
-  const int d = nb.ndims();
-  std::vector<int> perm(static_cast<std::size_t>(d));
+namespace {
+
+// The dimensions ordered by their C_k values `ck` (ties by index).
+std::vector<int> order_by_ck(std::span<const int> ck, DimOrder order) {
+  std::vector<int> perm(ck.size());
   std::iota(perm.begin(), perm.end(), 0);
   if (order == DimOrder::natural) return perm;
-  const std::vector<int> ck = nb.distinct_nonzero_per_dim();
   std::stable_sort(perm.begin(), perm.end(), [&](int a, int b) {
     const int ca = ck[static_cast<std::size_t>(a)];
     const int cb = ck[static_cast<std::size_t>(b)];
@@ -24,41 +23,17 @@ std::vector<int> dimension_order(const Neighborhood& nb, DimOrder order) {
   return perm;
 }
 
-namespace {
-
-// Count tree edges for the members `idx` of `nb`, expanding dimensions
-// perm[level], perm[level+1], ... Each distinct non-zero coordinate value
-// among the members adds one edge (one copy of the data block) plus the
-// edges of its subtree; members with coordinate zero stay on this process
-// and continue at the next level without an edge.
-long long subtree_edges(const Neighborhood& nb, std::span<const int> perm,
-                        std::vector<int>& idx, std::size_t level) {
-  if (level == perm.size() || idx.empty()) return 0;
-  const int k = perm[level];
-  std::stable_sort(idx.begin(), idx.end(),
-                   [&](int a, int b) { return nb.coord(a, k) < nb.coord(b, k); });
-  long long edges = 0;
-  std::size_t s = 0;
-  while (s < idx.size()) {
-    std::size_t e = s;
-    while (e < idx.size() && nb.coord(idx[e], k) == nb.coord(idx[s], k)) ++e;
-    std::vector<int> group(idx.begin() + static_cast<std::ptrdiff_t>(s),
-                           idx.begin() + static_cast<std::ptrdiff_t>(e));
-    const bool moves = nb.coord(idx[s], k) != 0;
-    edges += (moves ? 1 : 0) + subtree_edges(nb, perm, group, level + 1);
-    s = e;
-  }
-  return edges;
-}
-
 }  // namespace
 
+std::vector<int> dimension_order(const Neighborhood& nb, DimOrder order) {
+  return order_by_ck(order == DimOrder::natural
+                         ? std::vector<int>(static_cast<std::size_t>(nb.ndims()))
+                         : nb.distinct_nonzero_per_dim(),
+                     order);
+}
+
 long long allgather_volume(const Neighborhood& nb, std::span<const int> perm) {
-  MPL_REQUIRE(perm.size() == static_cast<std::size_t>(nb.ndims()),
-              "allgather_volume: permutation arity mismatch");
-  std::vector<int> idx(static_cast<std::size_t>(nb.count()));
-  std::iota(idx.begin(), idx.end(), 0);
-  return subtree_edges(nb, perm, idx, 0);
+  return static_cast<long long>(detail::build_tree(nb, perm).all_edges.size());
 }
 
 long long allgather_volume(const Neighborhood& nb, DimOrder order) {
@@ -68,15 +43,23 @@ long long allgather_volume(const Neighborhood& nb, DimOrder order) {
 long long reduce_volume(const Neighborhood& nb, std::span<const int> perm) {
   const detail::AllgatherTree tree = detail::build_tree(nb, perm);
   const detail::TreeClasses dag = detail::classify(tree, false);
+  // A level's edges come sorted by coordinate: count each child class
+  // once per run of equal coordinates.
   long long v = 0;
-  std::set<std::pair<int, int>> carried;
-  for (std::size_t level = 0; level < tree.edges.size(); ++level) {
-    carried.clear();
-    for (const detail::TreeEdge& e : tree.edges[level]) {
-      carried.emplace(e.coordinate,
-                      dag.of[level + 1][static_cast<std::size_t>(e.child)]);
+  std::vector<int> run_of;  // child class -> start of the run that carried it
+  for (std::size_t level = 0; level + 1 < tree.levels(); ++level) {
+    const std::span<const detail::TreeEdge> edges = tree.edges(level);
+    run_of.assign(dag.classes[level + 1].size(), -1);
+    int run = 0;
+    for (std::size_t q = 0; q < edges.size(); ++q) {
+      if (edges[q].coordinate != edges[static_cast<std::size_t>(run)].coordinate) {
+        run = static_cast<int>(q);
+      }
+      int& r = run_of[static_cast<std::size_t>(
+          dag.of[level + 1][static_cast<std::size_t>(edges[q].child)])];
+      v += r != run;
+      r = run;
     }
-    v += static_cast<long long>(carried.size());
   }
   return v;
 }
@@ -88,10 +71,15 @@ long long reduce_volume(const Neighborhood& nb, DimOrder order) {
 NeighborhoodStats analyze(const Neighborhood& nb) {
   NeighborhoodStats s;
   s.t = nb.count();
-  s.trivial_rounds = nb.trivial_rounds();
-  s.combining_rounds = nb.combining_rounds();
-  s.alltoall_volume = nb.alltoall_volume();
-  s.allgather_volume = allgather_volume(nb, DimOrder::increasing_ck);
+  for (int i = 0; i < s.t; ++i) {
+    const int z = nb.nonzeros(i);
+    s.trivial_rounds += z > 0;
+    s.alltoall_volume += z;
+  }
+  const std::vector<int> ck = nb.distinct_nonzero_per_dim();
+  s.combining_rounds = std::accumulate(ck.begin(), ck.end(), 0);
+  s.allgather_volume =
+      allgather_volume(nb, order_by_ck(ck, DimOrder::increasing_ck));
   const long long denom = s.alltoall_volume - s.t;
   if (denom <= 0) {
     s.cutoff_ratio = std::numeric_limits<double>::infinity();

@@ -50,6 +50,13 @@ class CartNeighborComm {
   }
   [[nodiscard]] std::span<const int> weights() const noexcept { return weights_; }
 
+  /// Is this process' coordinate in dimension j, moved by delta, on the
+  /// mesh? Always, in a periodic dimension.
+  [[nodiscard]] bool on_mesh(int j, int delta) const {
+    const int v = coords()[static_cast<std::size_t>(j)] + delta;
+    return grid().periodic(j) || (v >= 0 && v < grid().dims()[static_cast<std::size_t>(j)]);
+  }
+
   /// Process-unique identity of this communicator object, shared by its
   /// copies. Lets per-thread caches detect that a pointer-equal object is
   /// actually a different communicator (allocator address reuse).

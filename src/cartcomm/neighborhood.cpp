@@ -1,8 +1,6 @@
 #include "cartcomm/neighborhood.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <set>
 
 #include "mpl/error.hpp"
 
@@ -59,12 +57,27 @@ int Neighborhood::nonzeros(int i) const {
 }
 
 int Neighborhood::distinct_nonzero(int k) const {
-  std::set<int> values;
+  int lo = 0;
+  int hi = 0;
   for (int i = 0; i < count(); ++i) {
-    const int c = coord(i, k);
-    if (c != 0) values.insert(c);
+    lo = std::min(lo, coord(i, k));
+    hi = std::max(hi, coord(i, k));
   }
-  return static_cast<int>(values.size());
+  if (static_cast<long long>(hi) - lo > 4 * static_cast<long long>(count()) + 64) {
+    std::vector<int> values;  // a degenerate coordinate range: sort
+    for (int i = 0; i < count(); ++i) values.push_back(coord(i, k));
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    return static_cast<int>(values.size()) - std::binary_search(values.begin(), values.end(), 0);
+  }
+  int values = 0;
+  std::vector<char> seen(static_cast<std::size_t>(hi - lo) + 1, 0);
+  for (int i = 0; i < count(); ++i) {
+    char& m = seen[static_cast<std::size_t>(coord(i, k) - lo)];
+    values += m == 0;
+    m = 1;
+  }
+  return values - seen[static_cast<std::size_t>(-lo)];  // zero is no round
 }
 
 std::vector<int> Neighborhood::distinct_nonzero_per_dim() const {
@@ -99,32 +112,12 @@ long long Neighborhood::alltoall_volume() const {
 }
 
 std::vector<int> Neighborhood::order_by_dim(int k) const {
-  const int t = count();
-  std::vector<int> order(static_cast<std::size_t>(t));
-  if (t == 0) return order;
-
-  int lo = std::numeric_limits<int>::max();
-  int hi = std::numeric_limits<int>::min();
-  for (int i = 0; i < t; ++i) {
-    lo = std::min(lo, coord(i, k));
-    hi = std::max(hi, coord(i, k));
-  }
-  const long long range = static_cast<long long>(hi) - lo + 1;
-
-  if (range <= 4 * static_cast<long long>(t) + 64) {
-    // Counting sort (the "bucket sort" of Algorithms 1 and 2).
-    std::vector<int> cnt(static_cast<std::size_t>(range) + 1, 0);
-    for (int i = 0; i < t; ++i) ++cnt[static_cast<std::size_t>(coord(i, k) - lo) + 1];
-    for (std::size_t b = 1; b < cnt.size(); ++b) cnt[b] += cnt[b - 1];
-    for (int i = 0; i < t; ++i) {
-      order[static_cast<std::size_t>(cnt[static_cast<std::size_t>(coord(i, k) - lo)]++)] = i;
-    }
-  } else {
-    // Degenerate coordinate ranges: fall back to a comparison sort.
-    for (int i = 0; i < t; ++i) order[static_cast<std::size_t>(i)] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](int a, int b) { return coord(a, k) < coord(b, k); });
-  }
+  std::vector<int> column(static_cast<std::size_t>(count()));
+  for (int i = 0; i < count(); ++i) column[static_cast<std::size_t>(i)] = coord(i, k);
+  std::vector<int> order(column.size());
+  stable_order(column, [&](std::size_t x, std::size_t p) {
+    order[x] = static_cast<int>(p);
+  });
   return order;
 }
 

@@ -4,6 +4,8 @@
 // library relies on that property.
 #pragma once
 
+#include <algorithm>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -81,5 +83,38 @@ class Neighborhood {
   int d_ = 0;
   std::vector<int> flat_;
 };
+
+/// Calls place(x, p) for every position p of `keys`, x being p's rank in
+/// stable key order: a counting sort, O(n + range), that takes a run of
+/// equal keys at once (a long run does not serialize on one counter), or
+/// a comparison sort when the range is degenerate.
+template <typename Place>
+void stable_order(std::span<const int> keys, Place&& place) {
+  const std::size_t n = keys.size();
+  if (n == 0) return;
+  const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
+  if (static_cast<long long>(*hi) - *lo > 4 * static_cast<long long>(n) + 64) {
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) { return keys[a] < keys[b]; });
+    for (std::size_t x = 0; x < n; ++x) place(x, order[x]);
+    return;
+  }
+  auto for_each_run = [&](auto&& f) {
+    for (std::size_t p = 0, q = 1; p < n; p = q++) {
+      while (q < n && keys[q] == keys[p]) ++q;
+      f(p, q, static_cast<std::size_t>(keys[p] - *lo));
+    }
+  };
+  std::vector<std::size_t> next(static_cast<std::size_t>(*hi - *lo) + 2, 0);
+  for_each_run([&](std::size_t p, std::size_t q, std::size_t v) { next[v + 1] += q - p; });
+  std::partial_sum(next.begin(), next.end(), next.begin());
+  for_each_run([&](std::size_t p, std::size_t q, std::size_t v) {
+    std::size_t x = next[v];
+    for (; p < q; ++p) place(x++, p);
+    next[v] = x;
+  });
+}
 
 }  // namespace cartcomm

@@ -70,6 +70,8 @@ Schedule CompiledPlan::bind_impl(const CartNeighborComm& cc,
     for (int x = 0; x < phase_count; ++x, ++ri) {
       const PlanRound& r = rounds_[ri];
       mpl::TypeBuilder sb, rb;
+      sb.reserve(r.send_items.size());
+      rb.reserve(r.recv_items.size());
       for (const PlanPlacement& p : r.send_items) append(sb, p);
       for (const PlanPlacement& p : r.recv_items) append(rb, p);
       const int sendrank = grid.rank_at_offset(R, r.offset);

@@ -86,23 +86,17 @@ int storage_id(const RStorage& s) {
 }
 
 PlanPlacement storage_placement(const RStorage& s, std::size_t m) {
-  PlanPlacement p;
-  if (s.is_recv) {
-    p.kind = PlanPlacement::Kind::recv_block;
-    p.index = 0;
-  } else {
-    p.kind = PlanPlacement::Kind::temp;
-    p.offset = static_cast<std::size_t>(s.temp_slot) * m;
-    p.bytes = m;
-  }
-  return p;
+  if (s.is_recv) return {PlanPlacement::Kind::recv_block, 0};
+  return {PlanPlacement::Kind::temp, 0, static_cast<std::size_t>(s.temp_slot) * m, m};
 }
 
 PlanPlacement send_block_placement(int i) {
-  PlanPlacement p;
-  p.kind = PlanPlacement::Kind::send_block;
-  p.index = i;
-  return p;
+  return {PlanPlacement::Kind::send_block, i};
+}
+
+// Fill the receive block with the op identity.
+PlanFold identity_fold(std::size_t m, int fold_elems, int phase) {
+  return {{}, storage_placement(RStorage{true, -1}, m), fold_elems, phase, false, true};
 }
 
 // The trivial reducing schedule: one round per non-zero neighbor vector in
@@ -114,42 +108,16 @@ CompiledPlan compile_reduce_trivial(const CartNeighborComm& cc,
                                     ReduceVariant variant,
                                     std::size_t block_bytes, int fold_elems) {
   const Neighborhood& nb = cc.neighborhood();
-  const mpl::CartGrid& grid = cc.grid();
-  const std::span<const int> R = cc.coords();
-  const int d = nb.ndims();
   const int t = nb.count();
   const std::size_t m = block_bytes;
   const bool scatter = variant == ReduceVariant::reduce_scatter;
 
-  auto dim_ok = [&](int j, int delta) {
-    if (grid.periodic(j)) return true;
-    const int v = R[static_cast<std::size_t>(j)] + delta;
-    return v >= 0 && v < grid.dims()[static_cast<std::size_t>(j)];
-  };
-  auto target_on_mesh = [&](int i) {
-    for (int j = 0; j < d; ++j) {
-      if (!dim_ok(j, nb.coord(i, j))) return false;
-    }
-    return true;
-  };
-  auto source_on_mesh = [&](int i) {
-    for (int j = 0; j < d; ++j) {
-      if (!dim_ok(j, -nb.coord(i, j))) return false;
-    }
-    return true;
-  };
-
   PlanBuilder builder;
   bool inited = false;
   auto fold_into_recv = [&](PlanPlacement src) {
-    PlanFold f;
-    f.src = src;
-    f.dst = storage_placement(RStorage{true, -1}, m);
-    f.count = fold_elems;
-    f.phase = 0;
-    f.init = !inited;
+    builder.add_fold({src, storage_placement(RStorage{true, -1}, m), fold_elems,
+                      0, !inited});
     inited = true;
-    builder.add_fold(f);
   };
 
   for (int i = 0; i < t; ++i) {
@@ -162,15 +130,13 @@ CompiledPlan compile_reduce_trivial(const CartNeighborComm& cc,
     PlanRound round;
     round.reduce = true;
     round.offset.assign(nb.offset(i).begin(), nb.offset(i).end());
-    if (target_on_mesh(i)) {
+    // A partner is PROC_NULL exactly when its offset leaves the mesh.
+    if (cc.target_ranks()[static_cast<std::size_t>(i)] != mpl::PROC_NULL) {
       round.send_items.push_back(send_block_placement(scatter ? i : 0));
       ++round.blocks_sent;
     }
-    if (source_on_mesh(i)) {
-      PlanPlacement staging;
-      staging.kind = PlanPlacement::Kind::temp;
-      staging.offset = builder.allocate_temp(m);
-      staging.bytes = m;
+    if (cc.source_ranks()[static_cast<std::size_t>(i)] != mpl::PROC_NULL) {
+      const PlanPlacement staging{PlanPlacement::Kind::temp, 0, builder.allocate_temp(m), m};
       round.recv_items.push_back(staging);
       fold_into_recv(staging);
     }
@@ -179,12 +145,7 @@ CompiledPlan compile_reduce_trivial(const CartNeighborComm& cc,
   if (!inited) {
     // Zero valid contributions (all sources off-mesh): the result is the
     // op identity.
-    PlanFold f;
-    f.dst = storage_placement(RStorage{true, -1}, m);
-    f.count = fold_elems;
-    f.phase = 0;
-    f.identity = true;
-    builder.add_fold(f);
+    builder.add_fold(identity_fold(m, fold_elems, 0));
   }
   return builder.finish();
 }
@@ -195,8 +156,6 @@ CompiledPlan compile_reduce_combining(const CartNeighborComm& cc,
                                       std::size_t block_bytes,
                                       int fold_elems) {
   const Neighborhood& nb = cc.neighborhood();
-  const mpl::CartGrid& grid = cc.grid();
-  const std::span<const int> R = cc.coords();
   const int d = nb.ndims();
   const std::size_t m = block_bytes;
   const bool scatter = variant == ReduceVariant::reduce_scatter;
@@ -204,36 +163,36 @@ CompiledPlan compile_reduce_combining(const CartNeighborComm& cc,
   const std::vector<int> perm = dimension_order(nb, order);
   const detail::AllgatherTree tree = detail::build_tree(nb, perm);
   const detail::TreeClasses dag = detail::classify(tree, scatter);
-  const std::size_t nlevels = tree.levels.size();
+  const std::size_t nlevels = tree.levels();
 
-  auto dim_ok = [&](int j, int delta) {
-    if (grid.periodic(j)) return true;
-    const int v = R[static_cast<std::size_t>(j)] + delta;
-    return v >= 0 && v < grid.dims()[static_cast<std::size_t>(j)];
+  auto first = [&](std::size_t level) {
+    return static_cast<std::size_t>(tree.level_begin[level]);
   };
-  // The process consuming the aggregate S(u)@me is me + path(u).
-  auto consumer_ok = [&](const std::vector<int>& path) {
-    for (int j = 0; j < d; ++j) {
-      if (!dim_ok(j, path[static_cast<std::size_t>(j)])) return false;
+  // consumer[v] (indexed like tree.nodes): the process consuming S(v)@me,
+  // me + path(v), is on the mesh. A node's path is its parent's plus its
+  // coordinate in the dimension of its level.
+  std::vector<char> consumer(tree.nodes.size(), 1);
+  for (std::size_t level = 1; level < nlevels; ++level) {
+    const std::span<const detail::TreeNode> nodes = tree.level(level);
+    for (std::size_t v = 0; v < nodes.size(); ++v) {
+      consumer[first(level) + v] =
+          consumer[first(level - 1) + static_cast<std::size_t>(nodes[v].parent)] &&
+          cc.on_mesh(perm[level - 1], nodes[v].coordinate);
     }
-    return true;
-  };
-  // Contribution i viewed from consumer offset `path`: its origin is
-  // me + path - N[i].
-  auto member_ok = [&](const std::vector<int>& path, int i) {
-    for (int j = 0; j < d; ++j) {
-      if (!dim_ok(j, path[static_cast<std::size_t>(j)] - nb.coord(i, j))) {
-        return false;
-      }
+  }
+  // Contribution i seen from the consumer of a node at `level` that holds
+  // it: the origin me + path - N[i] agrees with me in the dimensions of
+  // the levels above, so it is on the mesh iff reach[i] <= level.
+  std::vector<std::size_t> reach(static_cast<std::size_t>(nb.count()), 0);
+  for (std::size_t l = 0; l < perm.size(); ++l) {
+    for (int i = 0; i < nb.count(); ++i) {
+      if (!cc.on_mesh(perm[l], -nb.coord(i, perm[l]))) reach[static_cast<std::size_t>(i)] = l + 1;
     }
-    return true;
-  };
-  auto any_member_ok = [&](const std::vector<int>& path,
-                           const std::vector<int>& members) {
-    for (const int i : members) {
-      if (member_ok(path, i)) return true;
-    }
-    return false;
+  }
+  auto any_member_ok = [&](std::size_t level, std::span<const int> members) {
+    return std::any_of(members.begin(), members.end(), [&](int i) {
+      return reach[static_cast<std::size_t>(i)] <= level;
+    });
   };
 
   // needed[l][U]: some node of class U has its consumer on the mesh, so
@@ -241,8 +200,8 @@ CompiledPlan compile_reduce_combining(const CartNeighborComm& cc,
   std::vector<std::vector<char>> needed(nlevels);
   for (std::size_t level = 0; level < nlevels; ++level) {
     needed[level].assign(dag.classes[level].size(), 0);
-    for (std::size_t v = 0; v < tree.levels[level].size(); ++v) {
-      if (consumer_ok(tree.levels[level][v].path)) {
+    for (std::size_t v = 0; v < dag.of[level].size(); ++v) {
+      if (consumer[first(level) + v] != 0) {
         needed[level][static_cast<std::size_t>(dag.of[level][v])] = 1;
       }
     }
@@ -280,14 +239,9 @@ CompiledPlan compile_reduce_combining(const CartNeighborComm& cc,
 
   std::vector<char> inited(static_cast<std::size_t>(temp_slots) + 1, 0);
   auto record_fold = [&](PlanPlacement src, const RStorage& dst, int phase) {
-    PlanFold f;
-    f.src = src;
-    f.dst = storage_placement(dst, m);
-    f.count = fold_elems;
-    f.phase = phase;
-    f.init = inited[static_cast<std::size_t>(storage_id(dst))] == 0;
-    inited[static_cast<std::size_t>(storage_id(dst))] = 1;
-    builder.add_fold(f);
+    char& done = inited[static_cast<std::size_t>(storage_id(dst))];
+    builder.add_fold({src, storage_placement(dst, m), fold_elems, phase, done == 0});
+    done = 1;
   };
 
   // Leaf contributions (phase tag -1: before any send is packed). A leaf's
@@ -298,7 +252,7 @@ CompiledPlan compile_reduce_combining(const CartNeighborComm& cc,
     if (needed[leaf_level][v] == 0) continue;
     const std::size_t rep =
         static_cast<std::size_t>(dag.classes[leaf_level][v].rep);
-    for (const int i : tree.levels[leaf_level][rep].members) {
+    for (const int i : tree.members(tree.level(leaf_level)[rep])) {
       record_fold(send_block_placement(scatter ? i : 0),
                   storage[leaf_level][v], -1);
     }
@@ -308,7 +262,7 @@ CompiledPlan compile_reduce_combining(const CartNeighborComm& cc,
   // the identical round sequence (a function of the DAG alone), with
   // per-direction payloads empty where the mesh cuts the chain.
   struct Carried {
-    int cls;                   // child class in levels[level + 1]
+    int cls;                   // child class in level(level + 1)
     int edge;                  // first edge carrying it this round
     bool send = false;         // some edge's consumer is on the mesh
     std::vector<int> parents;  // distinct parent classes, edge order
@@ -319,7 +273,7 @@ CompiledPlan compile_reduce_combining(const CartNeighborComm& cc,
   for (int p = 0; p < d; ++p) {
     const std::size_t level = static_cast<std::size_t>(d - 1 - p);
     const int k = perm[level];
-    const std::vector<detail::TreeEdge>& evec = tree.edges[level];
+    const std::span<const detail::TreeEdge> evec = tree.edges(level);
     const std::vector<RStorage>& up = storage[level];
     const std::vector<RStorage>& down = storage[level + 1];
     // What this phase's sends read: folds recorded below run only after
@@ -346,15 +300,15 @@ CompiledPlan compile_reduce_combining(const CartNeighborComm& cc,
       // One block per distinct child class of this round's edges.
       carried.clear();
       for (std::size_t q = s; q < e; ++q) {
-        const std::size_t child = static_cast<std::size_t>(evec[q].child);
-        const int v = dag.of[level + 1][child];
+        const int child = evec[q].child;
+        const int v = dag.of[level + 1][static_cast<std::size_t>(child)];
         int& at = slot[static_cast<std::size_t>(v)];
         if (at < 0) {
           at = static_cast<int>(carried.size());
           carried.push_back({v, static_cast<int>(q), false, {}});
         }
         Carried& x = carried[static_cast<std::size_t>(at)];
-        x.send = x.send || consumer_ok(tree.levels[level + 1][child].path);
+        x.send = x.send || consumer[first(level + 1) + static_cast<std::size_t>(child)] != 0;
         const int u = dag.of[level][static_cast<std::size_t>(evec[q].parent)];
         if (std::find(x.parents.begin(), x.parents.end(), u) ==
             x.parents.end()) {
@@ -363,15 +317,15 @@ CompiledPlan compile_reduce_combining(const CartNeighborComm& cc,
       }
       PlanRound round;
       round.reduce = true;
+      round.send_items.reserve(carried.size());
+      round.recv_items.reserve(carried.size());
       for (const Carried& x : carried) {
         slot[static_cast<std::size_t>(x.cls)] = -1;
         const detail::TreeEdge& rep = evec[static_cast<std::size_t>(x.edge)];
-        const detail::TreeNode& parent =
-            tree.levels[level][static_cast<std::size_t>(rep.parent)];
-        const detail::TreeNode& child =
-            tree.levels[level + 1][static_cast<std::size_t>(rep.child)];
+        const std::span<const int> members = tree.members(
+            tree.level(level + 1)[static_cast<std::size_t>(rep.child)]);
         const RStorage& child_sto = down[static_cast<std::size_t>(x.cls)];
-        if (x.send && any_member_ok(child.path, child.members)) {
+        if (x.send && any_member_ok(level + 1, members)) {
           // The aggregate must have been assembled by earlier folds
           // (deeper phases and leaf inits); a violation would send
           // uninitialized staging memory.
@@ -387,11 +341,9 @@ CompiledPlan compile_reduce_combining(const CartNeighborComm& cc,
         for (const int u : x.parents) {
           wanted = wanted || needed[level][static_cast<std::size_t>(u)] != 0;
         }
-        if (wanted && any_member_ok(parent.path, child.members)) {
-          PlanPlacement staging;
-          staging.kind = PlanPlacement::Kind::temp;
-          staging.offset = builder.allocate_temp(m);
-          staging.bytes = m;
+        if (wanted && any_member_ok(level, members)) {
+          const PlanPlacement staging{PlanPlacement::Kind::temp, 0,
+                                      builder.allocate_temp(m), m};
           round.recv_items.push_back(staging);
           for (const int u : x.parents) {
             if (needed[level][static_cast<std::size_t>(u)] != 0) {
@@ -412,12 +364,7 @@ CompiledPlan compile_reduce_combining(const CartNeighborComm& cc,
   if (inited[kRecvStorageId] == 0) {
     // No contribution reaches this process at all: identity result.
     // Tagged past the last phase; applied in the final sweep.
-    PlanFold f;
-    f.dst = storage_placement(RStorage{true, -1}, m);
-    f.count = fold_elems;
-    f.phase = d;
-    f.identity = true;
-    builder.add_fold(f);
+    builder.add_fold(identity_fold(m, fold_elems, d));
   }
   return builder.finish();
 }

@@ -1,7 +1,9 @@
 // The allgather routing tree of Algorithm 2, factored out so that both the
 // allgather schedule builder and the message-combining Cartesian reduction
 // (which runs the tree in reverse, sharing equal subtrees) use one
-// construction.
+// construction. It is flat: one permutation of the neighbor indices, in
+// which every node's members are a range, and per-level node and edge
+// ranges, built in O(t·d + coordinate ranges) with O(d) allocations.
 #pragma once
 
 #include <span>
@@ -13,29 +15,48 @@
 namespace cartcomm::detail {
 
 struct TreeNode {
-  std::vector<int> members;  ///< neighbor indices sharing this prefix
-  std::vector<int> path;     ///< accumulated offset (full arity)
-  int parent = -1;           ///< index in the previous level (-1 for root)
-  int coordinate = 0;        ///< k-th coordinate of the edge from the parent
+  int begin = 0;       ///< members: AllgatherTree::order[begin, end)
+  int end = 0;
+  int parent = -1;     ///< index in the previous level (-1 for root)
+  int coordinate = 0;  ///< k-th coordinate of the edge from the parent
 };
 
 /// A communicated (non-zero coordinate) edge between consecutive levels.
 struct TreeEdge {
-  int parent;      ///< node index in levels[level]
-  int child;       ///< node index in levels[level + 1]
+  int parent;      ///< node index in level(l)
+  int child;       ///< node index in level(l + 1)
   int coordinate;  ///< the non-zero k-th coordinate value
 };
 
 struct AllgatherTree {
-  /// levels[0] holds the root; levels[l+1] the nodes after processing
-  /// dimension perm[l]. Members within each node are stably sorted by the
-  /// processed coordinate, identically on every process. The children of
-  /// a node are contiguous in the next level, in increasing coordinate.
-  std::vector<std::vector<TreeNode>> levels;
-  /// edges[l]: communicated edges between levels l and l+1, stably sorted
-  /// by coordinate (one round per distinct value: C_k rounds).
-  std::vector<std::vector<TreeEdge>> edges;
-  std::vector<int> perm;  ///< dimension processed at each level
+  std::vector<int> perm;   ///< dimension processed at each level
+  std::vector<int> order;  ///< neighbor indices; each node a contiguous range
+  /// Level l is nodes[level_begin[l], level_begin[l+1]): the root, then the
+  /// nodes after processing dimension perm[l-1]. A node's children are
+  /// contiguous in the next level, in increasing coordinate; a leaf's
+  /// members are in increasing index order.
+  std::vector<TreeNode> nodes;
+  std::vector<int> level_begin;
+  /// Communicated edges between levels l and l+1, sorted by coordinate and
+  /// then by parent (one round per distinct value: C_k rounds).
+  std::vector<TreeEdge> all_edges;
+  std::vector<int> edge_begin;
+
+  [[nodiscard]] std::size_t levels() const { return level_begin.size() - 1; }
+  [[nodiscard]] std::span<const TreeNode> level(std::size_t l) const {
+    return std::span(nodes).subspan(
+        static_cast<std::size_t>(level_begin[l]),
+        static_cast<std::size_t>(level_begin[l + 1] - level_begin[l]));
+  }
+  [[nodiscard]] std::span<const TreeEdge> edges(std::size_t l) const {
+    return std::span(all_edges).subspan(
+        static_cast<std::size_t>(edge_begin[l]),
+        static_cast<std::size_t>(edge_begin[l + 1] - edge_begin[l]));
+  }
+  [[nodiscard]] std::span<const int> members(const TreeNode& n) const {
+    return std::span(order).subspan(static_cast<std::size_t>(n.begin),
+                                    static_cast<std::size_t>(n.end - n.begin));
+  }
 };
 
 AllgatherTree build_tree(const Neighborhood& nb, std::span<const int> perm);

@@ -423,14 +423,10 @@ std::size_t Datatype::copy_to(const void* src, int scount, void* dst,
 
 void TypeBuilder::append(const void* addr, int count, const Datatype& t) {
   MPL_REQUIRE(count >= 0, "TypeBuilder::append: negative count");
-  const std::ptrdiff_t base =
-      reinterpret_cast<std::ptrdiff_t>(addr);  // absolute displacement
-  std::vector<TypeBlock> tmp;
-  t.flatten(base, count, tmp);
-  for (const TypeBlock& b : tmp) {
-    detail::push_merged(blocks_, b);
-    size_ += b.len;
-  }
+  // Flattening merges every block into the previous one it touches, so
+  // flattening straight into blocks_ equals appending the flattened list.
+  t.flatten(reinterpret_cast<std::ptrdiff_t>(addr), count, blocks_);
+  size_ += t.size() * static_cast<std::size_t>(count);
 }
 
 void TypeBuilder::append_bytes(const void* addr, std::size_t nbytes) {

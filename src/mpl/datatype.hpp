@@ -195,6 +195,9 @@ class TypeBuilder {
 
   [[nodiscard]] bool empty() const noexcept { return blocks_.empty(); }
 
+  /// Reserve room for `n` more blocks (appends that merge take none).
+  void reserve(std::size_t n) { blocks_.reserve(blocks_.size() + n); }
+
   /// Produce the datatype. The builder may be reused afterwards (it is reset).
   Datatype build();
 

@@ -11,6 +11,7 @@
 //
 // --verbose additionally prints rank 0's schedule structure per case.
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <iostream>
 #include <mutex>
@@ -68,7 +69,8 @@ int product(std::span<const int> v) {
 int run_case(const Case& c, cartcomm::ScheduleKind kind, bool verbose) {
   const int p = product(c.dims);
   const int t = c.nb.count();
-  const int m = 3;  // ints per block: arbitrary, structure is size-agnostic
+  constexpr int m = 3;  // ints per block: arbitrary, structure is size-agnostic
+  using Block = std::array<int, m>;
   std::vector<cartcomm::ScheduleSummary> summaries(static_cast<std::size_t>(p));
   std::vector<cartcomm::VerifyReport> local(static_cast<std::size_t>(p));
   std::mutex describe_mtx;
@@ -76,17 +78,17 @@ int run_case(const Case& c, cartcomm::ScheduleKind kind, bool verbose) {
 
   mpl::run(p, [&](mpl::Comm& world) {
     auto cc = cartcomm::cart_neighborhood_create(world, c.dims, c.periods, c.nb);
-    std::vector<int> sendbuf(static_cast<std::size_t>(t) * m, 1);
-    std::vector<int> recvbuf(static_cast<std::size_t>(t) * m, 0);
+    // One array per block, so no block address is an offset into another
+    // allocation.
+    std::vector<Block> sendbuf(static_cast<std::size_t>(t), Block{1, 1, 1});
+    std::vector<Block> recvbuf(static_cast<std::size_t>(t), Block{});
     const mpl::Datatype block =
         mpl::Datatype::contiguous(m, mpl::Datatype::of<int>());
     std::vector<cartcomm::SendBlock> sends(static_cast<std::size_t>(t));
     std::vector<cartcomm::RecvBlock> recvs(static_cast<std::size_t>(t));
-    for (int i = 0; i < t; ++i) {
-      sends[static_cast<std::size_t>(i)] = {
-          sendbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
-      recvs[static_cast<std::size_t>(i)] = {
-          recvbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+      sends[i] = {sendbuf[i].data(), 1, block};
+      recvs[i] = {recvbuf[i].data(), 1, block};
     }
     // The allreduce is the neighbor reduce over the neighborhood with the
     // zero vector appended when absent.
