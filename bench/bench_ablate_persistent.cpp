@@ -2,7 +2,7 @@
 // the compiled-plan cache. Compares per-iteration cost of (a) the
 // persistent precomputed schedule, (b) the non-persistent collective with
 // the plan cache warm (compile and bind once: a repeated call with the same
-// buffers replays the bound schedule from the per-rank one-shot memo), (c)
+// buffers runs the schedule its communicator's one-shot slot bound), (c)
 // the non-persistent collective with the cache disabled (full schedule
 // recomputation every call, the behaviour an MPI library without
 // persistence would exhibit), measured in wall-clock time (schedule
@@ -72,9 +72,10 @@ void run_case(int d, int n, int m) {
         wall_per_iter_max(world, iters, 1, [&] { op.execute(); });
 
     // Non-persistent, plan cache warm: after the warm-up call binds the
-    // schedule, every call with these buffers hits the one-shot memo and
-    // replays the bound schedule — no key, no lookup, no bind, no
-    // Algorithm 1. The gap to `persistent` is that per-call dispatch.
+    // schedule, every call with these buffers builds its block descriptors
+    // and plan key, matches them against the alltoall slot and runs the
+    // bound schedule — no lookup, no bind, no Algorithm 1. The gap to
+    // `persistent` is that per-call work.
     const double cached = wall_per_iter_max(world, iters, 1, [&] {
       cartcomm::alltoall(sb.data(), m, kInt, rb.data(), m, kInt, cc,
                          cartcomm::Algorithm::combining);

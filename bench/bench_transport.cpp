@@ -15,8 +15,9 @@
 //             datatypes, test/wait polling)
 //   planhit   the same halo exchange through the blocking non-persistent
 //             cartcomm::alltoall with a warm plan cache (the cache-hit
-//             fast path: bound-schedule reuse must stay comparable to
-//             the persistent handle above)
+//             fast path: the communicator's one-shot slot serves the
+//             bound schedule, which must stay comparable to the
+//             persistent handle above)
 //
 // Emits BENCH_transport.json ({"kind": "bench-transport"}) for
 // tools/bench_to_csv.py and the CI transport-bench smoke job.

@@ -159,12 +159,10 @@ CompiledPlan compile_allgather_plan(const CartNeighborComm& cc,
   return builder.finish();
 }
 
-namespace {
-
-PlanKey allgather_key_checked(const CartNeighborComm& cc,
-                              const SendBlock& send,
-                              std::span<const RecvBlock> recvs,
-                              DimOrder order) {
+PlanKey allgather_schedule_key(const CartNeighborComm& cc,
+                               const SendBlock& send,
+                               std::span<const RecvBlock> recvs,
+                               DimOrder order) {
   const int t = cc.neighborhood().count();
   MPL_REQUIRE(recvs.size() == static_cast<std::size_t>(t),
               "allgather schedule: one receive block per neighbor");
@@ -177,37 +175,15 @@ PlanKey allgather_key_checked(const CartNeighborComm& cc,
   return make_allgather_key(cc, send, recvs, order);
 }
 
-std::shared_ptr<const CompiledPlan> allgather_plan(const CartNeighborComm& cc,
-                                                   std::size_t m,
-                                                   DimOrder order,
-                                                   const PlanKey& key) {
-  return plan_cache_get(key,
-                        [&] { return compile_allgather_plan(cc, m, order); });
-}
-
-}  // namespace
-
 Schedule build_allgather_schedule(const CartNeighborComm& cc,
                                   const SendBlock& send,
                                   std::span<const RecvBlock> recvs,
                                   DimOrder order) {
-  const PlanKey key = allgather_key_checked(cc, send, recvs, order);
+  const PlanKey key = allgather_schedule_key(cc, send, recvs, order);
   const SendBlock sends[1] = {send};
-  return allgather_plan(cc, send.bytes(), order, key)->bind(cc, sends, recvs);
-}
-
-std::shared_ptr<BoundSchedule> build_allgather_schedule_shared(
-    const CartNeighborComm& cc, const SendBlock& send,
-    std::span<const RecvBlock> recvs, DimOrder order) {
-  const PlanKey key = allgather_key_checked(cc, send, recvs, order);
-  const SendBlock sends[1] = {send};
-  const PlanKey bkey = make_bound_key(key, cc.comm().rank(), sends, recvs);
-  if (std::shared_ptr<BoundSchedule> s = schedule_cache_lookup(bkey)) {
-    return s;
-  }
-  return schedule_cache_store(
-      bkey,
-      allgather_plan(cc, send.bytes(), order, key)->bind(cc, sends, recvs));
+  const auto plan = plan_cache_get(
+      key, [&] { return compile_allgather_plan(cc, send.bytes(), order); });
+  return plan->bind(cc, sends, recvs);
 }
 
 }  // namespace cartcomm

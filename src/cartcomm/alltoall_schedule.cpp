@@ -150,23 +150,9 @@ CompiledPlan compile_alltoall_plan(const CartNeighborComm& cc,
   return builder.finish();
 }
 
-namespace {
-
-/// Shared front half of both entry points: resolve the compiled plan
-/// through the cache.
-std::shared_ptr<const CompiledPlan> alltoall_plan(
-    const CartNeighborComm& cc, std::span<const SendBlock> sends,
-    const PlanKey& key) {
-  return plan_cache_get(key, [&] {
-    std::vector<std::size_t> bytes(sends.size());
-    for (std::size_t i = 0; i < sends.size(); ++i) bytes[i] = sends[i].bytes();
-    return compile_alltoall_plan(cc, bytes);
-  });
-}
-
-PlanKey alltoall_key_checked(const CartNeighborComm& cc,
-                             std::span<const SendBlock> sends,
-                             std::span<const RecvBlock> recvs) {
+PlanKey alltoall_schedule_key(const CartNeighborComm& cc,
+                              std::span<const SendBlock> sends,
+                              std::span<const RecvBlock> recvs) {
   const int t = cc.neighborhood().count();
   MPL_REQUIRE(sends.size() == static_cast<std::size_t>(t) &&
                   recvs.size() == static_cast<std::size_t>(t),
@@ -180,25 +166,16 @@ PlanKey alltoall_key_checked(const CartNeighborComm& cc,
   return make_alltoall_key(cc, sends, recvs);
 }
 
-}  // namespace
-
 Schedule build_alltoall_schedule(const CartNeighborComm& cc,
                                  std::span<const SendBlock> sends,
                                  std::span<const RecvBlock> recvs) {
-  const PlanKey key = alltoall_key_checked(cc, sends, recvs);
-  return alltoall_plan(cc, sends, key)->bind(cc, sends, recvs);
-}
-
-std::shared_ptr<BoundSchedule> build_alltoall_schedule_shared(
-    const CartNeighborComm& cc, std::span<const SendBlock> sends,
-    std::span<const RecvBlock> recvs) {
-  const PlanKey key = alltoall_key_checked(cc, sends, recvs);
-  const PlanKey bkey = make_bound_key(key, cc.comm().rank(), sends, recvs);
-  if (std::shared_ptr<BoundSchedule> s = schedule_cache_lookup(bkey)) {
-    return s;
-  }
-  return schedule_cache_store(
-      bkey, alltoall_plan(cc, sends, key)->bind(cc, sends, recvs));
+  const PlanKey key = alltoall_schedule_key(cc, sends, recvs);
+  const auto plan = plan_cache_get(key, [&] {
+    std::vector<std::size_t> bytes(sends.size());
+    for (std::size_t i = 0; i < sends.size(); ++i) bytes[i] = sends[i].bytes();
+    return compile_alltoall_plan(cc, bytes);
+  });
+  return plan->bind(cc, sends, recvs);
 }
 
 }  // namespace cartcomm

@@ -5,10 +5,12 @@
 // their arguments, consult the process-global compiled-plan cache keyed
 // on the canonical neighborhood signature, compile on a miss, and bind
 // the (possibly cached) plan to the caller's buffers. The resulting
-// Schedule is bit-identical to one built directly.
+// Schedule is bit-identical to one built directly. Each *_schedule_key
+// runs a builder's validation and returns its plan key without building,
+// so a blocking one-shot call can test whether the schedule its
+// communicator bound last still fits (coll.hpp).
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -49,20 +51,6 @@ Schedule build_trivial_schedule(const CartNeighborComm& cc,
                                 std::vector<SendBlock> sends,
                                 std::vector<RecvBlock> recvs);
 
-/// One-shot variants for the blocking non-persistent collectives: return a
-/// shared Schedule served from the bound-schedule cache (plan + rank +
-/// block addresses; see plan.hpp) when possible, so a repeated call with
-/// the same buffers skips both compilation and datatype binding. The
-/// returned schedule is bit-identical to the by-value builders'.
-[[nodiscard]] std::shared_ptr<BoundSchedule> build_alltoall_schedule_shared(
-    const CartNeighborComm& cc, std::span<const SendBlock> sends,
-    std::span<const RecvBlock> recvs);
-
-[[nodiscard]] std::shared_ptr<BoundSchedule> build_allgather_schedule_shared(
-    const CartNeighborComm& cc, const SendBlock& send,
-    std::span<const RecvBlock> recvs,
-    DimOrder order = DimOrder::increasing_ck);
-
 /// Reducing schedules (the allgather tree run in reverse with
 /// combine-on-unpack; reduce_schedule.cpp). `sends` holds one block for
 /// ReduceVariant::reduce and t blocks for reduce_scatter; `recv` is the
@@ -77,9 +65,17 @@ Schedule build_reduce_schedule(const CartNeighborComm& cc,
                                ReduceVariant variant, bool combining,
                                DimOrder order = DimOrder::increasing_ck);
 
-[[nodiscard]] std::shared_ptr<BoundSchedule> build_reduce_schedule_shared(
+/// The validated plan keys of the three plan-cached builders: each throws
+/// where its builder would and returns the key the builder looks up.
+[[nodiscard]] PlanKey alltoall_schedule_key(const CartNeighborComm& cc,
+                                            std::span<const SendBlock> sends,
+                                            std::span<const RecvBlock> recvs);
+[[nodiscard]] PlanKey allgather_schedule_key(
+    const CartNeighborComm& cc, const SendBlock& send,
+    std::span<const RecvBlock> recvs, DimOrder order);
+[[nodiscard]] PlanKey reduce_schedule_key(
     const CartNeighborComm& cc, std::span<const SendBlock> sends,
     const RecvBlock& recv, const mpl::ReduceOp& op, ReduceVariant variant,
-    bool combining, DimOrder order = DimOrder::increasing_ck);
+    bool combining, DimOrder order);
 
 }  // namespace cartcomm

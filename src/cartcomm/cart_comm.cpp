@@ -1,9 +1,9 @@
 #include "cartcomm/cart_comm.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <climits>
 
+#include "cartcomm/coll.hpp"
 #include "mpl/collectives.hpp"
 #include "mpl/error.hpp"
 #include "mpl/proc.hpp"
@@ -78,6 +78,7 @@ CartNeighborComm CartNeighborComm::with_neighborhood(Neighborhood sub) const {
   CartNeighborComm cc;
   cc.cart_ = cart_;
   cc.op_seq_ = op_seq_;
+  cc.oneshot_ = std::make_shared<detail::OneShotSlots>();
   cc.stats_ = analyze(sub);
   cc.a2a_alg_ = a2a_alg_;
   cc.ag_alg_ = ag_alg_;
@@ -95,6 +96,7 @@ CartNeighborComm CartNeighborComm::with_neighborhood(Neighborhood sub) const {
         cart_.grid().rank_at_offset(cart_.coords(), neg);
   }
   cc.nb_ = std::move(sub);
+  cc.boundary_sig_ = cc.make_boundary_signature();
   return cc;
 }
 
@@ -109,16 +111,18 @@ const CartNeighborComm& CartNeighborComm::with_self() const {
   return **self_view_;
 }
 
-std::uint64_t CartNeighborComm::next_uid() noexcept {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 int CartNeighborComm::next_persistent_tag() const {
   MPL_REQUIRE(op_seq_ != nullptr,
               "next_persistent_tag on an invalid communicator");
   constexpr auto kTags = static_cast<std::uint32_t>(INT_MAX - mpl::kCartTag);
   return mpl::kCartTag + 1 + static_cast<int>((*op_seq_)++ % kTags);
+}
+
+detail::OneShotSlot& CartNeighborComm::oneshot_slot(
+    detail::OneShot kind) const {
+  MPL_REQUIRE(oneshot_ != nullptr,
+              "one-shot collective on an invalid communicator");
+  return oneshot_->slots[static_cast<std::size_t>(kind)];
 }
 
 Algorithm CartNeighborComm::resolve_alltoall(Algorithm requested,
@@ -146,7 +150,7 @@ Algorithm CartNeighborComm::resolve_allgather(Algorithm requested) const {
                                                          : Algorithm::trivial;
 }
 
-std::vector<int> CartNeighborComm::boundary_signature() const {
+std::vector<int> CartNeighborComm::make_boundary_signature() const {
   const mpl::CartGrid& g = grid();
   const std::span<const int> R = coords();
   const int d = nb_.ndims();
@@ -185,7 +189,9 @@ CartNeighborComm cart_neighborhood_create(const mpl::Comm& comm,
   CartNeighborComm cc;
   cc.cart_ = mpl::cart_create(comm, dims, periods, reorder);
   cc.op_seq_ = std::make_shared<std::uint32_t>(0);
+  cc.oneshot_ = std::make_shared<detail::OneShotSlots>();
   cc.nb_ = targets;
+  cc.boundary_sig_ = cc.make_boundary_signature();
   cc.stats_ = analyze(targets);
   cc.weights_.assign(weights.begin(), weights.end());
   cc.a2a_alg_ = parse_algorithm(info, "alltoall_algorithm", Algorithm::automatic);

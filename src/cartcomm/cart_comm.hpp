@@ -30,6 +30,12 @@ using Info = std::map<std::string, std::string>;
 /// trivial algorithm above it.
 enum class Algorithm { automatic, trivial, combining };
 
+namespace detail {
+enum class OneShot : std::uint8_t;
+struct OneShotSlot;
+struct OneShotSlots;
+}  // namespace detail
+
 /// Communicator carrying a d-dimensional mesh/torus layout and an
 /// isomorphic t-neighborhood; created collectively by
 /// cart_neighborhood_create. All Cartesian collective operations run on
@@ -57,17 +63,17 @@ class CartNeighborComm {
     return grid().periodic(j) || (v >= 0 && v < grid().dims()[static_cast<std::size_t>(j)]);
   }
 
-  /// Process-unique identity of this communicator object, shared by its
-  /// copies. Lets per-thread caches detect that a pointer-equal object is
-  /// actually a different communicator (allocator address reuse).
-  [[nodiscard]] std::uint64_t uid() const noexcept { return uid_; }
-
   /// Draw the matching tag of a new persistent operation: the next value of
   /// a per-rank sequence above kCartTag that every with_neighborhood view of
   /// this communicator shares. Persistent *_init calls are collective and
   /// ordered, so every rank draws the same tag for the same operation, and
   /// operations in flight together never match each other's messages.
   [[nodiscard]] int next_persistent_tag() const;
+
+  /// The blocking one-shot call `kind`'s slot: the schedule it bound last
+  /// (coll.cpp). Rank-private like the tag sequence, shared by this
+  /// communicator's copies and fresh in each with_neighborhood view.
+  [[nodiscard]] detail::OneShotSlot& oneshot_slot(detail::OneShot kind) const;
 
   // -- Listing 2 helpers -----------------------------------------------------
 
@@ -143,7 +149,10 @@ class CartNeighborComm {
   /// which is a function of exactly these clamped distances — so two
   /// processes with equal signatures (and equal neighborhood, dims,
   /// periods and block sizes) compute structurally identical schedules.
-  [[nodiscard]] std::vector<int> boundary_signature() const;
+  /// Computed once, at creation.
+  [[nodiscard]] std::span<const int> boundary_signature() const noexcept {
+    return boundary_sig_;
+  }
 
  private:
   friend CartNeighborComm cart_neighborhood_create(
@@ -152,7 +161,7 @@ class CartNeighborComm {
   friend std::optional<CartNeighborComm> detect_cartesian(
       const mpl::CartComm&, std::span<const int>, const Info&);
 
-  static std::uint64_t next_uid() noexcept;
+  [[nodiscard]] std::vector<int> make_boundary_signature() const;
 
   mpl::CartComm cart_;
   Neighborhood nb_;
@@ -160,9 +169,11 @@ class CartNeighborComm {
   std::vector<int> weights_;
   std::vector<int> target_ranks_;
   std::vector<int> source_ranks_;
-  std::uint64_t uid_ = next_uid();
+  std::vector<int> boundary_sig_;
   // Persistent-operation tag sequence, shared with with_neighborhood views.
   std::shared_ptr<std::uint32_t> op_seq_;
+  // The one-shot slots: made at creation, like op_seq_, but one set per view.
+  std::shared_ptr<detail::OneShotSlots> oneshot_;
   // with_self()'s view, rank-private like op_seq_ but fresh in each
   // with_neighborhood view.
   std::shared_ptr<std::unique_ptr<const CartNeighborComm>> self_view_ =

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "cartcomm/build_schedule.hpp"
 #include "cartcomm/plan.hpp"
@@ -117,6 +118,46 @@ const Schedule& PersistentColl::schedule() const {
 
 // -- one-shot execution -------------------------------------------------------
 
+bool detail::OneShotSlot::serves(const PlanKey& k,
+                                 std::span<const SendBlock> sends,
+                                 std::span<const RecvBlock> recvs,
+                                 std::uint64_t digest) {
+  if (st.in_flight || digest != op_digest ||
+      addrs.size() != sends.size() + recvs.size() || !(k == key)) {
+    return false;
+  }
+  auto a = addrs.begin();
+  for (const SendBlock& b : sends) {
+    if (*a++ != b.addr) return false;
+  }
+  for (const RecvBlock& b : recvs) {
+    if (*a++ != b.addr) return false;
+  }
+  telemetry::on_plan_cache_hit();
+  return true;
+}
+
+void detail::OneShotSlot::rebind(const mpl::Comm& comm, PlanKey k,
+                                 std::span<const SendBlock> sends,
+                                 std::span<const RecvBlock> recvs,
+                                 std::uint64_t digest, Schedule sched) {
+  key = std::move(k);
+  addrs.clear();
+  for (const SendBlock& b : sends) addrs.push_back(b.addr);
+  for (const RecvBlock& b : recvs) addrs.push_back(b.addr);
+  op_digest = digest;
+  st = {};  // a fresh scratch and not in flight
+  st.comm = comm;
+  st.sched = std::move(sched);
+}
+
+void detail::OneShotSlot::run() {
+  st.in_flight = true;
+  Schedule::Execution e = st.sched.start(st.comm, st.scratch, st.tag);
+  e.wait();
+  st.in_flight = false;
+}
+
 namespace {
 
 using mpl::blocks_regular;
@@ -124,100 +165,34 @@ using mpl::blocks_v;
 using mpl::blocks_w;
 
 /// Blocking one-shot execution for the non-persistent entry points. The
-/// combining path goes through the bound-schedule cache (plan + rank +
-/// buffer addresses), so a repeated call with the same arguments skips
-/// schedule construction entirely; the trivial schedule has nothing to
-/// compile and is built per call.
-std::shared_ptr<BoundSchedule> run_oneshot(const CartNeighborComm& cc,
-                                           std::vector<SendBlock> sends,
-                                           std::vector<RecvBlock> recvs,
-                                           bool allgather, DimOrder order,
-                                           Algorithm alg) {
+/// combining schedule runs through the entry point's slot on `cc`; the
+/// trivial schedule has nothing to compile and is built per call.
+void run_oneshot(detail::OneShot kind, const CartNeighborComm& cc,
+                 std::vector<SendBlock> sends, std::vector<RecvBlock> recvs,
+                 bool allgather, DimOrder order, Algorithm alg) {
   const Algorithm resolved =
       allgather ? cc.resolve_allgather(alg)
                 : cc.resolve_alltoall(alg, max_block_bytes(sends));
-  if (resolved == Algorithm::combining) {
-    const std::shared_ptr<BoundSchedule> bound =
-        allgather ? build_allgather_schedule_shared(cc, sends.front(), recvs,
-                                                    order)
-                  : build_alltoall_schedule_shared(cc, sends, recvs);
-    Schedule::Execution e = bound->sched.start(cc.comm(), bound->scratch);
-    e.wait();
-    return bound;
-  }
-  CollBuilder::build_schedule(cc, std::move(sends), std::move(recvs),
-                              allgather, order, resolved)
-      .execute(cc.comm());
-  return nullptr;
-}
-
-/// Per-thread fast path for the regular (single count/type) blocking
-/// collectives: when the same communicator, buffers, counts, types and
-/// algorithm repeat back to back, replay the previously bound schedule
-/// with zero per-call allocation — no descriptor vectors, no key words,
-/// no datatype rebuilds. One rank is one thread, so thread_local makes
-/// the memo private to its rank; the communicator uid guards against
-/// allocator address reuse of a destroyed communicator, and the
-/// plan-cache generation invalidates the memo when the cache is cleared
-/// or toggled. Correctness does not depend on the memo matching: a hit
-/// replays a schedule that a fresh bind of the same inputs would have
-/// reproduced bit-identically.
-struct OneShotMemo {
-  std::shared_ptr<BoundSchedule> bound;
-  std::uint64_t cc_uid = 0;
-  std::uint64_t generation = 0;
-  const void* sendbuf = nullptr;
-  void* recvbuf = nullptr;
-  int sendcount = 0;
-  int recvcount = 0;
-  mpl::Datatype sendtype;
-  mpl::Datatype recvtype;
-  bool allgather = false;
-  DimOrder order = DimOrder::increasing_ck;
-  Algorithm alg = Algorithm::automatic;
-};
-thread_local OneShotMemo oneshot_memo;
-
-void run_oneshot_regular(const CartNeighborComm& cc, const void* sendbuf,
-                         int sendcount, const mpl::Datatype& sendtype,
-                         void* recvbuf, int recvcount,
-                         const mpl::Datatype& recvtype, bool allgather,
-                         DimOrder order, Algorithm alg) {
-  OneShotMemo& m = oneshot_memo;
-  if (m.bound && plan_cache_enabled() &&
-      m.generation == plan_cache_generation() && m.cc_uid == cc.uid() &&
-      m.sendbuf == sendbuf && m.recvbuf == recvbuf &&
-      m.sendcount == sendcount && m.recvcount == recvcount &&
-      m.sendtype == sendtype && m.recvtype == recvtype &&
-      m.allgather == allgather && m.order == order && m.alg == alg) {
-    // A memo hit is a bound-schedule cache hit served one level earlier;
-    // counting it keeps "hits + misses == builds" exact.
-    telemetry::on_plan_cache_hit();
-    Schedule::Execution e = m.bound->sched.start(cc.comm(), m.bound->scratch);
-    e.wait();
+  if (resolved != Algorithm::combining) {
+    CollBuilder::build_schedule(cc, std::move(sends), std::move(recvs),
+                                allgather, order, resolved)
+        .execute(cc.comm());
     return;
   }
-  const int t = cc.neighborhood().count();
-  std::shared_ptr<BoundSchedule> bound = run_oneshot(
-      cc, blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, allgather),
-      blocks_regular<RecvBlock>(recvbuf, recvcount, recvtype, t), allgather,
-      order, alg);
-  if (!bound || !plan_cache_enabled()) {
-    m.bound.reset();
-    return;
+  detail::OneShotSlot& slot = cc.oneshot_slot(kind);
+  if (allgather) {
+    detail::run_in_slot(
+        slot, cc.comm(), sends, recvs, 0,
+        [&] { return allgather_schedule_key(cc, sends.front(), recvs, order); },
+        [&] {
+          return build_allgather_schedule(cc, sends.front(), recvs, order);
+        });
+  } else {
+    detail::run_in_slot(
+        slot, cc.comm(), sends, recvs, 0,
+        [&] { return alltoall_schedule_key(cc, sends, recvs); },
+        [&] { return build_alltoall_schedule(cc, sends, recvs); });
   }
-  m.bound = std::move(bound);
-  m.cc_uid = cc.uid();
-  m.generation = plan_cache_generation();
-  m.sendbuf = sendbuf;
-  m.recvbuf = recvbuf;
-  m.sendcount = sendcount;
-  m.recvcount = recvcount;
-  m.sendtype = sendtype;
-  m.recvtype = recvtype;
-  m.allgather = allgather;
-  m.order = order;
-  m.alg = alg;
 }
 
 }  // namespace
@@ -266,8 +241,11 @@ PersistentColl alltoallw_init(const void* sendbuf,
 void alltoall(const void* sendbuf, int sendcount, const mpl::Datatype& sendtype,
               void* recvbuf, int recvcount, const mpl::Datatype& recvtype,
               const CartNeighborComm& cc, Algorithm alg) {
-  run_oneshot_regular(cc, sendbuf, sendcount, sendtype, recvbuf, recvcount,
-                      recvtype, false, cc.allgather_order(), alg);
+  const int t = cc.neighbor_count();
+  run_oneshot(detail::OneShot::alltoall, cc,
+              blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t),
+              blocks_regular<RecvBlock>(recvbuf, recvcount, recvtype, t),
+              false, cc.allgather_order(), alg);
 }
 
 void alltoallv(const void* sendbuf, std::span<const int> sendcounts,
@@ -275,7 +253,8 @@ void alltoallv(const void* sendbuf, std::span<const int> sendcounts,
                void* recvbuf, std::span<const int> recvcounts,
                std::span<const int> rdispls, const mpl::Datatype& recvtype,
                const CartNeighborComm& cc, Algorithm alg) {
-  run_oneshot(cc, blocks_v<SendBlock>(sendbuf, sendcounts, sdispls, sendtype),
+  run_oneshot(detail::OneShot::alltoallv, cc,
+              blocks_v<SendBlock>(sendbuf, sendcounts, sdispls, sendtype),
               blocks_v<RecvBlock>(recvbuf, recvcounts, rdispls, recvtype),
               false, cc.allgather_order(), alg);
 }
@@ -288,7 +267,8 @@ void alltoallw(const void* sendbuf, std::span<const int> sendcounts,
                std::span<const mpl::Datatype> recvtypes,
                const CartNeighborComm& cc, Algorithm alg) {
   run_oneshot(
-      cc, blocks_w<SendBlock>(sendbuf, sendcounts, sdispls_bytes, sendtypes),
+      detail::OneShot::alltoallw, cc,
+      blocks_w<SendBlock>(sendbuf, sendcounts, sdispls_bytes, sendtypes),
       blocks_w<RecvBlock>(recvbuf, recvcounts, rdispls_bytes, recvtypes),
       false, cc.allgather_order(), alg);
 }
@@ -336,8 +316,11 @@ void allgather(const void* sendbuf, int sendcount,
                const mpl::Datatype& sendtype, void* recvbuf, int recvcount,
                const mpl::Datatype& recvtype, const CartNeighborComm& cc,
                Algorithm alg) {
-  run_oneshot_regular(cc, sendbuf, sendcount, sendtype, recvbuf, recvcount,
-                      recvtype, true, cc.allgather_order(), alg);
+  const int t = cc.neighbor_count();
+  run_oneshot(detail::OneShot::allgather, cc,
+              blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
+              blocks_regular<RecvBlock>(recvbuf, recvcount, recvtype, t), true,
+              cc.allgather_order(), alg);
 }
 
 void allgatherv(const void* sendbuf, int sendcount,
@@ -347,7 +330,8 @@ void allgatherv(const void* sendbuf, int sendcount,
                 Algorithm alg) {
   const int t = cc.neighbor_count();
   run_oneshot(
-      cc, blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
+      detail::OneShot::allgatherv, cc,
+      blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
       blocks_v<RecvBlock>(recvbuf, recvcounts, displs, recvtype), true,
       cc.allgather_order(), alg);
 }
@@ -360,7 +344,8 @@ void allgatherw(const void* sendbuf, int sendcount,
                 const CartNeighborComm& cc, Algorithm alg) {
   const int t = cc.neighbor_count();
   run_oneshot(
-      cc, blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
+      detail::OneShot::allgatherw, cc,
+      blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
       blocks_w<RecvBlock>(recvbuf, recvcounts, rdispls_bytes, recvtypes), true,
       cc.allgather_order(), alg);
 }

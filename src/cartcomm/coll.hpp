@@ -15,8 +15,11 @@
 // paper's isomorphic neighborhoods impose).
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "cartcomm/build_schedule.hpp"
 #include "cartcomm/cart_comm.hpp"
@@ -33,7 +36,7 @@ namespace detail {
 /// CartRequest started from it, so an in-flight execution keeps
 /// the schedule, its temp pools and the communicator alive even when the
 /// PersistentColl itself is destroyed first — executing a stale handle is
-/// an assertion, never a use-after-free.
+/// an assertion, never a use-after-free. A one-shot slot holds one too.
 struct PersistentState {
   mpl::Comm comm;
   Algorithm alg = Algorithm::trivial;
@@ -44,6 +47,72 @@ struct PersistentState {
   // buffers and tag are shared); enforced by assertion.
   bool in_flight = false;
 };
+
+/// The blocking one-shot entry points that go through the plan cache;
+/// each has a slot of its own on every communicator. The allreduce uses
+/// the reduce slot of its with_self() view.
+enum class OneShot : std::uint8_t {
+  alltoall,
+  alltoallv,
+  alltoallw,
+  allgather,
+  allgatherv,
+  allgatherw,
+  reduce,
+  reduce_scatter,
+  count
+};
+
+/// The schedule one entry point bound last, with every input its bind
+/// read beyond the communicator: the plan key (which holds the block
+/// types and counts), every block address and, for a reduction, the op
+/// digest. Bind is deterministic in these, so a call that matches all
+/// of them may run the schedule as it stands: it is bit-identical to
+/// what a fresh bind would produce, even when a buffer was freed and
+/// another allocated at its address.
+struct OneShotSlot {
+  PlanKey key;  // no words until the first bind
+  std::vector<const void*> addrs;  // every send, then every receive block
+  std::uint64_t op_digest = 0;
+  PersistentState st;  // tag kCartTag; in_flight while an execution runs
+
+  /// Whether the slot holds exactly these inputs' schedule, counted as
+  /// one plan-cache hit. A slot whose last execution threw never serves.
+  [[nodiscard]] bool serves(const PlanKey& k, std::span<const SendBlock> sends,
+                            std::span<const RecvBlock> recvs,
+                            std::uint64_t digest);
+  /// Hold `sched`, bound from these inputs, in place of the last schedule.
+  void rebind(const mpl::Comm& comm, PlanKey k,
+              std::span<const SendBlock> sends,
+              std::span<const RecvBlock> recvs, std::uint64_t digest,
+              Schedule sched);
+  /// Execute the held schedule to completion.
+  void run();
+};
+
+struct OneShotSlots {
+  std::array<OneShotSlot, static_cast<std::size_t>(OneShot::count)> slots;
+};
+
+/// Run a blocking one-shot call. `key()` returns the call's validated
+/// plan key and `build()` its Schedule from the by-value builder, which
+/// counts its own plan-cache hit or miss. With the plan cache off the
+/// slot is neither read nor written.
+template <typename Key, typename Build>
+void run_in_slot(OneShotSlot& slot, const mpl::Comm& comm,
+                 std::span<const SendBlock> sends,
+                 std::span<const RecvBlock> recvs, std::uint64_t op_digest,
+                 Key&& key, Build&& build) {
+  if (!plan_cache_enabled()) {
+    build().execute(comm);
+    return;
+  }
+  PlanKey k = key();
+  if (!slot.serves(k, sends, recvs, op_digest)) {
+    slot.rebind(comm, std::move(k), sends, recvs, op_digest, build());
+  }
+  slot.run();
+}
 
 }  // namespace detail
 

@@ -148,8 +148,8 @@ std::int64_t type_digest(const mpl::Datatype& type, int count) {
   return static_cast<std::int64_t>(h);
 }
 
-/// Everything both collectives share: topology, position class, and the
-/// neighborhood itself.
+/// Everything all collectives share: topology, position class, and the
+/// neighborhood itself; common_words() words.
 void append_common(std::vector<std::int64_t>& w, const CartNeighborComm& cc) {
   const mpl::CartGrid& g = cc.grid();
   const Neighborhood& nb = cc.neighborhood();
@@ -163,6 +163,12 @@ void append_common(std::vector<std::int64_t>& w, const CartNeighborComm& cc) {
   for (const int s : cc.boundary_signature()) w.push_back(s);
   w.push_back(t);
   for (const int c : nb.flat()) w.push_back(c);
+}
+
+std::size_t common_words(const CartNeighborComm& cc) {
+  const auto d = static_cast<std::size_t>(cc.neighborhood().ndims());
+  const auto t = static_cast<std::size_t>(cc.neighborhood().count());
+  return 2 + 4 * d + t * d;
 }
 
 PlanKey seal(std::vector<std::int64_t> w) {
@@ -183,8 +189,7 @@ PlanKey make_alltoall_key(const CartNeighborComm& cc,
                           std::span<const SendBlock> sends,
                           std::span<const RecvBlock> recvs) {
   std::vector<std::int64_t> w;
-  w.reserve(8 + static_cast<std::size_t>(cc.neighborhood().count()) *
-                    (static_cast<std::size_t>(cc.neighborhood().ndims()) + 3));
+  w.reserve(1 + common_words(cc) + 3 * sends.size());
   w.push_back(1);  // collective kind: alltoall
   append_common(w, cc);
   for (std::size_t i = 0; i < sends.size(); ++i) {
@@ -198,8 +203,7 @@ PlanKey make_alltoall_key(const CartNeighborComm& cc,
 PlanKey make_allgather_key(const CartNeighborComm& cc, const SendBlock& send,
                            std::span<const RecvBlock> recvs, DimOrder order) {
   std::vector<std::int64_t> w;
-  w.reserve(10 + static_cast<std::size_t>(cc.neighborhood().count()) *
-                     (static_cast<std::size_t>(cc.neighborhood().ndims()) + 1));
+  w.reserve(4 + common_words(cc) + recvs.size());
   w.push_back(2);  // collective kind: allgather
   append_common(w, cc);
   w.push_back(static_cast<std::int64_t>(order));
@@ -213,8 +217,7 @@ PlanKey make_reduce_key(const CartNeighborComm& cc, ReduceVariant variant,
                         bool combining, DimOrder order, const SendBlock& send,
                         const mpl::ReduceOp& op) {
   std::vector<std::int64_t> w;
-  w.reserve(12 + static_cast<std::size_t>(cc.neighborhood().count()) *
-                     (static_cast<std::size_t>(cc.neighborhood().ndims()) + 1));
+  w.reserve(7 + common_words(cc));
   w.push_back(4);  // collective kind: reduction family
   append_common(w, cc);
   w.push_back(static_cast<std::int64_t>(variant));
@@ -258,29 +261,6 @@ std::array<PlanCacheShard, kShards>& shards() {
 }
 
 PlanCacheShard& shard_for(std::size_t hash) { return shards()[hash % kShards]; }
-
-// Bound-schedule shards: same shape, same lock level (both leaves; the two
-// cache levels are never locked together — a bound miss releases its shard
-// before the compiled-plan lookup runs).
-struct SchedCacheEntry {
-  std::shared_ptr<BoundSchedule> bound;
-  std::uint64_t tick = 0;
-};
-
-struct SchedCacheShard {
-  mpl::detail::PlanCacheMutex mtx_;
-  std::unordered_map<PlanKey, SchedCacheEntry, KeyHash> map_
-      MPL_GUARDED_BY(mtx_);
-};
-
-std::array<SchedCacheShard, kShards>& sched_shards() {
-  static std::array<SchedCacheShard, kShards> s;
-  return s;
-}
-
-SchedCacheShard& sched_shard_for(std::size_t hash) {
-  return sched_shards()[hash % kShards];
-}
 
 std::atomic<std::uint64_t>& tick_source() {
   static std::atomic<std::uint64_t> t{0};
@@ -331,20 +311,8 @@ bool plan_cache_enabled() {
   return config().enabled.load(std::memory_order_relaxed);
 }
 
-namespace {
-std::atomic<std::uint64_t>& generation_source() {
-  static std::atomic<std::uint64_t> g{0};
-  return g;
-}
-}  // namespace
-
-std::uint64_t plan_cache_generation() {
-  return generation_source().load(std::memory_order_relaxed);
-}
-
 void plan_cache_set_enabled(bool on) {
   config().enabled.store(on, std::memory_order_relaxed);
-  generation_source().fetch_add(1, std::memory_order_relaxed);
 }
 
 std::size_t plan_cache_cap() {
@@ -455,69 +423,6 @@ void plan_cache_clear() {
     sh.cv_.notify_all();  // waiters on a cleared compile claim the key
   }
   telemetry::on_plan_cache_drop(dropped);
-  for (SchedCacheShard& sh : sched_shards()) {
-    mpl::detail::CheckedLock lock(sh.mtx_);
-    sh.map_.clear();  // auxiliary entries: not in the gauge
-  }
-  generation_source().fetch_add(1, std::memory_order_relaxed);
-}
-
-PlanKey make_bound_key(const PlanKey& plan, int rank,
-                       std::span<const SendBlock> sends,
-                       std::span<const RecvBlock> recvs,
-                       std::uint64_t op_digest) {
-  std::vector<std::int64_t> w;
-  w.reserve(4 + sends.size() + recvs.size());
-  w.push_back(3);  // key kind: bound schedule
-  w.push_back(static_cast<std::int64_t>(plan.hash));
-  w.push_back(rank);
-  w.push_back(static_cast<std::int64_t>(op_digest));
-  for (const SendBlock& b : sends) {
-    w.push_back(
-        static_cast<std::int64_t>(reinterpret_cast<std::uintptr_t>(b.addr)));
-  }
-  for (const RecvBlock& b : recvs) {
-    w.push_back(
-        static_cast<std::int64_t>(reinterpret_cast<std::uintptr_t>(b.addr)));
-  }
-  return seal(std::move(w));
-}
-
-std::shared_ptr<BoundSchedule> schedule_cache_lookup(const PlanKey& key) {
-  if (!plan_cache_enabled()) return nullptr;  // bypass: not counted
-  SchedCacheShard& sh = sched_shard_for(key.hash);
-  mpl::detail::CheckedLock lock(sh.mtx_);
-  auto it = sh.map_.find(key);
-  if (it == sh.map_.end()) return nullptr;  // the plan lookup counts the miss
-  it->second.tick = tick_source().fetch_add(1, std::memory_order_relaxed) + 1;
-  telemetry::on_plan_cache_hit();
-  return it->second.bound;
-}
-
-std::shared_ptr<BoundSchedule> schedule_cache_store(const PlanKey& key,
-                                                    Schedule&& sched) {
-  auto sp = std::make_shared<BoundSchedule>();
-  sp->sched = std::move(sched);
-  if (!plan_cache_enabled()) return sp;
-  SchedCacheShard& sh = sched_shard_for(key.hash);
-  mpl::detail::CheckedLock lock(sh.mtx_);
-  auto [it, inserted] = sh.map_.try_emplace(key);
-  if (!inserted) return it->second.bound;  // concurrent bind: first wins
-  it->second.bound = sp;
-  it->second.tick = tick_source().fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::size_t cap = per_shard_cap();
-  while (cap != 0 && sh.map_.size() > cap) {
-    auto victim = sh.map_.end();
-    for (auto e = sh.map_.begin(); e != sh.map_.end(); ++e) {
-      if (e == it) continue;
-      if (victim == sh.map_.end() || e->second.tick < victim->second.tick) {
-        victim = e;
-      }
-    }
-    if (victim == sh.map_.end()) break;
-    sh.map_.erase(victim);  // auxiliary: no eviction counter
-  }
-  return sp;
 }
 
 }  // namespace cartcomm

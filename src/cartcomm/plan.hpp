@@ -18,11 +18,14 @@
 //              built directly), allocates the temp pool, and resolves the
 //              partner ranks from this process' grid position.
 //
-// Repeated non-persistent collective calls therefore skip the O(t·d)
-// construction entirely: the plan comes from a concurrent sharded cache
-// keyed by the canonical neighborhood signature (see PlanKey), and only
-// the bind runs per call. MPL_PLAN_CACHE=0 disables the cache,
-// MPL_PLAN_CACHE_CAP bounds its size (approximate LRU eviction).
+// Repeated schedule builds therefore skip the O(t·d) construction
+// entirely: the plan comes from a concurrent sharded cache keyed by the
+// canonical neighborhood signature (see PlanKey), and only the bind runs
+// per build. A blocking one-shot call skips the bind too while its
+// buffers repeat: the communicator keeps the schedule each entry point
+// bound last (its one-shot slots, coll.hpp). MPL_PLAN_CACHE=0 disables
+// the cache and the slots, MPL_PLAN_CACHE_CAP bounds the number of
+// compiled plans (approximate LRU eviction).
 #pragma once
 
 #include <cstddef>
@@ -199,8 +202,8 @@ enum class ReduceVariant : std::uint8_t { reduce = 0, reduce_scatter = 1 };
 /// Key for a reducing plan. The plan reads only the op's element size, so
 /// that is all the key holds of the op: every op of one element size,
 /// built-in or user-defined on each rank, shares the compiled plan. The
-/// bound schedule embeds the op, so its key adds the op digest (see
-/// make_bound_key).
+/// bound schedule embeds the op, so a one-shot slot also matches the op
+/// digest (coll.hpp).
 [[nodiscard]] PlanKey make_reduce_key(const CartNeighborComm& cc,
                                       ReduceVariant variant, bool combining,
                                       DimOrder order, const SendBlock& send,
@@ -293,53 +296,8 @@ void plan_cache_set_cap(std::size_t cap);
 [[nodiscard]] std::size_t plan_cache_size();
 
 /// Drop every cached plan (tests; outstanding shared_ptrs stay valid).
+/// Reaches compiled plans only: schedules bound in one-shot slots live
+/// and die with their communicator.
 void plan_cache_clear();
-
-/// Monotonic counter bumped by plan_cache_clear() and
-/// plan_cache_set_enabled(); per-thread fast-path memos compare it to
-/// notice that cached state was invalidated behind their back.
-[[nodiscard]] std::uint64_t plan_cache_generation();
-
-// -- bound-schedule cache -----------------------------------------------------
-//
-// Second cache level, used by the blocking one-shot collectives only: a
-// compiled plan already bound to one rank's concrete buffers. Keyed by the
-// plan key's hash plus the calling rank and every block address, so an
-// entry can only be served where a fresh bind would have produced the
-// bit-identical Schedule — bind is deterministic in exactly those inputs,
-// which also makes address reuse (free + re-malloc at the same address
-// with the same signature) harmless. Sharing is safe because the one-shot
-// path runs to completion on the single thread that owns the buffers
-// before returning; the persistent path keeps its own private Schedule
-// (two interleaved persistent executions must not share a temp pool).
-
-/// A bound schedule plus its reusable execution working set. The scratch
-/// may be mutated by whichever thread executes the schedule; that is safe
-/// because only the thread owning the keyed buffer addresses can reach
-/// the entry, and the blocking one-shot call cannot overlap itself.
-struct BoundSchedule {
-  Schedule sched;
-  ExecutionScratch scratch;
-};
-
-/// Key for a bound schedule: `plan` identity + rank + block addresses, and
-/// for a reducing schedule the digest of the op it folds with.
-[[nodiscard]] PlanKey make_bound_key(const PlanKey& plan, int rank,
-                                     std::span<const SendBlock> sends,
-                                     std::span<const RecvBlock> recvs,
-                                     std::uint64_t op_digest = 0);
-
-/// Cached bound schedule, or null. A hit counts as a plan-cache hit (the
-/// plan was implicitly found too); a miss is left to the compiled-plan
-/// lookup that follows, so every build counts exactly once.
-[[nodiscard]] std::shared_ptr<BoundSchedule> schedule_cache_lookup(
-    const PlanKey& key);
-
-/// Publish a bound schedule. First insert wins; evicts approximately-LRU
-/// under the same per-shard cap as compiled plans. Bound entries are
-/// auxiliary: they do not appear in plan_cache_size() or the entries
-/// gauge, and plan_cache_clear() drops them too.
-[[nodiscard]] std::shared_ptr<BoundSchedule> schedule_cache_store(
-    const PlanKey& key, Schedule&& sched);
 
 }  // namespace cartcomm

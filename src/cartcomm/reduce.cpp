@@ -1,6 +1,6 @@
 #include "cartcomm/reduce.hpp"
 
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "cartcomm/build_schedule.hpp"
@@ -55,9 +55,8 @@ std::vector<SendBlock> reduce_sends(const void* sendbuf, int count,
 }
 
 /// Blocking one-shot execution. Both algorithms are schedule-native, so
-/// both go through the bound-schedule cache: a repeated call with the same
-/// communicator, buffers and op replays the bound schedule without
-/// compiling or binding anything.
+/// both run through the variant's slot on `cc`: a repeated call with the
+/// same buffers and op runs the bound schedule without binding anything.
 int run_reduce_oneshot(const CartNeighborComm& cc, const void* sendbuf,
                        void* recvbuf, int count, const mpl::Datatype& type,
                        const mpl::ReduceOp& op, ReduceVariant variant,
@@ -67,10 +66,19 @@ int run_reduce_oneshot(const CartNeighborComm& cc, const void* sendbuf,
   const std::vector<SendBlock> sends =
       reduce_sends(sendbuf, count, type, variant, cc.neighborhood().count());
   const RecvBlock recv{recvbuf, count, type};
-  const std::shared_ptr<BoundSchedule> bound = build_reduce_schedule_shared(
-      cc, sends, recv, op, variant, combining, order);
-  Schedule::Execution e = bound->sched.start(cc.comm(), bound->scratch);
-  e.wait();
+  detail::run_in_slot(
+      cc.oneshot_slot(variant == ReduceVariant::reduce
+                          ? detail::OneShot::reduce
+                          : detail::OneShot::reduce_scatter),
+      cc.comm(), sends, std::span(&recv, 1), op.digest(),
+      [&] {
+        return reduce_schedule_key(cc, sends, recv, op, variant, combining,
+                                   order);
+      },
+      [&] {
+        return build_reduce_schedule(cc, sends, recv, op, variant, combining,
+                                     order);
+      });
   return contribution_blocks(cc);
 }
 

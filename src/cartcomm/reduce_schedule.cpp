@@ -378,17 +378,23 @@ void require_dense(const mpl::Datatype& type, const char* what) {
                   "spanning its extent");
 }
 
-struct ReduceArgs {
-  PlanKey key;
-  std::size_t block_bytes = 0;
-  int fold_elems = 0;
-};
+}  // namespace
 
-ReduceArgs reduce_key_checked(const CartNeighborComm& cc,
-                              std::span<const SendBlock> sends,
-                              const RecvBlock& recv, const mpl::ReduceOp& op,
-                              ReduceVariant variant, bool combining,
-                              DimOrder order) {
+CompiledPlan compile_reduce_plan(const CartNeighborComm& cc,
+                                 ReduceVariant variant, bool combining,
+                                 DimOrder order, std::size_t block_bytes,
+                                 int fold_elems) {
+  return combining ? compile_reduce_combining(cc, variant, order, block_bytes,
+                                              fold_elems)
+                   : compile_reduce_trivial(cc, variant, block_bytes,
+                                            fold_elems);
+}
+
+PlanKey reduce_schedule_key(const CartNeighborComm& cc,
+                            std::span<const SendBlock> sends,
+                            const RecvBlock& recv, const mpl::ReduceOp& op,
+                            ReduceVariant variant, bool combining,
+                            DimOrder order) {
   const int t = cc.neighborhood().count();
   MPL_REQUIRE(op.valid(), "reduce schedule: invalid reduce op");
   MPL_REQUIRE(!combining || op.commutative(),
@@ -415,34 +421,7 @@ ReduceArgs reduce_key_checked(const CartNeighborComm& cc,
   // fill); key it on the receive block instead.
   const SendBlock rep =
       sends.empty() ? SendBlock{recv.addr, recv.count, recv.type} : sends[0];
-  ReduceArgs a;
-  a.key = make_reduce_key(cc, variant, combining, order, rep, op);
-  a.block_bytes = m;
-  a.fold_elems = static_cast<int>(m / op.elem_size());
-  return a;
-}
-
-std::shared_ptr<const CompiledPlan> reduce_plan(const CartNeighborComm& cc,
-                                                const ReduceArgs& a,
-                                                ReduceVariant variant,
-                                                bool combining,
-                                                DimOrder order) {
-  return plan_cache_get(a.key, [&] {
-    return compile_reduce_plan(cc, variant, combining, order, a.block_bytes,
-                               a.fold_elems);
-  });
-}
-
-}  // namespace
-
-CompiledPlan compile_reduce_plan(const CartNeighborComm& cc,
-                                 ReduceVariant variant, bool combining,
-                                 DimOrder order, std::size_t block_bytes,
-                                 int fold_elems) {
-  return combining ? compile_reduce_combining(cc, variant, order, block_bytes,
-                                              fold_elems)
-                   : compile_reduce_trivial(cc, variant, block_bytes,
-                                            fold_elems);
+  return make_reduce_key(cc, variant, combining, order, rep, op);
 }
 
 Schedule build_reduce_schedule(const CartNeighborComm& cc,
@@ -450,28 +429,15 @@ Schedule build_reduce_schedule(const CartNeighborComm& cc,
                                const RecvBlock& recv, const mpl::ReduceOp& op,
                                ReduceVariant variant, bool combining,
                                DimOrder order) {
-  const ReduceArgs a =
-      reduce_key_checked(cc, sends, recv, op, variant, combining, order);
+  const PlanKey key =
+      reduce_schedule_key(cc, sends, recv, op, variant, combining, order);
+  const std::size_t m = recv.bytes();
   const RecvBlock recvs[1] = {recv};
-  return reduce_plan(cc, a, variant, combining, order)
-      ->bind(cc, sends, recvs, op);
-}
-
-std::shared_ptr<BoundSchedule> build_reduce_schedule_shared(
-    const CartNeighborComm& cc, std::span<const SendBlock> sends,
-    const RecvBlock& recv, const mpl::ReduceOp& op, ReduceVariant variant,
-    bool combining, DimOrder order) {
-  const ReduceArgs a =
-      reduce_key_checked(cc, sends, recv, op, variant, combining, order);
-  const RecvBlock recvs[1] = {recv};
-  const PlanKey bkey =
-      make_bound_key(a.key, cc.comm().rank(), sends, recvs, op.digest());
-  if (std::shared_ptr<BoundSchedule> s = schedule_cache_lookup(bkey)) {
-    return s;
-  }
-  return schedule_cache_store(bkey,
-                              reduce_plan(cc, a, variant, combining, order)
-                                  ->bind(cc, sends, recvs, op));
+  const auto plan = plan_cache_get(key, [&] {
+    return compile_reduce_plan(cc, variant, combining, order, m,
+                               static_cast<int>(m / op.elem_size()));
+  });
+  return plan->bind(cc, sends, recvs, op);
 }
 
 }  // namespace cartcomm

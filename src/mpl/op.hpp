@@ -4,8 +4,8 @@
 // A ReduceOp folds arrays of fixed-size elements in place. Built-in ops
 // are one shared instance per (op, element type) with an identity element
 // and a deterministic digest; user-defined ops get a process-unique digest,
-// so two user ops never alias in the bound-schedule cache. Compiled plans
-// key on the element size alone and are shared by every op.
+// so two user ops never alias in a one-shot slot (cartcomm/coll.hpp).
+// Compiled plans key on the element size alone and are shared by every op.
 //
 // Commutativity matters for algorithm selection only: the binomial rank
 // reductions and the combining Cartesian reduction reorder contributions,
@@ -185,8 +185,8 @@ class ReduceOp {
   }
 
   // Process-unique salt of a user op: the fold function itself cannot be
-  // hashed, so two user ops must never share a digest (the bound-schedule
-  // cache embeds the op).
+  // hashed, so two user ops must never share a digest (a one-shot slot's
+  // schedule embeds the op).
   static std::uint64_t user_salt() {
     static std::atomic<std::uint64_t> next{1};
     return next.fetch_add(1, std::memory_order_relaxed);

@@ -409,8 +409,8 @@ TEST(CartReduce, UserOpAndFloatConsistency) {
 
 TEST(CartReduce, UserOpsSharingANameNeverShareASchedule) {
   // Two user ops under one name and element type fold differently. The
-  // bound-schedule cache keys on the op digest, so a repeated call on the
-  // same buffers must not replay the other op's schedule.
+  // reduce slot matches the op digest, so a repeated call on the same
+  // buffers must not replay the other op's schedule.
   mpl::run(4, [](mpl::Comm& world) {
     const std::vector<int> dims{4};
     auto cc = cartcomm::cart_neighborhood_create(world, dims, {},

@@ -2,11 +2,13 @@
 // made by analyze(), compile_alltoall_plan and compile_reduce_plan on the
 // stencil family. Proposition 3.1 puts schedule computation at O(t·d);
 // here the number of allocations must grow with the number of rounds C,
-// not with t. This binary replaces the global operator new/delete to
-// count; the library itself carries no hook.
+// not with t. The blocking one-shot calls that their communicator's slot
+// serves are counted too: their allocations must not grow at all. This
+// binary replaces the global operator new/delete to count; the library
+// itself carries no hook.
 //
-// The counts are exact and pinned: a change to the compile path that
-// moves them updates the pins and says why.
+// The counts are exact and pinned: a change to the compile or one-shot
+// path that moves them updates the pins and says why.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -85,6 +87,52 @@ Counts count_compile(int n) {
   return c;
 }
 
+struct OneShotCounts {
+  std::size_t alltoall = 0;
+  std::size_t alltoallv = 0;
+  std::size_t allreduce = 0;
+};
+
+// One call of each blocking one-shot collective on a warm slot (the same
+// buffers, counts and types as the call before) for stencil(5, n, -1) on
+// a single-process torus.
+OneShotCounts count_oneshot(int n) {
+  const auto nb = cartcomm::Neighborhood::stencil(5, n, -1);
+  OneShotCounts c;
+  mpl::run(1, [&](mpl::Comm& world) {
+    const std::vector<int> dims(5, 1);
+    auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
+    const auto t = static_cast<std::size_t>(nb.count());
+    std::vector<int> sb(t, 1), rb(t);
+    const std::vector<int> counts(t, 1);
+    std::vector<int> displs(t);
+    for (std::size_t i = 0; i < t; ++i) displs[i] = static_cast<int>(i);
+    const mpl::Datatype ints = mpl::Datatype::of<int>();
+    const mpl::ReduceOp sum = mpl::ReduceOp::sum<int>();
+    const int mine = 1;
+    int out = 0;
+    const auto combining = cartcomm::Algorithm::combining;
+    auto alltoall = [&] {
+      cartcomm::alltoall(sb.data(), 1, ints, rb.data(), 1, ints, cc, combining);
+    };
+    auto alltoallv = [&] {
+      cartcomm::alltoallv(sb.data(), counts, displs, ints, rb.data(), counts,
+                          displs, ints, cc, combining);
+    };
+    auto allreduce = [&] {
+      cartcomm::cart_neighbor_allreduce(&mine, &out, 1, ints, sum, cc,
+                                        combining);
+    };
+    alltoall();  // the first call of each binds its slot
+    alltoallv();
+    allreduce();
+    c.alltoall = allocations(alltoall);
+    c.alltoallv = allocations(alltoallv);
+    c.allreduce = allocations(allreduce);
+  });
+  return c;
+}
+
 }  // namespace
 
 TEST(CompileAllocs, CountsArePinned) {
@@ -120,4 +168,17 @@ TEST(CompileAllocs, GrowWithRoundsNotNeighbors) {
       << small.alltoall << " -> " << large.alltoall;
   EXPECT_TRUE(grows_like_c(small.reduce, large.reduce))
       << small.reduce << " -> " << large.reduce;
+}
+
+TEST(CompileAllocs, OneShotCallsOnAWarmSlotArePinnedAndFlatInT) {
+  // alltoall and alltoallv: the two descriptor vectors and the plan key's
+  // word vector; allreduce: the send descriptor vector and the key.
+  const OneShotCounts small = count_oneshot(3);  // t = 243
+  const OneShotCounts large = count_oneshot(5);  // t = 3125
+  EXPECT_EQ(small.alltoall, 3u);
+  EXPECT_EQ(small.alltoallv, 3u);
+  EXPECT_EQ(small.allreduce, 2u);
+  EXPECT_EQ(large.alltoall, small.alltoall);
+  EXPECT_EQ(large.alltoallv, small.alltoallv);
+  EXPECT_EQ(large.allreduce, small.allreduce);
 }

@@ -3,7 +3,9 @@
 // same signature, and versus the cache-disabled path), virtual clocks must
 // be unchanged by caching (including under a deterministic fault plan),
 // the sharded cache must survive a mixed hit/miss/evict hammer from all
-// ranks, and the counters must flow through to OpenMetrics.
+// ranks, the counters must flow through to OpenMetrics, and each
+// communicator's one-shot slots must serve exactly the inputs they were
+// bound from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -367,9 +369,9 @@ TEST_F(PlanCache, LiveCountersFlowIntoTotals) {
 // ---------------------------------------------------------------------------
 
 TEST_F(PlanCache, ReducePlansHitTheCacheWithExactAccounting) {
-  // Buffers live outside mpl::run so the bound-schedule keys (plan + rank
-  // + addresses) are stable across passes. Pass 1: one plan compile (miss)
-  // + eight plan hits; pass 2: nine bound-schedule hits. Every build is
+  // Each pass makes new communicators, whose one-shot slots start empty.
+  // Pass 1: one plan compile (miss) + eight plan hits; pass 2: nine slot
+  // misses, each served by the cached plan (a plan hit). Every build is
   // exactly one hit or one miss: hits + misses == builds.
   const auto before = telemetry::plan_cache_totals();
   std::vector<long long> mine(9), out(9);
@@ -496,7 +498,8 @@ TEST_F(PlanCache, AllreduceBuildsItsSelfViewOnce) {
         auto cc = cartcomm::cart_neighborhood_create(
             world, g.dims, g.periods, Neighborhood::von_neumann(d));
         const auto r = static_cast<std::size_t>(world.rank());
-        sigs[r] = cc.boundary_signature();
+        sigs[r].assign(cc.boundary_signature().begin(),
+                       cc.boundary_signature().end());
         const cartcomm::CartNeighborComm& view = cc.with_self();
         const cartcomm::CartNeighborComm copy = cc;
         ASSERT_EQ(&copy.with_self(), &view);  // built once, shared by copies
@@ -535,4 +538,232 @@ TEST_F(PlanCache, AllreduceBuildsItsSelfViewOnce) {
           << (alg == Algorithm::combining);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// One-shot slots: each blocking entry point keeps the schedule it bound last
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using cartcomm::detail::OneShot;
+
+/// Fill `sb` with rank `rank`'s alltoall pattern shifted by `salt`.
+void fill_pattern(std::vector<int>& sb, int rank, int t, int m, int salt) {
+  for (int i = 0; i < t; ++i)
+    for (int e = 0; e < m; ++e)
+      sb[static_cast<std::size_t>(i) * m + e] =
+          carttest::pattern(rank, i, e) + salt;
+}
+
+/// Is `rb` what rank-ordered sources sent with `salt` in an alltoall?
+::testing::AssertionResult alltoall_exact(const cartcomm::CartNeighborComm& cc,
+                                          const std::vector<int>& rb, int m,
+                                          int salt) {
+  for (int i = 0; i < cc.neighbor_count(); ++i) {
+    const int src = cc.source_ranks()[static_cast<std::size_t>(i)];
+    for (int e = 0; e < m; ++e) {
+      const int got = rb[static_cast<std::size_t>(i) * m + e];
+      if (got != carttest::pattern(src, i, e) + salt) {
+        return ::testing::AssertionFailure()
+               << "rank " << cc.rank() << " block " << i << " elem " << e
+               << ": " << got;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The first round's datatype storage of the slot's schedule: it stays
+/// put while the slot serves and moves when the slot is rebound.
+const void* slot_identity(const cartcomm::CartNeighborComm& cc, OneShot k) {
+  return cc.oneshot_slot(k).st.sched.round_list().data();
+}
+
+}  // namespace
+
+TEST_F(PlanCache, OneShotSlotServesFreshBasicTypesWithOneHitPerCall) {
+  // A fresh Datatype::of<int>() per call, as perfbench's oneshot5d makes
+  // one, on fixed buffers: the first call compiles once across all ranks,
+  // and every later call is exactly one slot hit per rank.
+  constexpr int kCalls = 5;
+  const auto before = telemetry::plan_cache_totals();
+  mpl::run(9, [&](mpl::Comm& world) {
+    auto cc = cartcomm::cart_neighborhood_create(world, std::vector<int>{3, 3},
+                                                 {}, Neighborhood::moore(2));
+    const int t = cc.neighbor_count();
+    const int m = 2;
+    std::vector<int> sb(static_cast<std::size_t>(t) * m);
+    std::vector<int> rb(sb.size());
+    fill_pattern(sb, world.rank(), t, m, 0);
+    const void* bound = nullptr;
+    for (int call = 0; call < kCalls; ++call) {
+      std::fill(rb.begin(), rb.end(), -777);
+      cartcomm::alltoall(sb.data(), m, mpl::Datatype::of<int>(), rb.data(), m,
+                         mpl::Datatype::of<int>(), cc, Algorithm::combining);
+      ASSERT_TRUE(alltoall_exact(cc, rb, m, 0)) << "call " << call;
+      if (call == 0) bound = slot_identity(cc, OneShot::alltoall);
+      ASSERT_EQ(slot_identity(cc, OneShot::alltoall), bound) << "call " << call;
+    }
+  });
+  const auto after = telemetry::plan_cache_totals();
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.hits - before.hits, 9u * kCalls - 1u);
+}
+
+TEST_F(PlanCache, OneShotSlotNeverServesAnotherBufferPair) {
+  // Two buffer pairs alternate on one entry point: every call rebinds
+  // (one plan hit), and each call's data lands in its own receive buffer
+  // only.
+  constexpr int kCalls = 6;
+  const auto before = telemetry::plan_cache_totals();
+  mpl::run(9, [&](mpl::Comm& world) {
+    auto cc = cartcomm::cart_neighborhood_create(world, std::vector<int>{3, 3},
+                                                 {}, Neighborhood::moore(2));
+    const int t = cc.neighbor_count();
+    const int m = 3;
+    const std::size_t n = static_cast<std::size_t>(t) * m;
+    std::vector<int> sb[2] = {std::vector<int>(n), std::vector<int>(n)};
+    std::vector<int> rb[2] = {std::vector<int>(n), std::vector<int>(n)};
+    fill_pattern(sb[0], world.rank(), t, m, 0);
+    fill_pattern(sb[1], world.rank(), t, m, 1000);
+    const mpl::Datatype ints = mpl::Datatype::of<int>();
+    for (int call = 0; call < kCalls; ++call) {
+      const int p = call % 2;
+      std::fill(rb[0].begin(), rb[0].end(), -777);
+      std::fill(rb[1].begin(), rb[1].end(), -777);
+      cartcomm::alltoall(sb[p].data(), m, ints, rb[p].data(), m, ints, cc,
+                         Algorithm::combining);
+      ASSERT_TRUE(alltoall_exact(cc, rb[p], m, p * 1000)) << "call " << call;
+      ASSERT_TRUE(std::all_of(rb[1 - p].begin(), rb[1 - p].end(),
+                              [](int v) { return v == -777; }))
+          << "call " << call << " wrote the other pair's receive buffer";
+    }
+  });
+  const auto after = telemetry::plan_cache_totals();
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.hits - before.hits, 9u * kCalls - 1u);
+}
+
+TEST_F(PlanCache, OneShotSlotsAreSeparatePerEntryPoint) {
+  // alltoall and an alltoallv with the same counts have equal plan keys;
+  // on distinct buffers they still keep a slot each, so alternating them
+  // rebinds neither.
+  mpl::run(9, [&](mpl::Comm& world) {
+    auto cc = cartcomm::cart_neighborhood_create(world, std::vector<int>{3, 3},
+                                                 {}, Neighborhood::moore(2));
+    const int t = cc.neighbor_count();
+    const int m = 2;
+    const std::size_t n = static_cast<std::size_t>(t) * m;
+    std::vector<int> sa(n), ra(n), sv(n), rv(n);
+    fill_pattern(sa, world.rank(), t, m, 0);
+    fill_pattern(sv, world.rank(), t, m, 500);
+    const std::vector<int> counts(static_cast<std::size_t>(t), m);
+    std::vector<int> displs(static_cast<std::size_t>(t));
+    for (int i = 0; i < t; ++i) displs[static_cast<std::size_t>(i)] = i * m;
+    const mpl::Datatype ints = mpl::Datatype::of<int>();
+    const void* a_bound = nullptr;
+    const void* v_bound = nullptr;
+    for (int call = 0; call < 4; ++call) {
+      cartcomm::alltoall(sa.data(), m, ints, ra.data(), m, ints, cc,
+                         Algorithm::combining);
+      cartcomm::alltoallv(sv.data(), counts, displs, ints, rv.data(), counts,
+                          displs, ints, cc, Algorithm::combining);
+      ASSERT_TRUE(alltoall_exact(cc, ra, m, 0)) << "call " << call;
+      ASSERT_TRUE(alltoall_exact(cc, rv, m, 500)) << "call " << call;
+      if (call == 0) {
+        ASSERT_EQ(cc.oneshot_slot(OneShot::alltoall).key,
+                  cc.oneshot_slot(OneShot::alltoallv).key);
+        a_bound = slot_identity(cc, OneShot::alltoall);
+        v_bound = slot_identity(cc, OneShot::alltoallv);
+      }
+      ASSERT_EQ(slot_identity(cc, OneShot::alltoall), a_bound);
+      ASSERT_EQ(slot_identity(cc, OneShot::alltoallv), v_bound);
+    }
+    // A copy shares the slots; a with_neighborhood view has its own.
+    const cartcomm::CartNeighborComm copy = cc;
+    EXPECT_EQ(&copy.oneshot_slot(OneShot::alltoall),
+              &cc.oneshot_slot(OneShot::alltoall));
+    const auto view = cc.with_neighborhood(Neighborhood::moore(2));
+    EXPECT_NE(&view.oneshot_slot(OneShot::alltoall),
+              &cc.oneshot_slot(OneShot::alltoall));
+  });
+}
+
+TEST_F(PlanCache, OneShotSlotSurvivesARejectedCall) {
+  // An alltoallv whose receive sizes do not match its send sizes throws
+  // before anything is built; the slot keeps serving the last good call.
+  const auto before = telemetry::plan_cache_totals();
+  mpl::run(9, [&](mpl::Comm& world) {
+    auto cc = cartcomm::cart_neighborhood_create(world, std::vector<int>{3, 3},
+                                                 {}, Neighborhood::moore(2));
+    const int t = cc.neighbor_count();
+    const int m = 2;
+    const std::size_t n = static_cast<std::size_t>(t) * m;
+    std::vector<int> sb(n), rb(n + 1);
+    fill_pattern(sb, world.rank(), t, m, 0);
+    const std::vector<int> counts(static_cast<std::size_t>(t), m);
+    std::vector<int> bad = counts;
+    bad[1] = m + 1;
+    std::vector<int> displs(static_cast<std::size_t>(t));
+    for (int i = 0; i < t; ++i) displs[static_cast<std::size_t>(i)] = i * m;
+    const mpl::Datatype ints = mpl::Datatype::of<int>();
+    auto good = [&] {
+      std::fill(rb.begin(), rb.end(), -777);
+      cartcomm::alltoallv(sb.data(), counts, displs, ints, rb.data(), counts,
+                          displs, ints, cc, Algorithm::combining);
+    };
+    good();
+    ASSERT_TRUE(alltoall_exact(cc, rb, m, 0));
+    const void* bound = slot_identity(cc, OneShot::alltoallv);
+    EXPECT_THROW(cartcomm::alltoallv(sb.data(), counts, displs, ints,
+                                     rb.data(), bad, displs, ints, cc,
+                                     Algorithm::combining),
+                 mpl::Error);
+    good();
+    ASSERT_TRUE(alltoall_exact(cc, rb, m, 0));
+    EXPECT_EQ(slot_identity(cc, OneShot::alltoallv), bound);
+  });
+  // First call: one compile and eight plan hits; the rejected call counts
+  // nothing; the repeat is one slot hit per rank.
+  const auto after = telemetry::plan_cache_totals();
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.hits - before.hits, 8u + 9u);
+}
+
+TEST_F(PlanCache, DisabledCacheLeavesOneShotSlotsAlone) {
+  // With the cache off every one-shot call rebuilds: the slots are neither
+  // read nor written and nothing is counted.
+  cartcomm::plan_cache_set_enabled(false);
+  const auto before = telemetry::plan_cache_totals();
+  mpl::run(9, [&](mpl::Comm& world) {
+    auto cc = cartcomm::cart_neighborhood_create(world, std::vector<int>{3, 3},
+                                                 {}, Neighborhood::moore(2));
+    const int t = cc.neighbor_count();
+    const int m = 2;
+    std::vector<int> sb(static_cast<std::size_t>(t) * m);
+    std::vector<int> rb(sb.size());
+    fill_pattern(sb, world.rank(), t, m, 0);
+    const mpl::Datatype ints = mpl::Datatype::of<int>();
+    const mpl::ReduceOp sum = mpl::ReduceOp::sum<int>();
+    const int mine = world.rank() + 1;
+    int expect = 0;  // moore(2) holds the zero vector: self is a source
+    for (const int s : cc.with_self().source_ranks()) expect += s + 1;
+    for (int call = 0; call < 3; ++call) {
+      std::fill(rb.begin(), rb.end(), -777);
+      cartcomm::alltoall(sb.data(), m, ints, rb.data(), m, ints, cc,
+                         Algorithm::combining);
+      ASSERT_TRUE(alltoall_exact(cc, rb, m, 0)) << "call " << call;
+      int out = -1;
+      cartcomm::cart_neighbor_allreduce(&mine, &out, 1, ints, sum, cc,
+                                        Algorithm::combining);
+      ASSERT_EQ(out, expect) << "call " << call;
+    }
+    EXPECT_TRUE(cc.oneshot_slot(OneShot::alltoall).key.words.empty());
+    EXPECT_TRUE(
+        cc.with_self().oneshot_slot(OneShot::reduce).key.words.empty());
+  });
+  const auto after = telemetry::plan_cache_totals();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
 }
