@@ -47,8 +47,10 @@ void run_builder_bench(benchmark::State& state, bool allgather) {
         benchmark::DoNotOptimize(
             cartcomm::build_allgather_schedule(cc, sends.front(), recvs));
       } else {
-        benchmark::DoNotOptimize(
-            cartcomm::build_alltoall_schedule(cc, sends, recvs));
+        // Algorithm 1 over the offsets as given: on this 1x..x1 torus the
+        // automatic routing would fold every offset away.
+        benchmark::DoNotOptimize(cartcomm::build_alltoall_schedule(
+            cc, sends, recvs, cartcomm::Algorithm::combining));
       }
     }
     // items/s should scale ~linearly with t if construction is O(td).

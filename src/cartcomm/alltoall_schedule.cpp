@@ -168,14 +168,18 @@ PlanKey alltoall_schedule_key(const CartNeighborComm& cc,
 
 Schedule build_alltoall_schedule(const CartNeighborComm& cc,
                                  std::span<const SendBlock> sends,
-                                 std::span<const RecvBlock> recvs) {
-  const PlanKey key = alltoall_schedule_key(cc, sends, recvs);
+                                 std::span<const RecvBlock> recvs,
+                                 Algorithm alg) {
+  std::size_t max_bytes = 0;
+  for (const SendBlock& b : sends) max_bytes = std::max(max_bytes, b.bytes());
+  const CartNeighborComm& rc = cc.alltoall_routing(alg, max_bytes);
+  const PlanKey key = alltoall_schedule_key(rc, sends, recvs);
   const auto plan = plan_cache_get(key, [&] {
     std::vector<std::size_t> bytes(sends.size());
     for (std::size_t i = 0; i < sends.size(); ++i) bytes[i] = sends[i].bytes();
-    return compile_alltoall_plan(cc, bytes);
+    return compile_alltoall_plan(rc, bytes);
   });
-  return plan->bind(cc, sends, recvs);
+  return plan->bind(rc, sends, recvs);
 }
 
 }  // namespace cartcomm

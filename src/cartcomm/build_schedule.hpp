@@ -27,9 +27,13 @@ namespace cartcomm {
 /// processes must pass blocks of identical sizes per neighbor index.
 /// Runs in d phases of sum(C_k) rounds; per-process volume sum(z_i) blocks
 /// (Proposition 3.2). O(td) construction, local only (Proposition 3.1).
+/// The offsets are those of cc.alltoall_routing(alg, largest block): the
+/// routing neighborhood under `automatic` (the schedule an automatic
+/// alltoall runs when it combines), cc's offsets as given otherwise.
 Schedule build_alltoall_schedule(const CartNeighborComm& cc,
                                  std::span<const SendBlock> sends,
-                                 std::span<const RecvBlock> recvs);
+                                 std::span<const RecvBlock> recvs,
+                                 Algorithm alg = Algorithm::automatic);
 
 /// Algorithm 2: the message-combining allgather schedule. One send block
 /// (replicated to all targets), one receive block per source neighbor; all

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <climits>
+#include <cstdint>
+#include <memory>
+#include <set>
+#include <utility>
 
 #include "cartcomm/coll.hpp"
 #include "mpl/collectives.hpp"
@@ -36,7 +40,23 @@ DimOrder parse_order(const Info& info, const std::string& key,
                    ": " + it->second);
 }
 
+/// Minimal-magnitude representative of `diff` modulo `p`, in (-p/2, p/2]
+/// (ties positive).
+int minimal_representative(int diff, int p) {
+  diff = ((diff % p) + p) % p;
+  return 2 * diff > p ? diff - p : diff;
+}
+
 }  // namespace
+
+/// routing()'s state: per dimension the largest number of blocks one
+/// merged-away message carries (0: nothing merges there; empty until first
+/// use), and the views built so far by merge mask (null: no fold).
+struct detail::RoutingViews {
+  std::vector<double> load;
+  std::vector<std::pair<std::uint64_t, std::unique_ptr<const CartNeighborComm>>>
+      views;
+};
 
 std::vector<int> CartNeighborComm::relative_coord(int rank) const {
   MPL_REQUIRE(rank >= 0 && rank < size(), "relative_coord: rank out of range");
@@ -44,13 +64,9 @@ std::vector<int> CartNeighborComm::relative_coord(int rank) const {
   std::vector<int> rel(other.size());
   for (std::size_t k = 0; k < other.size(); ++k) {
     int diff = other[k] - coords()[k];
-    if (grid().periodic(static_cast<int>(k))) {
-      const int p = grid().dims()[k];
-      diff = ((diff % p) + p) % p;
-      // Minimal-magnitude representative in (-p/2, p/2] (ties positive).
-      if (2 * diff > p) diff -= p;
-    }
-    rel[k] = diff;
+    rel[k] = grid().periodic(static_cast<int>(k))
+                 ? minimal_representative(diff, grid().dims()[k])
+                 : diff;
   }
   return rel;
 }
@@ -79,6 +95,7 @@ CartNeighborComm CartNeighborComm::with_neighborhood(Neighborhood sub) const {
   cc.cart_ = cart_;
   cc.op_seq_ = op_seq_;
   cc.oneshot_ = std::make_shared<detail::OneShotSlots>();
+  cc.routing_ = std::make_shared<detail::RoutingViews>();
   cc.stats_ = analyze(sub);
   cc.a2a_alg_ = a2a_alg_;
   cc.ag_alg_ = ag_alg_;
@@ -111,6 +128,64 @@ const CartNeighborComm& CartNeighborComm::with_self() const {
   return **self_view_;
 }
 
+const CartNeighborComm& CartNeighborComm::routing(std::size_t block_bytes) const {
+  MPL_REQUIRE(routing_ != nullptr, "routing on an invalid communicator");
+  const int d = nb_.ndims();
+  detail::RoutingViews& rv = *routing_;
+  if (rv.load.empty()) {
+    // Merging the rounds of the k coordinates that reach one partner saves
+    // k - 1 messages and carries every block of those rounds in one.
+    rv.load.assign(static_cast<std::size_t>(d), 0.0);
+    for (int j = 0; j < d; ++j) {
+      if (!grid().periodic(j)) continue;
+      // Per partner (representative): its blocks and its coordinates.
+      std::map<int, std::pair<int, std::set<int>>> by_rep;
+      for (int i = 0; i < nb_.count(); ++i) {
+        const int c = nb_.coord(i, j);
+        const int r = minimal_representative(c, grid().dims()[static_cast<std::size_t>(j)]);
+        if (r == 0) continue;
+        auto& [blocks, coords] = by_rep[r];
+        ++blocks;
+        coords.insert(c);
+      }
+      for (const auto& [r, bc] : by_rep) {
+        const double saved = static_cast<double>(bc.second.size()) - 1;
+        double& load = rv.load[static_cast<std::size_t>(j)];
+        if (saved > 0) load = std::max(load, bc.first / saved);
+      }
+    }
+  }
+  // A merged message pays up to G_pack per byte at each end that the
+  // separate messages overlapped with the wire, and saves their overhead o
+  // at each end: merge where that holds for blocks of `block_bytes`.
+  const mpl::NetConfig net = cost_model();
+  std::uint64_t mask = 0;
+  for (int j = 0; j < d && j < 64; ++j) {
+    const double load = rv.load[static_cast<std::size_t>(j)];
+    if (load > 0 && net.G_pack * static_cast<double>(block_bytes) * load <= net.o) {
+      mask |= std::uint64_t{1} << j;
+    }
+  }
+  for (const auto& [m, view] : rv.views) {
+    if (m == mask) return view ? *view : *this;
+  }
+  std::vector<int> flat(nb_.flat().begin(), nb_.flat().end());
+  bool folds = false;
+  for (std::size_t x = 0; x < flat.size(); ++x) {
+    const int j = static_cast<int>(x % static_cast<std::size_t>(d));
+    if (!grid().periodic(j)) continue;
+    const int r = minimal_representative(flat[x], grid().dims()[static_cast<std::size_t>(j)]);
+    if (r != 0 && (mask >> j & 1) == 0) continue;
+    folds |= r != flat[x];
+    flat[x] = r;
+  }
+  rv.views.emplace_back(
+      mask, folds ? std::make_unique<const CartNeighborComm>(with_neighborhood(
+                        Neighborhood(d, std::move(flat))))
+                  : nullptr);
+  return rv.views.back().second ? *rv.views.back().second : *this;
+}
+
 int CartNeighborComm::next_persistent_tag() const {
   MPL_REQUIRE(op_seq_ != nullptr,
               "next_persistent_tag on an invalid communicator");
@@ -130,14 +205,15 @@ Algorithm CartNeighborComm::resolve_alltoall(Algorithm requested,
   if (requested == Algorithm::automatic) requested = a2a_alg_;  // Info default
   if (requested != Algorithm::automatic) return requested;
   if (stats_.combining_rounds >= stats_.trivial_rounds) return Algorithm::trivial;
-  // Use the active cost-model parameters when available; otherwise assume
-  // an OmniPath-class fabric for the cut-off prediction.
-  const mpl::NetConfig net = comm().proc().clock().enabled()
-                                 ? comm().proc().clock().config()
-                                 : mpl::NetConfig::omnipath();
-  return static_cast<double>(block_bytes) < predicted_cutoff_bytes(stats_, net)
+  return static_cast<double>(block_bytes) <
+                 predicted_cutoff_bytes(stats_, cost_model())
              ? Algorithm::combining
              : Algorithm::trivial;
+}
+
+mpl::NetConfig CartNeighborComm::cost_model() const {
+  return comm().proc().clock().enabled() ? comm().proc().clock().config()
+                                         : mpl::NetConfig::omnipath();
 }
 
 Algorithm CartNeighborComm::resolve_allgather(Algorithm requested) const {
@@ -186,30 +262,14 @@ CartNeighborComm cart_neighborhood_create(const mpl::Comm& comm,
               "cart_neighborhood_create: neighborhoods are not isomorphic "
               "(all processes must pass the identical target list)");
 
-  CartNeighborComm cc;
-  cc.cart_ = mpl::cart_create(comm, dims, periods, reorder);
-  cc.op_seq_ = std::make_shared<std::uint32_t>(0);
-  cc.oneshot_ = std::make_shared<detail::OneShotSlots>();
-  cc.nb_ = targets;
-  cc.boundary_sig_ = cc.make_boundary_signature();
-  cc.stats_ = analyze(targets);
+  CartNeighborComm base;
+  base.cart_ = mpl::cart_create(comm, dims, periods, reorder);
+  base.op_seq_ = std::make_shared<std::uint32_t>(0);
+  base.a2a_alg_ = parse_algorithm(info, "alltoall_algorithm", Algorithm::automatic);
+  base.ag_alg_ = parse_algorithm(info, "allgather_algorithm", Algorithm::automatic);
+  base.ag_order_ = parse_order(info, "allgather_order", DimOrder::increasing_ck);
+  CartNeighborComm cc = base.with_neighborhood(targets);
   cc.weights_.assign(weights.begin(), weights.end());
-  cc.a2a_alg_ = parse_algorithm(info, "alltoall_algorithm", Algorithm::automatic);
-  cc.ag_alg_ = parse_algorithm(info, "allgather_algorithm", Algorithm::automatic);
-  cc.ag_order_ = parse_order(info, "allgather_order", DimOrder::increasing_ck);
-
-  const int t = targets.count();
-  cc.target_ranks_.resize(static_cast<std::size_t>(t));
-  cc.source_ranks_.resize(static_cast<std::size_t>(t));
-  std::vector<int> neg(static_cast<std::size_t>(targets.ndims()));
-  for (int i = 0; i < t; ++i) {
-    const auto rel = targets.offset(i);
-    for (std::size_t k = 0; k < neg.size(); ++k) neg[k] = -rel[k];
-    cc.target_ranks_[static_cast<std::size_t>(i)] =
-        cc.cart_.grid().rank_at_offset(cc.cart_.coords(), rel);
-    cc.source_ranks_[static_cast<std::size_t>(i)] =
-        cc.cart_.grid().rank_at_offset(cc.cart_.coords(), neg);
-  }
   return cc;
 }
 

@@ -27,13 +27,16 @@ using Info = std::map<std::string, std::string>;
 
 /// Algorithm selection for the collective operations. `automatic` picks
 /// message combining below the cut-off block size of Section 3.1 and the
-/// trivial algorithm above it.
+/// trivial algorithm above it; an automatic alltoall combines over the
+/// communicator's routing neighborhood (CartNeighborComm::routing).
+/// `combining` is the paper's Algorithm 1 over the offsets as given.
 enum class Algorithm { automatic, trivial, combining };
 
 namespace detail {
 enum class OneShot : std::uint8_t;
 struct OneShotSlot;
 struct OneShotSlots;
+struct RoutingViews;
 }  // namespace detail
 
 /// Communicator carrying a d-dimensional mesh/torus layout and an
@@ -123,6 +126,26 @@ class CartNeighborComm {
   /// by this communicator's copies; a with_neighborhood view builds its own.
   [[nodiscard]] const CartNeighborComm& with_self() const;
 
+  /// The routing neighborhood for blocks of at most `block_bytes`: block i
+  /// keeps its index and its partners, but in every periodic dimension an
+  /// offset coordinate that reaches this process becomes 0 (its hop is a
+  /// local copy), and the coordinates that reach one other process merge
+  /// into their minimal-magnitude representative in (-p/2, p/2] (ties
+  /// positive, as relative_coord) when the cost model says one message
+  /// beats several (DESIGN.md, "Folded offsets"). This communicator where
+  /// nothing folds; otherwise a view built on first use and shared by this
+  /// communicator's copies, like with_self()'s.
+  [[nodiscard]] const CartNeighborComm& routing(std::size_t block_bytes) const;
+
+  /// The communicator whose offsets an alltoall requested as `requested`
+  /// combines over: routing(block_bytes) under automatic (after the Info
+  /// default), this communicator under an explicit algorithm.
+  [[nodiscard]] const CartNeighborComm& alltoall_routing(
+      Algorithm requested, std::size_t block_bytes) const {
+    if (requested == Algorithm::automatic) requested = a2a_alg_;
+    return requested == Algorithm::automatic ? routing(block_bytes) : *this;
+  }
+
   // -- algorithm selection defaults (from the Info object) -------------------
 
   [[nodiscard]] Algorithm default_alltoall_algorithm() const noexcept {
@@ -162,6 +185,9 @@ class CartNeighborComm {
       const mpl::CartComm&, std::span<const int>, const Info&);
 
   [[nodiscard]] std::vector<int> make_boundary_signature() const;
+  /// The cost model `automatic` predicts with: the active one when the
+  /// virtual clock runs, else an OmniPath-class fabric.
+  [[nodiscard]] mpl::NetConfig cost_model() const;
 
   mpl::CartComm cart_;
   Neighborhood nb_;
@@ -178,6 +204,8 @@ class CartNeighborComm {
   // with_neighborhood view.
   std::shared_ptr<std::unique_ptr<const CartNeighborComm>> self_view_ =
       std::make_shared<std::unique_ptr<const CartNeighborComm>>();
+  // routing()'s views: made at creation like oneshot_, one set per view.
+  std::shared_ptr<detail::RoutingViews> routing_;
   Algorithm a2a_alg_ = Algorithm::automatic;
   Algorithm ag_alg_ = Algorithm::automatic;
   DimOrder ag_order_ = DimOrder::increasing_ck;

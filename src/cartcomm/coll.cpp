@@ -29,15 +29,29 @@ class CollBuilder {
                              std::vector<SendBlock> sends,
                              std::vector<RecvBlock> recvs, bool allgather,
                              DimOrder order, Algorithm alg) {
-    const Algorithm resolved =
-        allgather ? cc.resolve_allgather(alg)
-                  : cc.resolve_alltoall(alg, max_block_bytes(sends));
+    const auto [resolved, rc] = resolve(cc, sends, allgather, alg);
     return {cc, resolved,
-            build_schedule(cc, std::move(sends), std::move(recvs), allgather,
+            build_schedule(*rc, std::move(sends), std::move(recvs), allgather,
                            order, resolved)};
   }
 
-  /// The schedule of the resolved algorithm `alg` on the given blocks.
+  /// The algorithm a call requested as `alg` resolves to, and the
+  /// communicator it builds on: a combining alltoall's routing
+  /// (alltoall_routing), else `cc`. Both move neighbor i's block between
+  /// the same processes.
+  static std::pair<Algorithm, const CartNeighborComm*> resolve(
+      const CartNeighborComm& cc, std::span<const SendBlock> sends,
+      bool allgather, Algorithm alg) {
+    if (allgather) return {cc.resolve_allgather(alg), &cc};
+    const std::size_t m = max_block_bytes(sends);
+    const Algorithm resolved = cc.resolve_alltoall(alg, m);
+    return {resolved, resolved == Algorithm::combining
+                          ? &cc.alltoall_routing(alg, m)
+                          : &cc};
+  }
+
+  /// The schedule of the resolved algorithm `alg` on the given blocks, over
+  /// the offsets of `cc` as given.
   static Schedule build_schedule(const CartNeighborComm& cc,
                                  std::vector<SendBlock> sends,
                                  std::vector<RecvBlock> recvs, bool allgather,
@@ -51,7 +65,7 @@ class CollBuilder {
     }
     return allgather
                ? build_allgather_schedule(cc, sends.front(), recvs, order)
-               : build_alltoall_schedule(cc, sends, recvs);
+               : build_alltoall_schedule(cc, sends, recvs, Algorithm::combining);
   }
 };
 
@@ -165,21 +179,21 @@ using mpl::blocks_v;
 using mpl::blocks_w;
 
 /// Blocking one-shot execution for the non-persistent entry points. The
-/// combining schedule runs through the entry point's slot on `cc`; the
-/// trivial schedule has nothing to compile and is built per call.
+/// combining schedule runs through the entry point's slot on the
+/// communicator it routes over; the trivial schedule has nothing to
+/// compile and is built per call.
 void run_oneshot(detail::OneShot kind, const CartNeighborComm& cc,
                  std::vector<SendBlock> sends, std::vector<RecvBlock> recvs,
                  bool allgather, DimOrder order, Algorithm alg) {
-  const Algorithm resolved =
-      allgather ? cc.resolve_allgather(alg)
-                : cc.resolve_alltoall(alg, max_block_bytes(sends));
+  const auto [resolved, routed] = CollBuilder::resolve(cc, sends, allgather, alg);
   if (resolved != Algorithm::combining) {
     CollBuilder::build_schedule(cc, std::move(sends), std::move(recvs),
                                 allgather, order, resolved)
         .execute(cc.comm());
     return;
   }
-  detail::OneShotSlot& slot = cc.oneshot_slot(kind);
+  const CartNeighborComm& rc = *routed;
+  detail::OneShotSlot& slot = rc.oneshot_slot(kind);
   if (allgather) {
     detail::run_in_slot(
         slot, cc.comm(), sends, recvs, 0,
@@ -190,8 +204,10 @@ void run_oneshot(detail::OneShot kind, const CartNeighborComm& cc,
   } else {
     detail::run_in_slot(
         slot, cc.comm(), sends, recvs, 0,
-        [&] { return alltoall_schedule_key(cc, sends, recvs); },
-        [&] { return build_alltoall_schedule(cc, sends, recvs); });
+        [&] { return alltoall_schedule_key(rc, sends, recvs); },
+        [&] {
+          return build_alltoall_schedule(rc, sends, recvs, Algorithm::combining);
+        });
   }
 }
 

@@ -87,12 +87,12 @@ Schedule CompiledPlan::bind_impl(const CartNeighborComm& cc,
     }
     builder.end_phase();
   }
+  mpl::TypeBuilder csb, crb;  // one local copy moves every recorded pair
   for (const PlanCopy& c : copies_) {
-    mpl::TypeBuilder sb, rb;
-    append(sb, c.src);
-    append(rb, c.dst);
-    builder.add_copy({sb.build(), rb.build()});
+    append(csb, c.src);
+    append(crb, c.dst);
   }
+  if (!copies_.empty()) builder.add_copy({csb.build(), crb.build()});
   if (op != nullptr) {
     // Resolve the fold program against the same buffers. The reduce entry
     // points guarantee dense block layouts whose byte size is a multiple

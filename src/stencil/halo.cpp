@@ -198,7 +198,8 @@ HaloExchange::HaloExchange(const mpl::Comm& comm,
       recvs.push_back({g.base, 1, g.box(rlo, rhi)});
     }
     parts.push_back(cartcomm::build_alltoall_schedule(
-        cc_.with_neighborhood(faces), sends, recvs));
+        cc_.with_neighborhood(faces), sends, recvs,
+        cartcomm::Algorithm::combining));
   }
 
   // Overlap regions: every sign vector v in {-1,0,+1}^d with >= 2

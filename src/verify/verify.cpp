@@ -493,6 +493,15 @@ VerifyReport verify_schedule(const Schedule& s, const CartNeighborComm& cc,
         }
       }
     }
+    // Bind moves every zero-vector block of an alltoall in one local copy.
+    const int expected_copies =
+        kind == ScheduleKind::alltoall && nb.contains_zero_vector() ? 1 : 0;
+    if (kind == ScheduleKind::alltoall && s.copy_count() != expected_copies) {
+      add_issue(rep, VerifyIssue::Code::structure, rank, -1, -1,
+                "expected " + std::to_string(expected_copies) +
+                " local copies (one for all zero vectors), schedule has " +
+                std::to_string(s.copy_count()));
+    }
     // The neighbor reduce shares equal partials (one block per distinct
     // (level, coordinate, class)); reduce_scatter has none to share.
     const long long expected_volume =

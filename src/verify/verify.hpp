@@ -21,7 +21,9 @@
 //       flight from the start, so there no receive may overlap any other
 //       receive or any send anywhere in the schedule;
 //   (d) round count C and per-process volume V match the closed-form
-//       Sigma_k C_k formulas of Propositions 3.1-3.3 (analysis.hpp);
+//       Sigma_k C_k formulas of Propositions 3.1-3.3 (analysis.hpp) for
+//       the offsets the schedule was built over — for an automatic
+//       alltoall, its routing neighborhood (CartNeighborComm::routing);
 //       divergence flags a builder bug.
 //
 // verify_schedule() runs the single-rank structural checks; verify_global()
@@ -139,7 +141,10 @@ struct VerifyReport {
 /// whole schedule, if it pre-posts) are disjoint and never alias send
 /// blocks of that window (c), and — when `kind`
 /// is given — phase/round counts and volume match the closed forms (d).
-/// `order` is the dimension order the allgather schedule was built with.
+/// Pass the communicator whose offsets built the schedule: for an alltoall,
+/// cc.alltoall_routing(alg, largest block bytes) of the communicator it
+/// was requested on. `order` is the dimension order the allgather schedule
+/// was built with.
 VerifyReport verify_schedule(const Schedule& s, const CartNeighborComm& cc,
                              ScheduleKind kind = ScheduleKind::unknown,
                              DimOrder order = DimOrder::increasing_ck);

@@ -145,7 +145,8 @@ TEST(CartAlltoallSchedule, TempBufferOnlyForMultiHopBlocks) {
 
 namespace {
 
-/// Combining alltoall schedule of `nb` on this process, one block of `m`
+/// Combining alltoall schedule (Algorithm 1 over the offsets as given) of
+/// `nb` on this process, one block of `m`
 /// ints per neighbor, the blocks back to back in one send and one receive
 /// buffer (which must outlive the schedule).
 cartcomm::Schedule contiguous_alltoall(const cartcomm::CartNeighborComm& cc,
@@ -162,7 +163,8 @@ cartcomm::Schedule contiguous_alltoall(const cartcomm::CartNeighborComm& cc,
     recvs[i] = {&rb[i * static_cast<std::size_t>(m)], m,
                 mpl::Datatype::of<int>()};
   }
-  return cartcomm::build_alltoall_schedule(cc, sends, recvs);
+  return cartcomm::build_alltoall_schedule(cc, sends, recvs,
+                                          Algorithm::combining);
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 //
 //   (1) the message-combining alltoall/allgather agree element-exactly
 //       with the trivial (direct) algorithms and with the analytic oracle,
-//   (2) the combining and trivial schedules pass the static verifier,
-//       locally (verify_schedule) and globally across ranks
-//       (verify_global).
+//       and so does the automatic alltoall, which combines over the
+//       routing neighborhood (offsets folded on small tori),
+//   (2) the combining, routed and trivial schedules pass the static
+//       verifier, locally (verify_schedule, the routed one against its
+//       routing neighborhood) and globally across ranks (verify_global).
 //
 // Every iteration derives its own seed from the base seed; a failure
 // prints a one-line replay recipe and appends the seed to
@@ -95,8 +97,8 @@ FuzzCase draw_case(std::mt19937_64& rng) {
 }
 
 /// Run one fuzz case: combining vs trivial vs oracle for alltoall and
-/// allgather, plus static verification of the combining and trivial
-/// schedules.
+/// allgather and automatic for alltoall, plus static verification of the
+/// combining, routed and trivial schedules.
 void run_case(const FuzzCase& fc) {
   const Neighborhood nb(fc.d, fc.offsets);
   const int t = nb.count();
@@ -107,7 +109,7 @@ void run_case(const FuzzCase& fc) {
     const mpl::Datatype ty = mpl::Datatype::of<int>();
     const std::size_t n = static_cast<std::size_t>(t) * m;
 
-    // -- alltoall: combining vs trivial vs oracle --------------------------
+    // -- alltoall: combining vs trivial vs automatic vs oracle --------------
     std::vector<int> sb(n);
     for (int i = 0; i < t; ++i) {
       for (int e = 0; e < m; ++e)
@@ -116,10 +118,13 @@ void run_case(const FuzzCase& fc) {
     }
     std::vector<int> comb(n, -777);
     std::vector<int> triv(n, -777);
+    std::vector<int> autom(n, -777);
     cartcomm::alltoall(sb.data(), m, ty, comb.data(), m, ty, cc,
                        Algorithm::combining);
     cartcomm::alltoall(sb.data(), m, ty, triv.data(), m, ty, cc,
                        Algorithm::trivial);
+    cartcomm::alltoall(sb.data(), m, ty, autom.data(), m, ty, cc,
+                       Algorithm::automatic);
     for (int i = 0; i < t; ++i) {
       const int src = cc.source_ranks()[static_cast<std::size_t>(i)];
       for (int e = 0; e < m; ++e) {
@@ -131,6 +136,9 @@ void run_case(const FuzzCase& fc) {
                                   << " elem " << e;
         ASSERT_EQ(triv[at], comb[at])
             << "alltoall trivial/combining disagree: rank " << world.rank()
+            << " block " << i << " elem " << e;
+        ASSERT_EQ(autom[at], comb[at])
+            << "alltoall automatic/combining disagree: rank " << world.rank()
             << " block " << i << " elem " << e;
       }
     }
@@ -169,13 +177,42 @@ void run_case(const FuzzCase& fc) {
       recvs[static_cast<std::size_t>(i)] = {
           &comb[static_cast<std::size_t>(i) * m], m, ty};
     }
-    const cartcomm::Schedule a2a =
-        cartcomm::build_alltoall_schedule(cc, sends, recvs);
+    const cartcomm::Schedule a2a = cartcomm::build_alltoall_schedule(
+        cc, sends, recvs, Algorithm::combining);
     const cartcomm::VerifyReport ra =
         cartcomm::verify_schedule(a2a, cc, cartcomm::ScheduleKind::alltoall);
     EXPECT_TRUE(ra.ok()) << ra.to_string();
     EXPECT_EQ(carttest::temp_write_once_issue(a2a), "")
         << "rank " << world.rank();
+    for (int i = 0; i < t; ++i) {
+      recvs[static_cast<std::size_t>(i)] = {
+          &autom[static_cast<std::size_t>(i) * m], m, ty};
+    }
+    // The routed schedule, whether or not automatic picks it at this m.
+    const cartcomm::CartNeighborComm& rc =
+        cc.routing(sizeof(int) * static_cast<std::size_t>(m));
+    const cartcomm::Schedule a2a_routed =
+        cartcomm::build_alltoall_schedule(cc, sends, recvs);
+    const cartcomm::VerifyReport rr = cartcomm::verify_schedule(
+        a2a_routed, rc, cartcomm::ScheduleKind::alltoall);
+    EXPECT_TRUE(rr.ok()) << rr.to_string();
+    EXPECT_EQ(carttest::temp_write_once_issue(a2a_routed), "")
+        << "rank " << world.rank();
+    // Blocks too large to merge rounds fold only the coordinates that
+    // reach this process: run and verify that routing too.
+    std::vector<int> unmerged(n, -777);
+    for (int i = 0; i < t; ++i) {
+      recvs[static_cast<std::size_t>(i)] = {
+          &unmerged[static_cast<std::size_t>(i) * m], m, ty};
+    }
+    const cartcomm::CartNeighborComm& rc_big = cc.routing(std::size_t{1} << 30);
+    const cartcomm::Schedule a2a_unmerged = cartcomm::build_alltoall_schedule(
+        rc_big, sends, recvs, Algorithm::combining);
+    a2a_unmerged.execute(cc.comm());
+    EXPECT_EQ(unmerged, comb) << "rank " << world.rank();
+    const cartcomm::VerifyReport ru = cartcomm::verify_schedule(
+        a2a_unmerged, rc_big, cartcomm::ScheduleKind::alltoall);
+    EXPECT_TRUE(ru.ok()) << ru.to_string();
     for (int i = 0; i < t; ++i) {
       recvs[static_cast<std::size_t>(i)] = {
           &triv[static_cast<std::size_t>(i) * m], m, ty};
@@ -211,7 +248,8 @@ void run_case(const FuzzCase& fc) {
     EXPECT_TRUE(rgt.ok()) << rgt.to_string();
 
     // Cross-rank: every rank fused the same rounds, all sends are paired.
-    for (const cartcomm::Schedule* s : {&a2a, &a2a_triv, &ag_triv_sched}) {
+    for (const cartcomm::Schedule* s :
+         {&a2a, &a2a_routed, &a2a_unmerged, &a2a_triv, &ag_triv_sched}) {
       const auto summaries =
           cartcomm::gather_summaries(cc.comm(), cartcomm::summarize(*s, cc));
       if (world.rank() == 0) {

@@ -15,6 +15,7 @@
 
 namespace {
 
+using cartcomm::Algorithm;
 using cartcomm::Neighborhood;
 using cartcomm::ScheduleKind;
 using cartcomm::ScheduleSummary;
@@ -38,7 +39,8 @@ SweepResult build_and_summarize(const std::vector<int>& dims,
                                 const std::vector<int>& periods,
                                 const Neighborhood& nb, ScheduleKind kind,
                                 cartcomm::DimOrder order =
-                                    cartcomm::DimOrder::increasing_ck) {
+                                    cartcomm::DimOrder::increasing_ck,
+                                Algorithm alg = Algorithm::automatic) {
   const int p = product(dims);
   const int t = nb.count();
   const int m = 4;
@@ -60,8 +62,13 @@ SweepResult build_and_summarize(const std::vector<int>& dims,
           recvbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
     }
     cartcomm::Schedule sched;
+    // An alltoall verifies against the offsets it was routed over.
+    const cartcomm::CartNeighborComm& rc =
+        kind == ScheduleKind::alltoall
+            ? cc.alltoall_routing(alg, sizeof(int) * static_cast<std::size_t>(m))
+            : cc;
     if (kind == ScheduleKind::alltoall) {
-      sched = cartcomm::build_alltoall_schedule(cc, sends, recvs);
+      sched = cartcomm::build_alltoall_schedule(cc, sends, recvs, alg);
     } else if (kind == ScheduleKind::allgather) {
       sched = cartcomm::build_allgather_schedule(cc, sends.front(), recvs,
                                                  order);
@@ -70,8 +77,8 @@ SweepResult build_and_summarize(const std::vector<int>& dims,
     }
     const int r = world.rank();
     out.local[static_cast<std::size_t>(r)] =
-        cartcomm::verify_schedule(sched, cc, kind, order);
-    out.summaries[static_cast<std::size_t>(r)] = cartcomm::summarize(sched, cc);
+        cartcomm::verify_schedule(sched, rc, kind, order);
+    out.summaries[static_cast<std::size_t>(r)] = cartcomm::summarize(sched, rc);
   });
   return out;
 }
@@ -111,13 +118,21 @@ TEST(VerifyPositive, AllTestGridsVerifyClean) {
   for (const Config& c : configs) {
     for (const auto kind : {ScheduleKind::alltoall, ScheduleKind::allgather,
                             ScheduleKind::trivial}) {
-      SweepResult r = build_and_summarize(c.dims, c.periods, c.nb, kind);
-      for (const VerifyReport& rep : r.local) {
-        EXPECT_TRUE(rep.ok()) << rep.to_string();
+      // The alltoall both as the paper builds it and as automatic routes it.
+      for (const Algorithm alg : {Algorithm::combining, Algorithm::automatic}) {
+        if (kind != ScheduleKind::alltoall && alg == Algorithm::automatic) {
+          continue;
+        }
+        SweepResult r = build_and_summarize(
+            c.dims, c.periods, c.nb, kind, cartcomm::DimOrder::increasing_ck,
+            alg);
+        for (const VerifyReport& rep : r.local) {
+          EXPECT_TRUE(rep.ok()) << rep.to_string();
+        }
+        const mpl::CartGrid grid(c.dims, c.periods);
+        const VerifyReport global = cartcomm::verify_global(r.summaries, grid);
+        EXPECT_TRUE(global.ok()) << global.to_string();
       }
-      const mpl::CartGrid grid(c.dims, c.periods);
-      const VerifyReport global = cartcomm::verify_global(r.summaries, grid);
-      EXPECT_TRUE(global.ok()) << global.to_string();
     }
   }
 }
@@ -210,6 +225,37 @@ TEST(VerifyPositive, GatherSummariesRoundTripsAndVerifies) {
               mine.rounds.size());
     const VerifyReport global = cartcomm::verify_global(all, cc.grid());
     EXPECT_TRUE(global.ok()) << global.to_string();
+  });
+}
+
+TEST(VerifyPositive, FoldedAlltoallVerifiesAgainstItsRoutingNeighborhood) {
+  // The automatic alltoall on a 1x2x2 torus combines over the routing
+  // neighborhood (2 rounds, one local copy). Its closed forms hold for
+  // those offsets and diverge from the offsets as given (C = 6).
+  const std::vector<int> dims = {1, 2, 2};
+  const Neighborhood nb = Neighborhood::moore(3);
+  const int t = nb.count();
+  mpl::run(product(dims), [&](mpl::Comm& world) {
+    auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
+    std::vector<int> sendbuf(static_cast<std::size_t>(t), 1);
+    std::vector<int> recvbuf(static_cast<std::size_t>(t), 0);
+    std::vector<cartcomm::SendBlock> sends(static_cast<std::size_t>(t));
+    std::vector<cartcomm::RecvBlock> recvs(static_cast<std::size_t>(t));
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+      sends[i] = {&sendbuf[i], 1, mpl::Datatype::of<int>()};
+      recvs[i] = {&recvbuf[i], 1, mpl::Datatype::of<int>()};
+    }
+    const cartcomm::Schedule sched =
+        cartcomm::build_alltoall_schedule(cc, sends, recvs);
+    EXPECT_EQ(sched.rounds(), 2);
+    EXPECT_EQ(sched.copy_count(), 1);
+    const VerifyReport routed = cartcomm::verify_schedule(
+        sched, cc.routing(sizeof(int)), ScheduleKind::alltoall);
+    EXPECT_TRUE(routed.ok()) << routed.to_string();
+    const VerifyReport given =
+        cartcomm::verify_schedule(sched, cc, ScheduleKind::alltoall);
+    EXPECT_TRUE(given.has(VerifyIssue::Code::round_count)) << given.to_string();
+    EXPECT_TRUE(given.has(VerifyIssue::Code::volume)) << given.to_string();
   });
 }
 

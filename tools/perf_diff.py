@@ -37,12 +37,24 @@ criterion for fanin p=64):
   minimum: minima race to the same floor and hide steady overhead. The
   same 2*stddev noise allowance applies on top of the budget.
 
+Trend — print every metric of checked-in perfbench campaigns
+("perfbench-campaign" BENCH_pr<N>.json, one per change) across changes:
+
+    python3 tools/perf_diff.py --trend BENCH_pr*.json
+
+  Points are ordered by the change number in the file name. Per workload,
+  each end-to-end metric shows the parent and change medians of its
+  campaign ("parent -> change"), each trace1 metric the parent and change
+  values of its single traced run; "-" marks a metric a point lacks.
+
 Exit status: 0 = within bounds, 1 = regression/overhead exceeded,
 2 = usage or malformed input. Stdlib only.
 """
 
 import argparse
 import json
+import os
+import re
 import sys
 
 
@@ -141,6 +153,73 @@ def overhead_mode(args):
     print("perf_diff: telemetry overhead within budget")
 
 
+def load_campaign(path):
+    """(order, label, doc) of one perfbench campaign dump."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        fail(f"{path}: {e}")
+    if not isinstance(doc, dict) or doc.get("kind") != "perfbench-campaign":
+        fail(f"{path}: not a perfbench-campaign dump")
+    if not isinstance(doc.get("workloads"), dict):
+        fail(f"{path}: no workloads")
+    name = os.path.basename(path)
+    m = re.search(r"pr(\d+)", name)
+    if m is None:
+        fail(f"{path}: no change number (BENCH_pr<N>.json) in the file name")
+    return int(m.group(1)), f"pr{m.group(1)}", doc
+
+
+def trend_cell(parent, change):
+    def num(v):
+        return f"{v:.6g}" if isinstance(v, (int, float)) else "?"
+    if parent is None and change is None:
+        return "-"
+    return f"{num(parent)} -> {num(change)}"
+
+
+def trend_mode(paths):
+    points = sorted((load_campaign(p) for p in paths), key=lambda x: x[0])
+    workloads = []
+    for _, _, doc in points:
+        for w in doc["workloads"]:
+            if w not in workloads:
+                workloads.append(w)
+    for w in workloads:
+        rows = []  # (metric label, one cell per point)
+        for section in ("metrics", "trace1"):
+            names = []
+            for _, _, doc in points:
+                part = doc["workloads"].get(w, {}).get(section, {})
+                keys = part.get("parent", {}) if section == "trace1" else part
+                names += [n for n in keys if n not in names]
+            for n in names:
+                cells = []
+                for _, _, doc in points:
+                    part = doc["workloads"].get(w, {}).get(section, {})
+                    if section == "metrics":
+                        m = part.get(n, {})
+                        cells.append(trend_cell(
+                            m.get("parent", {}).get("median"),
+                            m.get("change", {}).get("median")))
+                    else:
+                        cells.append(trend_cell(
+                            part.get("parent", {}).get(n),
+                            part.get("change", {}).get(n)))
+                label = n if section == "metrics" else f"{n} (trace1)"
+                rows.append((label, cells))
+        header = ("metric", [label for _, label, _ in points])
+        width0 = max(len(r[0]) for r in rows + [(header[0], [])])
+        widths = [max(len(c[i]) for c in [header[1]] + [r[1] for r in rows])
+                  for i in range(len(points))]
+        print(w)
+        for label, cells in [header] + rows:
+            print("  " + label.ljust(width0) + "  " +
+                  "  ".join(c.ljust(widths[i])
+                            for i, c in enumerate(cells)).rstrip())
+
+
 def main():
     ap = argparse.ArgumentParser(
         description="noise-aware BENCH_transport.json comparison")
@@ -158,13 +237,18 @@ def main():
     ap.add_argument("--max-overhead", type=float, default=0.05,
                     help="allowed fractional telemetry overhead "
                          "(default 0.05)")
+    ap.add_argument("--trend", nargs="+", metavar="BENCH_prN.json",
+                    help="print every metric of perfbench campaign dumps "
+                         "across changes")
     args = ap.parse_args()
-    if args.overhead:
+    if args.trend:
+        trend_mode(args.trend)
+    elif args.overhead:
         overhead_mode(args)
     elif args.baseline and args.current:
         diff_mode(args)
     else:
-        ap.error("need either --baseline + --current or --overhead")
+        ap.error("need --baseline + --current, --overhead or --trend")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 // Sweep a family of grids and neighborhoods, build the message-combining
 // alltoall, allgather and neighbor allreduce schedules and the trivial
-// (Listing 4) schedule on every rank, and statically verify them —
+// (Listing 4) schedule on every rank, plus the automatic alltoall on small
+// tori whose offsets fold (checked against the routing neighborhood it
+// combines over), and statically verify them —
 // single-rank structural checks (verify_schedule) plus the cross-rank
 // deadlock-freedom/pairing proof (verify_global) — without moving any
 // payload. The trivial schedule pre-posts its receives, so its memory
@@ -58,15 +60,30 @@ std::vector<Case> sweep_cases() {
   return cases;
 }
 
+/// Small tori whose offsets alias: the automatic alltoall combines over
+/// their routing neighborhood (CartNeighborComm::routing).
+std::vector<Case> folding_cases() {
+  using cartcomm::Neighborhood;
+  return {
+      {"3d torus 1x2x2, Moore r=1", {1, 2, 2}, {1, 1, 1}, Neighborhood::moore(3)},
+      {"5d torus 1x1x1x2x2, stencil n=3 f=-1",
+       {1, 1, 1, 2, 2}, {1, 1, 1, 1, 1}, Neighborhood::stencil(5, 3, -1)},
+      {"2d torus 3x3, stencil n=5 f=-2", {3, 3}, {1, 1}, Neighborhood::stencil(2, 5, -2)},
+  };
+}
+
 int product(std::span<const int> v) {
   int p = 1;
   for (int x : v) p *= x;
   return p;
 }
 
-// Build + verify one collective kind on every rank of one case. Returns
-// the number of issues found (and prints them).
-int run_case(const Case& c, cartcomm::ScheduleKind kind, bool verbose) {
+// Build + verify one collective kind on every rank of one case, an
+// alltoall as `alg` requests it, with blocks of `ints` ints (at most 3).
+// Returns the number of issues found (and prints them).
+int run_case(const Case& c, cartcomm::ScheduleKind kind, bool verbose,
+             cartcomm::Algorithm alg = cartcomm::Algorithm::combining,
+             int ints = 3) {
   const int p = product(c.dims);
   const int t = c.nb.count();
   constexpr int m = 3;  // ints per block: arbitrary, structure is size-agnostic
@@ -83,7 +100,7 @@ int run_case(const Case& c, cartcomm::ScheduleKind kind, bool verbose) {
     std::vector<Block> sendbuf(static_cast<std::size_t>(t), Block{1, 1, 1});
     std::vector<Block> recvbuf(static_cast<std::size_t>(t), Block{});
     const mpl::Datatype block =
-        mpl::Datatype::contiguous(m, mpl::Datatype::of<int>());
+        mpl::Datatype::contiguous(ints, mpl::Datatype::of<int>());
     std::vector<cartcomm::SendBlock> sends(static_cast<std::size_t>(t));
     std::vector<cartcomm::RecvBlock> recvs(static_cast<std::size_t>(t));
     for (std::size_t i = 0; i < sends.size(); ++i) {
@@ -93,6 +110,9 @@ int run_case(const Case& c, cartcomm::ScheduleKind kind, bool verbose) {
     // The allreduce is the neighbor reduce over the neighborhood with the
     // zero vector appended when absent.
     cartcomm::CartNeighborComm vcc = cc;
+    if (kind == cartcomm::ScheduleKind::alltoall) {
+      vcc = cc.alltoall_routing(alg, sizeof(int) * static_cast<std::size_t>(ints));
+    }
     if (kind == cartcomm::ScheduleKind::reduce &&
         !c.nb.contains_zero_vector()) {
       std::vector<int> flat(c.nb.flat().size() + c.dims.size(), 0);
@@ -103,7 +123,7 @@ int run_case(const Case& c, cartcomm::ScheduleKind kind, bool verbose) {
     cartcomm::Schedule sched;
     switch (kind) {
       case cartcomm::ScheduleKind::alltoall:
-        sched = cartcomm::build_alltoall_schedule(cc, sends, recvs);
+        sched = cartcomm::build_alltoall_schedule(cc, sends, recvs, alg);
         break;
       case cartcomm::ScheduleKind::allgather:
         sched = cartcomm::build_allgather_schedule(cc, sends.front(), recvs);
@@ -174,6 +194,17 @@ int main(int argc, char** argv) {
       const int before = total_issues;
       std::cout << '\n';
       total_issues += run_case(c, kind, verbose);
+      ++checked;
+      if (total_issues == before) std::cout << "    ok\n";
+    }
+  }
+  for (const Case& c : folding_cases()) {
+    for (const int ints : {1, 3}) {
+      std::cout << "  automatic  " << c.name << ", " << ints
+                << " int(s) per block ... \n";
+      const int before = total_issues;
+      total_issues += run_case(c, cartcomm::ScheduleKind::alltoall, verbose,
+                               cartcomm::Algorithm::automatic, ints);
       ++checked;
       if (total_issues == before) std::cout << "    ok\n";
     }
