@@ -176,14 +176,21 @@ PlanKey allgather_schedule_key(const CartNeighborComm& cc,
 }
 
 Schedule build_allgather_schedule(const CartNeighborComm& cc,
-                                  const SendBlock& send,
+                                  const PlanKey& key, const SendBlock& send,
                                   std::span<const RecvBlock> recvs,
                                   DimOrder order) {
-  const PlanKey key = allgather_schedule_key(cc, send, recvs, order);
   const SendBlock sends[1] = {send};
   const auto plan = plan_cache_get(
       key, [&] { return compile_allgather_plan(cc, send.bytes(), order); });
   return plan->bind(cc, sends, recvs);
+}
+
+Schedule build_allgather_schedule(const CartNeighborComm& cc,
+                                  const SendBlock& send,
+                                  std::span<const RecvBlock> recvs,
+                                  DimOrder order) {
+  return build_allgather_schedule(
+      cc, allgather_schedule_key(cc, send, recvs, order), send, recvs, order);
 }
 
 }  // namespace cartcomm

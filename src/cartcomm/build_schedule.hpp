@@ -8,11 +8,11 @@
 // Schedule is bit-identical to one built directly. Each *_schedule_key
 // runs a builder's validation and returns its plan key without building,
 // so a blocking one-shot call can test whether the schedule its
-// communicator bound last still fits (coll.hpp).
+// communicator bound last still fits (coll.hpp); on a miss it builds from
+// that key with the overload taking it.
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "cartcomm/analysis.hpp"
 #include "cartcomm/cart_comm.hpp"
@@ -27,9 +27,10 @@ namespace cartcomm {
 /// processes must pass blocks of identical sizes per neighbor index.
 /// Runs in d phases of sum(C_k) rounds; per-process volume sum(z_i) blocks
 /// (Proposition 3.2). O(td) construction, local only (Proposition 3.1).
-/// The offsets are those of cc.alltoall_routing(alg, largest block): the
-/// routing neighborhood under `automatic` (the schedule an automatic
-/// alltoall runs when it combines), cc's offsets as given otherwise.
+/// The offsets are those of the view cc.route(Collective::alltoall, alg,
+/// largest block) returns: the routing neighborhood where an automatic
+/// alltoall combines (the schedule it runs), cc's offsets as given
+/// otherwise.
 Schedule build_alltoall_schedule(const CartNeighborComm& cc,
                                  std::span<const SendBlock> sends,
                                  std::span<const RecvBlock> recvs,
@@ -50,10 +51,10 @@ Schedule build_allgather_schedule(const CartNeighborComm& cc,
 /// send blocks are the replicated send block): one phase per non-zero
 /// neighbor of one send-receive round moving block i as given, then the
 /// zero-vector blocks by local copy. Built directly, in O(t·d), without the
-/// plan cache; the blocks' datatypes move into the schedule.
+/// plan cache.
 Schedule build_trivial_schedule(const CartNeighborComm& cc,
-                                std::vector<SendBlock> sends,
-                                std::vector<RecvBlock> recvs);
+                                std::span<const SendBlock> sends,
+                                std::span<const RecvBlock> recvs);
 
 /// Reducing schedules (the allgather tree run in reverse with
 /// combine-on-unpack; reduce_schedule.cpp). `sends` holds one block for
@@ -81,5 +82,22 @@ Schedule build_reduce_schedule(const CartNeighborComm& cc,
     const CartNeighborComm& cc, std::span<const SendBlock> sends,
     const RecvBlock& recv, const mpl::ReduceOp& op, ReduceVariant variant,
     bool combining, DimOrder order);
+
+/// The three builders from the key their *_schedule_key returned for the
+/// same arguments (on `cc` itself: no routing): the plan of `key`, compiled
+/// on a miss, bound to the blocks.
+Schedule build_alltoall_schedule(const CartNeighborComm& cc,
+                                 const PlanKey& key,
+                                 std::span<const SendBlock> sends,
+                                 std::span<const RecvBlock> recvs);
+Schedule build_allgather_schedule(const CartNeighborComm& cc,
+                                  const PlanKey& key, const SendBlock& send,
+                                  std::span<const RecvBlock> recvs,
+                                  DimOrder order);
+Schedule build_reduce_schedule(const CartNeighborComm& cc, const PlanKey& key,
+                               std::span<const SendBlock> sends,
+                               const RecvBlock& recv, const mpl::ReduceOp& op,
+                               ReduceVariant variant, bool combining,
+                               DimOrder order);
 
 }  // namespace cartcomm

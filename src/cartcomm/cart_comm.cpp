@@ -200,30 +200,37 @@ detail::OneShotSlot& CartNeighborComm::oneshot_slot(
   return oneshot_->slots[static_cast<std::size_t>(kind)];
 }
 
-Algorithm CartNeighborComm::resolve_alltoall(Algorithm requested,
-                                             std::size_t block_bytes) const {
-  if (requested == Algorithm::automatic) requested = a2a_alg_;  // Info default
-  if (requested != Algorithm::automatic) return requested;
-  if (stats_.combining_rounds >= stats_.trivial_rounds) return Algorithm::trivial;
-  return static_cast<double>(block_bytes) <
-                 predicted_cutoff_bytes(stats_, cost_model())
-             ? Algorithm::combining
-             : Algorithm::trivial;
+Route CartNeighborComm::route(Collective kind, Algorithm requested,
+                              std::size_t block_bytes,
+                              const mpl::ReduceOp* op) const {
+  if (kind == Collective::allreduce) {
+    return with_self().route(Collective::reduce, requested, block_bytes, op);
+  }
+  // The Info default; a reduction takes no hint.
+  if (requested == Algorithm::automatic && kind != Collective::reduce) {
+    requested = kind == Collective::alltoall ? a2a_alg_ : ag_alg_;
+  }
+  if (requested != Algorithm::automatic) return {requested, *this};
+  // Combining must save rounds (stats_: computed once, at creation, on the
+  // offsets as given). That is the allgather's whole rule: its combining
+  // volume is never larger than the trivial volume (Section 3.2).
+  bool combine = stats_.combining_rounds < stats_.trivial_rounds;
+  if (kind == Collective::reduce) {
+    // Partial aggregates reassociate and reorder contributions.
+    MPL_REQUIRE(op != nullptr, "route: a reduction needs its op");
+    combine = combine && op->commutative() && stats_.t > 0;
+  } else if (kind == Collective::alltoall) {
+    // Section 3.1's cut-off; combining routes over the folded offsets.
+    combine = combine && static_cast<double>(block_bytes) <
+                             predicted_cutoff_bytes(stats_, cost_model());
+    if (combine) return {Algorithm::combining, routing(block_bytes)};
+  }
+  return {combine ? Algorithm::combining : Algorithm::trivial, *this};
 }
 
 mpl::NetConfig CartNeighborComm::cost_model() const {
   return comm().proc().clock().enabled() ? comm().proc().clock().config()
                                          : mpl::NetConfig::omnipath();
-}
-
-Algorithm CartNeighborComm::resolve_allgather(Algorithm requested) const {
-  if (requested == Algorithm::automatic) requested = ag_alg_;  // Info default
-  if (requested != Algorithm::automatic) return requested;
-  // Section 3.2: for allgather the combining volume is never larger than
-  // the trivial volume for these neighborhoods; prefer combining whenever
-  // it saves rounds.
-  return stats_.combining_rounds < stats_.trivial_rounds ? Algorithm::combining
-                                                         : Algorithm::trivial;
 }
 
 std::vector<int> CartNeighborComm::make_boundary_signature() const {

@@ -14,6 +14,7 @@
 #include "cartcomm/analysis.hpp"
 #include "cartcomm/neighborhood.hpp"
 #include "mpl/comm.hpp"
+#include "mpl/op.hpp"
 #include "mpl/topology.hpp"
 
 namespace cartcomm {
@@ -25,12 +26,23 @@ namespace cartcomm {
 ///   "allgather_order"     : "natural" | "increasing_ck" | "decreasing_ck"
 using Info = std::map<std::string, std::string>;
 
-/// Algorithm selection for the collective operations. `automatic` picks
-/// message combining below the cut-off block size of Section 3.1 and the
-/// trivial algorithm above it; an automatic alltoall combines over the
-/// communicator's routing neighborhood (CartNeighborComm::routing).
-/// `combining` is the paper's Algorithm 1 over the offsets as given.
+/// Algorithm selection for the collective operations. `automatic` lets
+/// CartNeighborComm::route() choose; `combining` is the paper's Algorithm 1
+/// over the offsets as given.
 enum class Algorithm { automatic, trivial, combining };
+
+/// The collectives CartNeighborComm::route() decides for. A reduce_scatter
+/// is a reduce; an allreduce is the neighbor reduce over with_self().
+enum class Collective : std::uint8_t { alltoall, allgather, reduce, allreduce };
+
+class CartNeighborComm;
+
+/// What route() decided: the algorithm a call runs (never automatic) and
+/// the communicator its schedule is built on.
+struct Route {
+  Algorithm alg;
+  const CartNeighborComm& view;
+};
 
 namespace detail {
 enum class OneShot : std::uint8_t;
@@ -137,30 +149,24 @@ class CartNeighborComm {
   /// communicator's copies, like with_self()'s.
   [[nodiscard]] const CartNeighborComm& routing(std::size_t block_bytes) const;
 
-  /// The communicator whose offsets an alltoall requested as `requested`
-  /// combines over: routing(block_bytes) under automatic (after the Info
-  /// default), this communicator under an explicit algorithm.
-  [[nodiscard]] const CartNeighborComm& alltoall_routing(
-      Algorithm requested, std::size_t block_bytes) const {
-    if (requested == Algorithm::automatic) requested = a2a_alg_;
-    return requested == Algorithm::automatic ? routing(block_bytes) : *this;
-  }
+  /// The one decision site of every Cartesian collective: the algorithm a
+  /// call requested as `requested` runs, and the communicator to build its
+  /// schedule on. `block_bytes` is an alltoall's largest block and `op` a
+  /// reduction's operator. An explicit trivial or combining stands, on
+  /// this communicator. Under automatic:
+  ///  - alltoall: the Info default first; then combining over
+  ///    routing(block_bytes) where it saves rounds (C < t) and the block
+  ///    is below the Section 3.1 cut-off predicted on the offsets as given,
+  ///    else trivial on this communicator;
+  ///  - allgather: the Info default first; then combining where C < t;
+  ///  - reduce: combining where the op is commutative, t > 0 and C < t;
+  ///    the Info hints do not apply;
+  ///  - allreduce: the reduce's rule, decided and built on with_self().
+  [[nodiscard]] Route route(Collective kind, Algorithm requested,
+                            std::size_t block_bytes = 0,
+                            const mpl::ReduceOp* op = nullptr) const;
 
-  // -- algorithm selection defaults (from the Info object) -------------------
-
-  [[nodiscard]] Algorithm default_alltoall_algorithm() const noexcept {
-    return a2a_alg_;
-  }
-  [[nodiscard]] Algorithm default_allgather_algorithm() const noexcept {
-    return ag_alg_;
-  }
   [[nodiscard]] DimOrder allgather_order() const noexcept { return ag_order_; }
-
-  /// Resolve `automatic` against the cut-off predictor for a block of
-  /// `block_bytes` (alltoall) under this communicator's network model.
-  [[nodiscard]] Algorithm resolve_alltoall(Algorithm requested,
-                                           std::size_t block_bytes) const;
-  [[nodiscard]] Algorithm resolve_allgather(Algorithm requested) const;
 
   /// Boundary signature used by the compiled-plan cache key: two values
   /// per dimension. Periodic dimensions contribute (-1, -1) (position

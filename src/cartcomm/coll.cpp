@@ -14,60 +14,90 @@ namespace cartcomm {
 
 namespace {
 
-std::size_t max_block_bytes(std::span<const SendBlock> sends) {
-  std::size_t m = 0;
-  for (const SendBlock& s : sends) m = std::max(m, s.bytes());
-  return m;
+using detail::Call;
+
+/// route()'s decision for `c`. The builders check the blocks.
+Route route(const CartNeighborComm& cc, const Call& c) {
+  std::size_t m = 0;  // an alltoall's largest block
+  for (const SendBlock& s : c.sends) m = std::max(m, s.bytes());
+  return cc.route(c.kind, c.alg, m, c.op);
+}
+
+/// Execute `st`'s schedule to completion through its scratch, so repeated
+/// blocking executions run with zero setup and zero allocation, like the
+/// start()/wait() path.
+void run_blocking(detail::PersistentState& st) {
+  st.in_flight = true;
+  st.sched.start(st.comm, st.scratch, st.tag).wait();
+  st.in_flight = false;
+}
+
+/// Whether `r` builds `c` through the plan cache: every reduction, and
+/// combining movement. The trivial movement schedule has no plan.
+bool planned(const Call& c, const Route& r) {
+  return c.op != nullptr || r.alg == Algorithm::combining;
+}
+
+PlanKey key(const Call& c, const Route& r) {
+  switch (c.kind) {
+    case Collective::alltoall:
+      return alltoall_schedule_key(r.view, c.sends, c.recvs);
+    case Collective::allgather:
+      return allgather_schedule_key(r.view, c.sends.front(), c.recvs, c.order);
+    default:
+      return reduce_schedule_key(r.view, c.sends, c.recvs.front(), *c.op,
+                                 c.variant, r.alg == Algorithm::combining,
+                                 c.order);
+  }
+}
+
+Schedule build(const Call& c, const Route& r, const PlanKey& k) {
+  switch (c.kind) {
+    case Collective::alltoall:
+      return build_alltoall_schedule(r.view, k, c.sends, c.recvs);
+    case Collective::allgather:
+      return build_allgather_schedule(r.view, k, c.sends.front(), c.recvs,
+                                      c.order);
+    default:
+      return build_reduce_schedule(r.view, k, c.sends, c.recvs.front(), *c.op,
+                                   c.variant, r.alg == Algorithm::combining,
+                                   c.order);
+  }
 }
 
 }  // namespace
 
-/// Internal factory assembling PersistentColl objects for all variants.
-class CollBuilder {
- public:
-  static PersistentColl make(const CartNeighborComm& cc,
-                             std::vector<SendBlock> sends,
-                             std::vector<RecvBlock> recvs, bool allgather,
-                             DimOrder order, Algorithm alg) {
-    const auto [resolved, rc] = resolve(cc, sends, allgather, alg);
-    return {cc, resolved,
-            build_schedule(*rc, std::move(sends), std::move(recvs), allgather,
-                           order, resolved)};
-  }
+PersistentColl detail::make_persistent(const CartNeighborComm& cc,
+                                       const Call& c) {
+  const Route r = route(cc, c);
+  return {cc, r.alg,
+          planned(c, r) ? build(c, r, key(c, r))
+                        : build_trivial_schedule(r.view, c.sends, c.recvs)};
+}
 
-  /// The algorithm a call requested as `alg` resolves to, and the
-  /// communicator it builds on: a combining alltoall's routing
-  /// (alltoall_routing), else `cc`. Both move neighbor i's block between
-  /// the same processes.
-  static std::pair<Algorithm, const CartNeighborComm*> resolve(
-      const CartNeighborComm& cc, std::span<const SendBlock> sends,
-      bool allgather, Algorithm alg) {
-    if (allgather) return {cc.resolve_allgather(alg), &cc};
-    const std::size_t m = max_block_bytes(sends);
-    const Algorithm resolved = cc.resolve_alltoall(alg, m);
-    return {resolved, resolved == Algorithm::combining
-                          ? &cc.alltoall_routing(alg, m)
-                          : &cc};
+const CartNeighborComm& detail::run_oneshot(OneShot slot,
+                                            const CartNeighborComm& cc,
+                                            const Call& c) {
+  const Route r = route(cc, c);
+  if (!planned(c, r)) {
+    build_trivial_schedule(r.view, c.sends, c.recvs).execute(cc.comm());
+    return r.view;
   }
-
-  /// The schedule of the resolved algorithm `alg` on the given blocks, over
-  /// the offsets of `cc` as given.
-  static Schedule build_schedule(const CartNeighborComm& cc,
-                                 std::vector<SendBlock> sends,
-                                 std::vector<RecvBlock> recvs, bool allgather,
-                                 DimOrder order, Algorithm alg) {
-    const Neighborhood& nb = cc.neighborhood();
-    MPL_REQUIRE(sends.size() == static_cast<std::size_t>(nb.count()) &&
-                    recvs.size() == static_cast<std::size_t>(nb.count()),
-                "cartcomm collective: one block per neighbor required");
-    if (alg != Algorithm::combining) {
-      return build_trivial_schedule(cc, std::move(sends), std::move(recvs));
-    }
-    return allgather
-               ? build_allgather_schedule(cc, sends.front(), recvs, order)
-               : build_alltoall_schedule(cc, sends, recvs, Algorithm::combining);
+  PlanKey k = key(c, r);
+  if (!plan_cache_enabled()) {
+    build(c, r, k).execute(cc.comm());
+    return r.view;
   }
-};
+  OneShotSlot& s = r.view.oneshot_slot(slot);
+  const std::uint64_t digest = c.op != nullptr ? c.op->digest() : 0;
+  if (!s.serves(k, c.sends, c.recvs, digest)) {
+    Schedule sched = build(c, r, k);
+    s.rebind(cc.comm(), std::move(k), c.sends, c.recvs, digest,
+             std::move(sched));
+  }
+  run_blocking(s.st);
+  return r.view;
+}
 
 PersistentColl::PersistentColl(const CartNeighborComm& cc, Algorithm alg,
                                Schedule sched)
@@ -84,12 +114,7 @@ void PersistentColl::execute() const {
   detail::PersistentState& st = *st_;
   MPL_REQUIRE(!st.in_flight,
               "PersistentColl::execute: an execution is already in flight");
-  // Route through the scratch so repeated blocking executions run with
-  // zero setup and zero allocation, like the start()/wait() path.
-  st.in_flight = true;
-  Schedule::Execution e = st.sched.start(st.comm, st.scratch, st.tag);
-  e.wait();
-  st.in_flight = false;
+  run_blocking(st);
 }
 
 CartRequest PersistentColl::start() const {
@@ -165,50 +190,24 @@ void detail::OneShotSlot::rebind(const mpl::Comm& comm, PlanKey k,
   st.sched = std::move(sched);
 }
 
-void detail::OneShotSlot::run() {
-  st.in_flight = true;
-  Schedule::Execution e = st.sched.start(st.comm, st.scratch, st.tag);
-  e.wait();
-  st.in_flight = false;
-}
-
 namespace {
 
 using mpl::blocks_regular;
 using mpl::blocks_v;
 using mpl::blocks_w;
 
-/// Blocking one-shot execution for the non-persistent entry points. The
-/// combining schedule runs through the entry point's slot on the
-/// communicator it routes over; the trivial schedule has nothing to
-/// compile and is built per call.
-void run_oneshot(detail::OneShot kind, const CartNeighborComm& cc,
-                 std::vector<SendBlock> sends, std::vector<RecvBlock> recvs,
-                 bool allgather, DimOrder order, Algorithm alg) {
-  const auto [resolved, routed] = CollBuilder::resolve(cc, sends, allgather, alg);
-  if (resolved != Algorithm::combining) {
-    CollBuilder::build_schedule(cc, std::move(sends), std::move(recvs),
-                                allgather, order, resolved)
-        .execute(cc.comm());
-    return;
-  }
-  const CartNeighborComm& rc = *routed;
-  detail::OneShotSlot& slot = rc.oneshot_slot(kind);
-  if (allgather) {
-    detail::run_in_slot(
-        slot, cc.comm(), sends, recvs, 0,
-        [&] { return allgather_schedule_key(cc, sends.front(), recvs, order); },
-        [&] {
-          return build_allgather_schedule(cc, sends.front(), recvs, order);
-        });
-  } else {
-    detail::run_in_slot(
-        slot, cc.comm(), sends, recvs, 0,
-        [&] { return alltoall_schedule_key(rc, sends, recvs); },
-        [&] {
-          return build_alltoall_schedule(rc, sends, recvs, Algorithm::combining);
-        });
-  }
+PersistentColl init(Collective kind, const CartNeighborComm& cc,
+                    const std::vector<SendBlock>& sends,
+                    const std::vector<RecvBlock>& recvs, Algorithm alg) {
+  return detail::make_persistent(
+      cc, {kind, sends, recvs, alg, cc.allgather_order()});
+}
+
+void oneshot(detail::OneShot slot, Collective kind,
+             const CartNeighborComm& cc, const std::vector<SendBlock>& sends,
+             const std::vector<RecvBlock>& recvs, Algorithm alg) {
+  detail::run_oneshot(slot, cc,
+                      {kind, sends, recvs, alg, cc.allgather_order()});
 }
 
 }  // namespace
@@ -220,10 +219,9 @@ PersistentColl alltoall_init(const void* sendbuf, int sendcount,
                              int recvcount, const mpl::Datatype& recvtype,
                              const CartNeighborComm& cc, Algorithm alg) {
   const int t = cc.neighbor_count();
-  return CollBuilder::make(
-      cc, blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t),
-      blocks_regular<RecvBlock>(recvbuf, recvcount, recvtype, t), false,
-      cc.allgather_order(), alg);
+  return init(Collective::alltoall, cc,
+              blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t),
+              blocks_regular<RecvBlock>(recvbuf, recvcount, recvtype, t), alg);
 }
 
 PersistentColl alltoallv_init(const void* sendbuf,
@@ -234,10 +232,9 @@ PersistentColl alltoallv_init(const void* sendbuf,
                               std::span<const int> rdispls,
                               const mpl::Datatype& recvtype,
                               const CartNeighborComm& cc, Algorithm alg) {
-  return CollBuilder::make(
-      cc, blocks_v<SendBlock>(sendbuf, sendcounts, sdispls, sendtype),
-      blocks_v<RecvBlock>(recvbuf, recvcounts, rdispls, recvtype), false,
-      cc.allgather_order(), alg);
+  return init(Collective::alltoall, cc,
+              blocks_v<SendBlock>(sendbuf, sendcounts, sdispls, sendtype),
+              blocks_v<RecvBlock>(recvbuf, recvcounts, rdispls, recvtype), alg);
 }
 
 PersistentColl alltoallw_init(const void* sendbuf,
@@ -248,20 +245,19 @@ PersistentColl alltoallw_init(const void* sendbuf,
                               std::span<const std::ptrdiff_t> rdispls_bytes,
                               std::span<const mpl::Datatype> recvtypes,
                               const CartNeighborComm& cc, Algorithm alg) {
-  return CollBuilder::make(
-      cc, blocks_w<SendBlock>(sendbuf, sendcounts, sdispls_bytes, sendtypes),
-      blocks_w<RecvBlock>(recvbuf, recvcounts, rdispls_bytes, recvtypes),
-      false, cc.allgather_order(), alg);
+  return init(
+      Collective::alltoall, cc,
+      blocks_w<SendBlock>(sendbuf, sendcounts, sdispls_bytes, sendtypes),
+      blocks_w<RecvBlock>(recvbuf, recvcounts, rdispls_bytes, recvtypes), alg);
 }
 
 void alltoall(const void* sendbuf, int sendcount, const mpl::Datatype& sendtype,
               void* recvbuf, int recvcount, const mpl::Datatype& recvtype,
               const CartNeighborComm& cc, Algorithm alg) {
   const int t = cc.neighbor_count();
-  run_oneshot(detail::OneShot::alltoall, cc,
-              blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t),
-              blocks_regular<RecvBlock>(recvbuf, recvcount, recvtype, t),
-              false, cc.allgather_order(), alg);
+  oneshot(detail::OneShot::alltoall, Collective::alltoall, cc,
+          blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t),
+          blocks_regular<RecvBlock>(recvbuf, recvcount, recvtype, t), alg);
 }
 
 void alltoallv(const void* sendbuf, std::span<const int> sendcounts,
@@ -269,10 +265,9 @@ void alltoallv(const void* sendbuf, std::span<const int> sendcounts,
                void* recvbuf, std::span<const int> recvcounts,
                std::span<const int> rdispls, const mpl::Datatype& recvtype,
                const CartNeighborComm& cc, Algorithm alg) {
-  run_oneshot(detail::OneShot::alltoallv, cc,
-              blocks_v<SendBlock>(sendbuf, sendcounts, sdispls, sendtype),
-              blocks_v<RecvBlock>(recvbuf, recvcounts, rdispls, recvtype),
-              false, cc.allgather_order(), alg);
+  oneshot(detail::OneShot::alltoallv, Collective::alltoall, cc,
+          blocks_v<SendBlock>(sendbuf, sendcounts, sdispls, sendtype),
+          blocks_v<RecvBlock>(recvbuf, recvcounts, rdispls, recvtype), alg);
 }
 
 void alltoallw(const void* sendbuf, std::span<const int> sendcounts,
@@ -282,11 +277,10 @@ void alltoallw(const void* sendbuf, std::span<const int> sendcounts,
                std::span<const std::ptrdiff_t> rdispls_bytes,
                std::span<const mpl::Datatype> recvtypes,
                const CartNeighborComm& cc, Algorithm alg) {
-  run_oneshot(
-      detail::OneShot::alltoallw, cc,
+  oneshot(
+      detail::OneShot::alltoallw, Collective::alltoall, cc,
       blocks_w<SendBlock>(sendbuf, sendcounts, sdispls_bytes, sendtypes),
-      blocks_w<RecvBlock>(recvbuf, recvcounts, rdispls_bytes, recvtypes),
-      false, cc.allgather_order(), alg);
+      blocks_w<RecvBlock>(recvbuf, recvcounts, rdispls_bytes, recvtypes), alg);
 }
 
 // -- allgather family ---------------------------------------------------------
@@ -296,10 +290,9 @@ PersistentColl allgather_init(const void* sendbuf, int sendcount,
                               int recvcount, const mpl::Datatype& recvtype,
                               const CartNeighborComm& cc, Algorithm alg) {
   const int t = cc.neighbor_count();
-  return CollBuilder::make(
-      cc, blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
-      blocks_regular<RecvBlock>(recvbuf, recvcount, recvtype, t), true,
-      cc.allgather_order(), alg);
+  return init(Collective::allgather, cc,
+              blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
+              blocks_regular<RecvBlock>(recvbuf, recvcount, recvtype, t), alg);
 }
 
 PersistentColl allgatherv_init(const void* sendbuf, int sendcount,
@@ -309,10 +302,9 @@ PersistentColl allgatherv_init(const void* sendbuf, int sendcount,
                                const mpl::Datatype& recvtype,
                                const CartNeighborComm& cc, Algorithm alg) {
   const int t = cc.neighbor_count();
-  return CollBuilder::make(
-      cc, blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
-      blocks_v<RecvBlock>(recvbuf, recvcounts, displs, recvtype), true,
-      cc.allgather_order(), alg);
+  return init(Collective::allgather, cc,
+              blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
+              blocks_v<RecvBlock>(recvbuf, recvcounts, displs, recvtype), alg);
 }
 
 PersistentColl allgatherw_init(const void* sendbuf, int sendcount,
@@ -322,10 +314,10 @@ PersistentColl allgatherw_init(const void* sendbuf, int sendcount,
                                std::span<const mpl::Datatype> recvtypes,
                                const CartNeighborComm& cc, Algorithm alg) {
   const int t = cc.neighbor_count();
-  return CollBuilder::make(
-      cc, blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
-      blocks_w<RecvBlock>(recvbuf, recvcounts, rdispls_bytes, recvtypes), true,
-      cc.allgather_order(), alg);
+  return init(
+      Collective::allgather, cc,
+      blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
+      blocks_w<RecvBlock>(recvbuf, recvcounts, rdispls_bytes, recvtypes), alg);
 }
 
 void allgather(const void* sendbuf, int sendcount,
@@ -333,10 +325,9 @@ void allgather(const void* sendbuf, int sendcount,
                const mpl::Datatype& recvtype, const CartNeighborComm& cc,
                Algorithm alg) {
   const int t = cc.neighbor_count();
-  run_oneshot(detail::OneShot::allgather, cc,
-              blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
-              blocks_regular<RecvBlock>(recvbuf, recvcount, recvtype, t), true,
-              cc.allgather_order(), alg);
+  oneshot(detail::OneShot::allgather, Collective::allgather, cc,
+          blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
+          blocks_regular<RecvBlock>(recvbuf, recvcount, recvtype, t), alg);
 }
 
 void allgatherv(const void* sendbuf, int sendcount,
@@ -345,11 +336,9 @@ void allgatherv(const void* sendbuf, int sendcount,
                 const mpl::Datatype& recvtype, const CartNeighborComm& cc,
                 Algorithm alg) {
   const int t = cc.neighbor_count();
-  run_oneshot(
-      detail::OneShot::allgatherv, cc,
-      blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
-      blocks_v<RecvBlock>(recvbuf, recvcounts, displs, recvtype), true,
-      cc.allgather_order(), alg);
+  oneshot(detail::OneShot::allgatherv, Collective::allgather, cc,
+          blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
+          blocks_v<RecvBlock>(recvbuf, recvcounts, displs, recvtype), alg);
 }
 
 void allgatherw(const void* sendbuf, int sendcount,
@@ -359,11 +348,10 @@ void allgatherw(const void* sendbuf, int sendcount,
                 std::span<const mpl::Datatype> recvtypes,
                 const CartNeighborComm& cc, Algorithm alg) {
   const int t = cc.neighbor_count();
-  run_oneshot(
-      detail::OneShot::allgatherw, cc,
+  oneshot(
+      detail::OneShot::allgatherw, Collective::allgather, cc,
       blocks_regular<SendBlock>(sendbuf, sendcount, sendtype, t, true),
-      blocks_w<RecvBlock>(recvbuf, recvcounts, rdispls_bytes, recvtypes), true,
-      cc.allgather_order(), alg);
+      blocks_w<RecvBlock>(recvbuf, recvcounts, rdispls_bytes, recvtypes), alg);
 }
 
 }  // namespace cartcomm

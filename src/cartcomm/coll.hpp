@@ -30,6 +30,32 @@ class PersistentColl;
 
 namespace detail {
 
+/// One call of a Cartesian collective as its entry point received it: the
+/// blocks (one per neighbor for alltoall and allgather; for a reduction
+/// the send blocks of `variant` and the one result block), the requested
+/// algorithm and, for a reduction, the op.
+struct Call {
+  Collective kind;
+  std::span<const SendBlock> sends;
+  std::span<const RecvBlock> recvs;
+  Algorithm alg;
+  DimOrder order;
+  const mpl::ReduceOp* op = nullptr;
+  ReduceVariant variant = ReduceVariant::reduce;
+};
+
+/// The persistent operation of `call` on `cc`: route() decides, and the
+/// schedule is built once.
+PersistentColl make_persistent(const CartNeighborComm& cc, const Call& call);
+
+/// Run `call` on `cc` once, blocking; returns the view it ran on. A
+/// schedule with a plan key runs in the view's slot `slot`, made from the
+/// key once on a miss (with the plan cache off the slot is neither read
+/// nor written); the trivial movement schedule has nothing to compile and
+/// is built per call.
+const CartNeighborComm& run_oneshot(OneShot slot, const CartNeighborComm& cc,
+                                    const Call& call);
+
 /// Everything one persistent operation owns: the communicator handle, the
 /// schedule of the resolved algorithm and the reusable execution working
 /// set. Shared (refcounted) between the PersistentColl and every
@@ -86,33 +112,11 @@ struct OneShotSlot {
               std::span<const SendBlock> sends,
               std::span<const RecvBlock> recvs, std::uint64_t digest,
               Schedule sched);
-  /// Execute the held schedule to completion.
-  void run();
 };
 
 struct OneShotSlots {
   std::array<OneShotSlot, static_cast<std::size_t>(OneShot::count)> slots;
 };
-
-/// Run a blocking one-shot call. `key()` returns the call's validated
-/// plan key and `build()` its Schedule from the by-value builder, which
-/// counts its own plan-cache hit or miss. With the plan cache off the
-/// slot is neither read nor written.
-template <typename Key, typename Build>
-void run_in_slot(OneShotSlot& slot, const mpl::Comm& comm,
-                 std::span<const SendBlock> sends,
-                 std::span<const RecvBlock> recvs, std::uint64_t op_digest,
-                 Key&& key, Build&& build) {
-  if (!plan_cache_enabled()) {
-    build().execute(comm);
-    return;
-  }
-  PlanKey k = key();
-  if (!slot.serves(k, sends, recvs, op_digest)) {
-    slot.rebind(comm, std::move(k), sends, recvs, op_digest, build());
-  }
-  slot.run();
-}
 
 }  // namespace detail
 
@@ -161,8 +165,8 @@ class PersistentColl {
   /// phase, the combining algorithm runs one dimension per phase.
   [[nodiscard]] CartRequest start() const;
 
-  /// The algorithm this operation was bound to (automatic is resolved at
-  /// init time).
+  /// The algorithm this operation was bound to: what
+  /// CartNeighborComm::route() decided at init time.
   [[nodiscard]] Algorithm algorithm() const noexcept {
     return st_ ? st_->alg : Algorithm::trivial;
   }
@@ -172,8 +176,8 @@ class PersistentColl {
   [[nodiscard]] const Schedule& schedule() const;
 
  private:
-  friend class CollBuilder;
-  friend class ReduceBuilder;
+  friend PersistentColl detail::make_persistent(const CartNeighborComm&,
+                                               const detail::Call&);
 
   /// Draws the operation's matching tag from `cc`.
   PersistentColl(const CartNeighborComm& cc, Algorithm alg, Schedule sched);

@@ -13,21 +13,6 @@ const char* at_bytes(const void* base, std::ptrdiff_t disp) {
   return static_cast<const char*>(base) + disp;
 }
 
-/// Resolve `automatic` for a reducing collective. Unlike the movement
-/// collectives there is no fully-periodic requirement — the combining
-/// schedule handles mesh boundaries — but the op must be commutative
-/// (partial aggregates reassociate and reorder contributions; the schedule
-/// builder rejects an explicit combining request otherwise), and the
-/// combining tree must actually save rounds over the trivial algorithm.
-Algorithm resolve_reduce(const CartNeighborComm& cc, const mpl::ReduceOp& op,
-                         Algorithm alg) {
-  if (alg != Algorithm::automatic) return alg;
-  const NeighborhoodStats& st = cc.stats();  // computed once, at creation
-  const bool combine = op.commutative() && st.t > 0 &&
-                       st.combining_rounds < st.trivial_rounds;
-  return combine ? Algorithm::combining : Algorithm::trivial;
-}
-
 /// Number of contribution blocks folded into this process's result: the
 /// on-mesh sources, with multiplicity. On a torus this is nb.count() on
 /// every process.
@@ -54,54 +39,35 @@ std::vector<SendBlock> reduce_sends(const void* sendbuf, int count,
   return v;
 }
 
-/// Blocking one-shot execution. Both algorithms are schedule-native, so
-/// both run through the variant's slot on `cc`: a repeated call with the
-/// same buffers and op runs the bound schedule without binding anything.
-int run_reduce_oneshot(const CartNeighborComm& cc, const void* sendbuf,
-                       void* recvbuf, int count, const mpl::Datatype& type,
-                       const mpl::ReduceOp& op, ReduceVariant variant,
-                       Algorithm alg, DimOrder order) {
-  const bool combining =
-      resolve_reduce(cc, op, alg) == Algorithm::combining;
+/// The blocking entry points: both algorithms are planned, so a repeated
+/// call with the same buffers and op runs from the slot of the view it
+/// runs on (with_self() for an allreduce) without binding anything.
+int run(Collective kind, const void* sendbuf, void* recvbuf, int count,
+        const mpl::Datatype& type, const mpl::ReduceOp& op,
+        ReduceVariant variant, const CartNeighborComm& cc, Algorithm alg,
+        DimOrder order) {
   const std::vector<SendBlock> sends =
-      reduce_sends(sendbuf, count, type, variant, cc.neighborhood().count());
+      reduce_sends(sendbuf, count, type, variant, cc.neighbor_count());
   const RecvBlock recv{recvbuf, count, type};
-  detail::run_in_slot(
-      cc.oneshot_slot(variant == ReduceVariant::reduce
-                          ? detail::OneShot::reduce
-                          : detail::OneShot::reduce_scatter),
-      cc.comm(), sends, std::span(&recv, 1), op.digest(),
-      [&] {
-        return reduce_schedule_key(cc, sends, recv, op, variant, combining,
-                                   order);
-      },
-      [&] {
-        return build_reduce_schedule(cc, sends, recv, op, variant, combining,
-                                     order);
-      });
-  return contribution_blocks(cc);
+  return contribution_blocks(detail::run_oneshot(
+      variant == ReduceVariant::reduce ? detail::OneShot::reduce
+                                       : detail::OneShot::reduce_scatter,
+      cc, {kind, sends, {&recv, 1}, alg, order, &op, variant}));
+}
+
+PersistentColl init(Collective kind, const void* sendbuf, void* recvbuf,
+                    int count, const mpl::Datatype& type,
+                    const mpl::ReduceOp& op, ReduceVariant variant,
+                    const CartNeighborComm& cc, Algorithm alg,
+                    DimOrder order) {
+  const std::vector<SendBlock> sends =
+      reduce_sends(sendbuf, count, type, variant, cc.neighbor_count());
+  const RecvBlock recv{recvbuf, count, type};
+  return detail::make_persistent(
+      cc, {kind, sends, {&recv, 1}, alg, order, &op, variant});
 }
 
 }  // namespace
-
-/// Internal factory assembling persistent reducing collectives (the
-/// counterpart of CollBuilder in coll.cpp).
-class ReduceBuilder {
- public:
-  static PersistentColl make(const CartNeighborComm& cc, const void* sendbuf,
-                             void* recvbuf, int count,
-                             const mpl::Datatype& type,
-                             const mpl::ReduceOp& op, ReduceVariant variant,
-                             Algorithm alg, DimOrder order) {
-    const std::vector<SendBlock> sends =
-        reduce_sends(sendbuf, count, type, variant, cc.neighborhood().count());
-    const RecvBlock recv{recvbuf, count, type};
-    const Algorithm resolved = resolve_reduce(cc, op, alg);
-    return {cc, resolved,
-            build_reduce_schedule(cc, sends, recv, op, variant,
-                                  resolved == Algorithm::combining, order)};
-  }
-};
 
 // -- blocking one-shot entry points -------------------------------------------
 
@@ -109,16 +75,16 @@ int cart_neighbor_reduce(const void* sendbuf, void* recvbuf, int count,
                          const mpl::Datatype& type, const mpl::ReduceOp& op,
                          const CartNeighborComm& cc, Algorithm alg,
                          DimOrder order) {
-  return run_reduce_oneshot(cc, sendbuf, recvbuf, count, type, op,
-                            ReduceVariant::reduce, alg, order);
+  return run(Collective::reduce, sendbuf, recvbuf, count, type, op,
+             ReduceVariant::reduce, cc, alg, order);
 }
 
 int cart_neighbor_allreduce(const void* sendbuf, void* recvbuf, int count,
                             const mpl::Datatype& type, const mpl::ReduceOp& op,
                             const CartNeighborComm& cc, Algorithm alg,
                             DimOrder order) {
-  return run_reduce_oneshot(cc.with_self(), sendbuf, recvbuf, count, type, op,
-                            ReduceVariant::reduce, alg, order);
+  return run(Collective::allreduce, sendbuf, recvbuf, count, type, op,
+             ReduceVariant::reduce, cc, alg, order);
 }
 
 int cart_reduce_scatter_block(const void* sendbuf, void* recvbuf, int count,
@@ -126,8 +92,8 @@ int cart_reduce_scatter_block(const void* sendbuf, void* recvbuf, int count,
                               const mpl::ReduceOp& op,
                               const CartNeighborComm& cc, Algorithm alg,
                               DimOrder order) {
-  return run_reduce_oneshot(cc, sendbuf, recvbuf, count, type, op,
-                            ReduceVariant::reduce_scatter, alg, order);
+  return run(Collective::reduce, sendbuf, recvbuf, count, type, op,
+             ReduceVariant::reduce_scatter, cc, alg, order);
 }
 
 // -- persistent entry points --------------------------------------------------
@@ -137,8 +103,8 @@ PersistentColl cart_neighbor_reduce_init(const void* sendbuf, void* recvbuf,
                                          const mpl::ReduceOp& op,
                                          const CartNeighborComm& cc,
                                          Algorithm alg, DimOrder order) {
-  return ReduceBuilder::make(cc, sendbuf, recvbuf, count, type, op,
-                             ReduceVariant::reduce, alg, order);
+  return init(Collective::reduce, sendbuf, recvbuf, count, type, op,
+              ReduceVariant::reduce, cc, alg, order);
 }
 
 PersistentColl cart_neighbor_allreduce_init(const void* sendbuf, void* recvbuf,
@@ -147,16 +113,16 @@ PersistentColl cart_neighbor_allreduce_init(const void* sendbuf, void* recvbuf,
                                             const mpl::ReduceOp& op,
                                             const CartNeighborComm& cc,
                                             Algorithm alg, DimOrder order) {
-  return ReduceBuilder::make(cc.with_self(), sendbuf, recvbuf, count, type, op,
-                             ReduceVariant::reduce, alg, order);
+  return init(Collective::allreduce, sendbuf, recvbuf, count, type, op,
+              ReduceVariant::reduce, cc, alg, order);
 }
 
 PersistentColl cart_reduce_scatter_block_init(
     const void* sendbuf, void* recvbuf, int count, const mpl::Datatype& type,
     const mpl::ReduceOp& op, const CartNeighborComm& cc, Algorithm alg,
     DimOrder order) {
-  return ReduceBuilder::make(cc, sendbuf, recvbuf, count, type, op,
-                             ReduceVariant::reduce_scatter, alg, order);
+  return init(Collective::reduce, sendbuf, recvbuf, count, type, op,
+              ReduceVariant::reduce_scatter, cc, alg, order);
 }
 
 }  // namespace cartcomm

@@ -424,13 +424,11 @@ PlanKey reduce_schedule_key(const CartNeighborComm& cc,
   return make_reduce_key(cc, variant, combining, order, rep, op);
 }
 
-Schedule build_reduce_schedule(const CartNeighborComm& cc,
+Schedule build_reduce_schedule(const CartNeighborComm& cc, const PlanKey& key,
                                std::span<const SendBlock> sends,
                                const RecvBlock& recv, const mpl::ReduceOp& op,
                                ReduceVariant variant, bool combining,
                                DimOrder order) {
-  const PlanKey key =
-      reduce_schedule_key(cc, sends, recv, op, variant, combining, order);
   const std::size_t m = recv.bytes();
   const RecvBlock recvs[1] = {recv};
   const auto plan = plan_cache_get(key, [&] {
@@ -438,6 +436,16 @@ Schedule build_reduce_schedule(const CartNeighborComm& cc,
                                static_cast<int>(m / op.elem_size()));
   });
   return plan->bind(cc, sends, recvs, op);
+}
+
+Schedule build_reduce_schedule(const CartNeighborComm& cc,
+                               std::span<const SendBlock> sends,
+                               const RecvBlock& recv, const mpl::ReduceOp& op,
+                               ReduceVariant variant, bool combining,
+                               DimOrder order) {
+  return build_reduce_schedule(
+      cc, reduce_schedule_key(cc, sends, recv, op, variant, combining, order),
+      sends, recv, op, variant, combining, order);
 }
 
 }  // namespace cartcomm

@@ -19,8 +19,8 @@
 namespace cartcomm {
 
 Schedule build_trivial_schedule(const CartNeighborComm& cc,
-                                std::vector<SendBlock> sends,
-                                std::vector<RecvBlock> recvs) {
+                                std::span<const SendBlock> sends,
+                                std::span<const RecvBlock> recvs) {
   const Neighborhood& nb = cc.neighborhood();
   const int t = nb.count();
   MPL_REQUIRE(sends.size() == static_cast<std::size_t>(t) &&
@@ -33,18 +33,16 @@ Schedule build_trivial_schedule(const CartNeighborComm& cc,
   builder.reserve(rounds, rounds, static_cast<std::size_t>(nb.ndims()));
   for (int i = 0; i < t; ++i) {
     const std::size_t ui = static_cast<std::size_t>(i);
-    SendBlock& s = sends[ui];
-    RecvBlock& r = recvs[ui];
+    const SendBlock& s = sends[ui];
+    const RecvBlock& r = recvs[ui];
     if (nb.nonzeros(i) == 0) {
-      builder.add_copy({std::move(s.type), std::move(r.type), s.addr, s.count,
-                        r.addr, r.count});
+      builder.add_copy({s.type, r.type, s.addr, s.count, r.addr, r.count});
       continue;
     }
     // A partner off a non-periodic mesh is PROC_NULL exactly when N[i]
     // (or -N[i]) leaves it: an intentional boundary hole.
-    builder.add_block_round(cc.target_ranks()[ui], std::move(s),
-                            cc.source_ranks()[ui], std::move(r),
-                            nb.offset(i));
+    builder.add_block_round(cc.target_ranks()[ui], s, cc.source_ranks()[ui],
+                            r, nb.offset(i));
     builder.end_phase();
   }
   return builder.finish();

@@ -142,8 +142,9 @@ bool Mailbox::deliver(detail::MsgHeader h, const void* buf, int count,
 }
 
 namespace {
-bool probe_match(const std::deque<Message>& q, std::uint64_t ctx, int src,
-                 int tag, Status* st) {
+template <typename Queue>
+bool probe_match(const Queue& q, std::uint64_t ctx, int src, int tag,
+                 Status* st) {
   for (const Message& m : q) {
     const bool hit = m.ctx == ctx && (src == ANY_SOURCE || src == m.src) &&
                      (tag == ANY_TAG || tag == m.tag);
@@ -258,12 +259,8 @@ bool Mailbox::try_recv_now(std::uint64_t ctx, int src, int tag,
     {
       detail::CheckedLock lock(mtx_);
       if (unexpected_.empty()) return false;
-      if (claimed_.empty()) {
-        claimed_.swap(unexpected_);
-      } else {
-        for (Message& m : unexpected_) claimed_.push_back(std::move(m));
-        unexpected_.clear();
-      }
+      for (Message& m : unexpected_) claimed_.push_back(std::move(m));
+      unexpected_.clear();
     }
     it = std::find_if(claimed_.begin() + scanned, claimed_.end(),
                       envelope_match);

@@ -272,7 +272,11 @@ class Mailbox {
 
   detail::MailboxMutex mtx_;
   detail::CheckedCondVar cv_;
-  std::deque<detail::Message> unexpected_ MPL_GUARDED_BY(mtx_);
+  /// Messages that found no posted receive, in arrival order. A vector,
+  /// not a deque: it keeps its capacity as messages come and go, so a
+  /// steady-state staged message allocates nothing (a deque frees and
+  /// allocates a node every few messages).
+  std::vector<detail::Message> unexpected_ MPL_GUARDED_BY(mtx_);
   /// Unexpected messages the owner has claimed from unexpected_ in one
   /// locked bulk move (try_recv_now). Strictly older than everything in
   /// unexpected_, in arrival order, and touched ONLY by the owning

@@ -141,10 +141,11 @@ struct VerifyReport {
 /// whole schedule, if it pre-posts) are disjoint and never alias send
 /// blocks of that window (c), and — when `kind`
 /// is given — phase/round counts and volume match the closed forms (d).
-/// Pass the communicator whose offsets built the schedule: for an alltoall,
-/// cc.alltoall_routing(alg, largest block bytes) of the communicator it
-/// was requested on. `order` is the dimension order the allgather schedule
-/// was built with.
+/// Pass the communicator whose offsets built the schedule: the view
+/// CartNeighborComm::route() returned for the call (for an alltoall,
+/// cc.route(Collective::alltoall, alg, largest block bytes).view of the
+/// communicator it was requested on). `order` is the dimension order the
+/// allgather schedule was built with.
 VerifyReport verify_schedule(const Schedule& s, const CartNeighborComm& cc,
                              ScheduleKind kind = ScheduleKind::unknown,
                              DimOrder order = DimOrder::increasing_ck);

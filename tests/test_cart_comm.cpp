@@ -231,8 +231,12 @@ TEST(InfoObject, AlgorithmDefaultsParsed) {
         {{"alltoall_algorithm", "trivial"},
          {"allgather_algorithm", "combining"},
          {"allgather_order", "decreasing_ck"}});
-    EXPECT_EQ(cc.default_alltoall_algorithm(), cartcomm::Algorithm::trivial);
-    EXPECT_EQ(cc.default_allgather_algorithm(), cartcomm::Algorithm::combining);
+    // Automatic would combine 4-byte blocks here; the defaults decide.
+    const auto automatic = cartcomm::Algorithm::automatic;
+    EXPECT_EQ(cc.route(cartcomm::Collective::alltoall, automatic, 4).alg,
+              cartcomm::Algorithm::trivial);
+    EXPECT_EQ(cc.route(cartcomm::Collective::allgather, automatic).alg,
+              cartcomm::Algorithm::combining);
     EXPECT_EQ(cc.allgather_order(), cartcomm::DimOrder::decreasing_ck);
   });
 }

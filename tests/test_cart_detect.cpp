@@ -95,9 +95,13 @@ TEST(DetectCartesian, InfoForwarded) {
     mpl::CartComm cart = mpl::cart_create(world, dims, {});
     std::vector<int> targets{(world.rank() + 1) % 4};
     auto detected = cartcomm::detect_cartesian(
-        cart, targets, {{"alltoall_algorithm", "trivial"}});
+        cart, targets, {{"alltoall_algorithm", "combining"}});
     ASSERT_TRUE(detected.has_value());
-    EXPECT_EQ(detected->default_alltoall_algorithm(),
-              cartcomm::Algorithm::trivial);
+    // One neighbor: automatic alone would move the block directly.
+    EXPECT_EQ(detected
+                  ->route(cartcomm::Collective::alltoall,
+                          cartcomm::Algorithm::automatic, 4)
+                  .alg,
+              cartcomm::Algorithm::combining);
   });
 }

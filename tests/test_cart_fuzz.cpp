@@ -191,8 +191,8 @@ void run_case(const FuzzCase& fc) {
     // The routed schedule, whether or not automatic picks it at this m.
     const cartcomm::CartNeighborComm& rc =
         cc.routing(sizeof(int) * static_cast<std::size_t>(m));
-    const cartcomm::Schedule a2a_routed =
-        cartcomm::build_alltoall_schedule(cc, sends, recvs);
+    const cartcomm::Schedule a2a_routed = cartcomm::build_alltoall_schedule(
+        rc, sends, recvs, Algorithm::combining);
     const cartcomm::VerifyReport rr = cartcomm::verify_schedule(
         a2a_routed, rc, cartcomm::ScheduleKind::alltoall);
     EXPECT_TRUE(rr.ok()) << rr.to_string();

@@ -1,6 +1,7 @@
 // The routing neighborhood (CartNeighborComm::routing): offsets folded to
 // their minimal-magnitude representatives on small tori, and the automatic
-// alltoall that combines over it. The virtual-time sweep pins that
+// alltoall that combines over it. The decision table pins what
+// CartNeighborComm::route() decides for every collective. The virtual-time sweep pins that
 // automatic is never slower than the algorithm the unfolded cut-off picks,
 // strictly faster on the 1x1x1x2x2 torus, and unchanged where nothing
 // aliases.
@@ -16,6 +17,7 @@
 
 using cartcomm::Algorithm;
 using cartcomm::CartNeighborComm;
+using cartcomm::Collective;
 using cartcomm::Neighborhood;
 
 namespace {
@@ -72,7 +74,8 @@ TEST(CartRouting, NothingAliasesNothingFolds) {
     const auto cc = cartcomm::cart_neighborhood_create(
         world, dims, periods, Neighborhood::moore(2));
     EXPECT_EQ(&cc.routing(4), &cc);
-    EXPECT_EQ(&cc.alltoall_routing(Algorithm::automatic, 4), &cc);
+    EXPECT_EQ(&cc.route(Collective::alltoall, Algorithm::automatic, 4).view,
+              &cc);
   });
   mpl::run(4, [](mpl::Comm& world) {
     // An explicit algorithm, by argument or Info default, never folds.
@@ -81,8 +84,10 @@ TEST(CartRouting, NothingAliasesNothingFolds) {
         world, dims, {}, Neighborhood::moore(2), {},
         {{"alltoall_algorithm", "combining"}});
     EXPECT_NE(&cc.routing(4), &cc);
-    EXPECT_EQ(&cc.alltoall_routing(Algorithm::automatic, 4), &cc);
-    EXPECT_EQ(&cc.alltoall_routing(Algorithm::combining, 4), &cc);
+    EXPECT_EQ(&cc.route(Collective::alltoall, Algorithm::automatic, 4).view,
+              &cc);
+    EXPECT_EQ(&cc.route(Collective::alltoall, Algorithm::combining, 4).view,
+              &cc);
   });
 }
 
@@ -244,6 +249,171 @@ TEST(CartRouting, AutomaticNeverSlowerThanTheUnfoldedCutoff) {
         },
         opts);
   }
+}
+
+/// Which communicator route() returns: the one asked, its routing view or
+/// its with_self() view.
+enum class View { self, routed, with_self };
+
+TEST(CartRouting, DecisionTable) {
+  // Moore(3) without the zero vector on bulk3d's 1x2x2 torus: C = 6 < t =
+  // 26, the extent-1 dimension folds (routing(m) is a view of its own),
+  // and with_self() appends the zero vector (a view of its own too). Every
+  // kind, requested algorithm and Info default (both keys set alike;
+  // automatic: no Info entry), a commutative and a non-commutative op, and
+  // blocks below (4 B) and above (64 KiB) the cut-off. The expected values
+  // are literals, so a change to any choice shows here.
+  constexpr auto kAuto = Algorithm::automatic;
+  constexpr auto kTriv = Algorithm::trivial;
+  constexpr auto kComb = Algorithm::combining;
+  constexpr std::size_t kBig = std::size_t{64} << 10;
+  struct Row {
+    Collective kind;
+    Algorithm info;  // both Info defaults; automatic: none given
+    Algorithm requested;
+    std::size_t m;
+    bool commutative;
+    Algorithm alg;
+    View view;
+  };
+  const Row rows[] = {
+      {Collective::alltoall, kAuto, kAuto, 4, true, kComb, View::routed},
+      {Collective::alltoall, kAuto, kAuto, kBig, true, kTriv, View::self},
+      {Collective::allgather, kAuto, kAuto, 4, true, kComb, View::self},
+      {Collective::reduce, kAuto, kAuto, 4, true, kComb, View::self},
+      {Collective::reduce, kAuto, kAuto, 4, false, kTriv, View::self},
+      {Collective::allreduce, kAuto, kAuto, 4, true, kComb, View::with_self},
+      {Collective::allreduce, kAuto, kAuto, 4, false, kTriv, View::with_self},
+      {Collective::alltoall, kAuto, kTriv, 4, true, kTriv, View::self},
+      {Collective::alltoall, kAuto, kTriv, kBig, true, kTriv, View::self},
+      {Collective::allgather, kAuto, kTriv, 4, true, kTriv, View::self},
+      {Collective::reduce, kAuto, kTriv, 4, true, kTriv, View::self},
+      {Collective::reduce, kAuto, kTriv, 4, false, kTriv, View::self},
+      {Collective::allreduce, kAuto, kTriv, 4, true, kTriv, View::with_self},
+      {Collective::allreduce, kAuto, kTriv, 4, false, kTriv, View::with_self},
+      {Collective::alltoall, kAuto, kComb, 4, true, kComb, View::self},
+      {Collective::alltoall, kAuto, kComb, kBig, true, kComb, View::self},
+      {Collective::allgather, kAuto, kComb, 4, true, kComb, View::self},
+      {Collective::reduce, kAuto, kComb, 4, true, kComb, View::self},
+      {Collective::reduce, kAuto, kComb, 4, false, kComb, View::self},
+      {Collective::allreduce, kAuto, kComb, 4, true, kComb, View::with_self},
+      {Collective::allreduce, kAuto, kComb, 4, false, kComb, View::with_self},
+      {Collective::alltoall, kTriv, kAuto, 4, true, kTriv, View::self},
+      {Collective::alltoall, kTriv, kAuto, kBig, true, kTriv, View::self},
+      {Collective::allgather, kTriv, kAuto, 4, true, kTriv, View::self},
+      {Collective::reduce, kTriv, kAuto, 4, true, kComb, View::self},
+      {Collective::reduce, kTriv, kAuto, 4, false, kTriv, View::self},
+      {Collective::allreduce, kTriv, kAuto, 4, true, kComb, View::with_self},
+      {Collective::allreduce, kTriv, kAuto, 4, false, kTriv, View::with_self},
+      {Collective::alltoall, kTriv, kTriv, 4, true, kTriv, View::self},
+      {Collective::alltoall, kTriv, kTriv, kBig, true, kTriv, View::self},
+      {Collective::allgather, kTriv, kTriv, 4, true, kTriv, View::self},
+      {Collective::reduce, kTriv, kTriv, 4, true, kTriv, View::self},
+      {Collective::reduce, kTriv, kTriv, 4, false, kTriv, View::self},
+      {Collective::allreduce, kTriv, kTriv, 4, true, kTriv, View::with_self},
+      {Collective::allreduce, kTriv, kTriv, 4, false, kTriv, View::with_self},
+      {Collective::alltoall, kTriv, kComb, 4, true, kComb, View::self},
+      {Collective::alltoall, kTriv, kComb, kBig, true, kComb, View::self},
+      {Collective::allgather, kTriv, kComb, 4, true, kComb, View::self},
+      {Collective::reduce, kTriv, kComb, 4, true, kComb, View::self},
+      {Collective::reduce, kTriv, kComb, 4, false, kComb, View::self},
+      {Collective::allreduce, kTriv, kComb, 4, true, kComb, View::with_self},
+      {Collective::allreduce, kTriv, kComb, 4, false, kComb, View::with_self},
+      {Collective::alltoall, kComb, kAuto, 4, true, kComb, View::self},
+      {Collective::alltoall, kComb, kAuto, kBig, true, kComb, View::self},
+      {Collective::allgather, kComb, kAuto, 4, true, kComb, View::self},
+      {Collective::reduce, kComb, kAuto, 4, true, kComb, View::self},
+      {Collective::reduce, kComb, kAuto, 4, false, kTriv, View::self},
+      {Collective::allreduce, kComb, kAuto, 4, true, kComb, View::with_self},
+      {Collective::allreduce, kComb, kAuto, 4, false, kTriv, View::with_self},
+      {Collective::alltoall, kComb, kTriv, 4, true, kTriv, View::self},
+      {Collective::alltoall, kComb, kTriv, kBig, true, kTriv, View::self},
+      {Collective::allgather, kComb, kTriv, 4, true, kTriv, View::self},
+      {Collective::reduce, kComb, kTriv, 4, true, kTriv, View::self},
+      {Collective::reduce, kComb, kTriv, 4, false, kTriv, View::self},
+      {Collective::allreduce, kComb, kTriv, 4, true, kTriv, View::with_self},
+      {Collective::allreduce, kComb, kTriv, 4, false, kTriv, View::with_self},
+      {Collective::alltoall, kComb, kComb, 4, true, kComb, View::self},
+      {Collective::alltoall, kComb, kComb, kBig, true, kComb, View::self},
+      {Collective::allgather, kComb, kComb, 4, true, kComb, View::self},
+      {Collective::reduce, kComb, kComb, 4, true, kComb, View::self},
+      {Collective::reduce, kComb, kComb, 4, false, kComb, View::self},
+      {Collective::allreduce, kComb, kComb, 4, true, kComb, View::with_self},
+      {Collective::allreduce, kComb, kComb, 4, false, kComb, View::with_self},
+  };
+  std::vector<int> flat;
+  const Neighborhood moore = Neighborhood::moore(3);
+  for (int i = 0; i < moore.count(); ++i) {
+    if (moore.nonzeros(i) == 0) continue;
+    const auto o = moore.offset(i);
+    flat.insert(flat.end(), o.begin(), o.end());
+  }
+  const Neighborhood nb(3, std::move(flat));
+  const std::vector<int> dims{1, 2, 2};
+  mpl::run(4, [&](mpl::Comm& world) {
+    const char* names[] = {"automatic", "trivial", "combining"};
+    for (const Row& row : rows) {
+      cartcomm::Info info;
+      if (row.info != kAuto) {
+        info["alltoall_algorithm"] = names[static_cast<int>(row.info)];
+        info["allgather_algorithm"] = names[static_cast<int>(row.info)];
+      }
+      const auto cc =
+          cartcomm::cart_neighborhood_create(world, dims, {}, nb, {}, info);
+      const mpl::ReduceOp op =
+          row.commutative
+              ? mpl::ReduceOp::sum<int>()
+              : mpl::ReduceOp::make<int>(
+                    "first", [](int a, int) { return a; }, false, 0);
+      const std::string at =
+          "row " + std::to_string(&row - rows) + ": kind " +
+          std::to_string(static_cast<int>(row.kind)) + " info " +
+          names[static_cast<int>(row.info)] + " requested " +
+          names[static_cast<int>(row.requested)] + " m " +
+          std::to_string(row.m);
+      const cartcomm::Route r =
+          cc.route(row.kind, row.requested, row.m, &op);
+      EXPECT_EQ(r.alg, row.alg) << at;
+      const CartNeighborComm& want =
+          row.view == View::routed      ? cc.routing(row.m)
+          : row.view == View::with_self ? cc.with_self()
+                                        : cc;
+      EXPECT_EQ(&r.view, &want) << at;
+      EXPECT_NE(&cc.routing(row.m), &cc);
+      EXPECT_NE(&cc.with_self(), &cc);
+      // The persistent operation runs route()'s algorithm; an explicit
+      // combining request with a non-commutative op stands and throws.
+      const int t = nb.count();
+      std::vector<std::byte> sb(static_cast<std::size_t>(t) * row.m);
+      std::vector<std::byte> rb(sb.size());
+      const mpl::Datatype B = mpl::Datatype::of<std::byte>();
+      const mpl::Datatype I = mpl::Datatype::of<int>();
+      const int count = static_cast<int>(row.m);
+      int x = 1;
+      int y = 0;
+      auto init = [&] {
+        switch (row.kind) {
+          case Collective::alltoall:
+            return cartcomm::alltoall_init(sb.data(), count, B, rb.data(),
+                                           count, B, cc, row.requested);
+          case Collective::allgather:
+            return cartcomm::allgather_init(sb.data(), count, B, rb.data(),
+                                            count, B, cc, row.requested);
+          case Collective::reduce:
+            return cartcomm::cart_neighbor_reduce_init(&x, &y, 1, I, op, cc,
+                                                       row.requested);
+          default:
+            return cartcomm::cart_neighbor_allreduce_init(&x, &y, 1, I, op,
+                                                          cc, row.requested);
+        }
+      };
+      if (!row.commutative && row.alg == kComb) {
+        EXPECT_THROW((void)init(), mpl::Error) << at;
+      } else {
+        EXPECT_EQ(init().algorithm(), row.alg) << at;
+      }
+    }
+  });
 }
 
 }  // namespace

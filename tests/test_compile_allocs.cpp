@@ -3,9 +3,10 @@
 // stencil family. Proposition 3.1 puts schedule computation at O(t·d);
 // here the number of allocations must grow with the number of rounds C,
 // not with t. The blocking one-shot calls that their communicator's slot
-// serves are counted too: their allocations must not grow at all. This
-// binary replaces the global operator new/delete to count; the library
-// itself carries no hook.
+// serves are counted too: their allocations must not grow at all; so is a
+// call that misses its slot, and a persistent trivial execution, which
+// allocates nothing. This binary replaces the global operator new/delete
+// to count; the library itself carries no hook.
 //
 // The counts are exact and pinned: a change to the compile or one-shot
 // path that moves them updates the pins and says why.
@@ -91,6 +92,7 @@ struct OneShotCounts {
   std::size_t alltoall = 0;
   std::size_t alltoallv = 0;
   std::size_t allreduce = 0;
+  std::vector<std::size_t> alltoall_miss;  // per call, buffers alternating
 };
 
 // One call of each blocking one-shot collective on a warm slot (the same
@@ -103,7 +105,7 @@ OneShotCounts count_oneshot(int n) {
     const std::vector<int> dims(5, 1);
     auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
     const auto t = static_cast<std::size_t>(nb.count());
-    std::vector<int> sb(t, 1), rb(t);
+    std::vector<int> sb(t, 1), rb(t), rb2(t);
     const std::vector<int> counts(t, 1);
     std::vector<int> displs(t);
     for (std::size_t i = 0; i < t; ++i) displs[i] = static_cast<int>(i);
@@ -129,6 +131,17 @@ OneShotCounts count_oneshot(int n) {
     c.alltoall = allocations(alltoall);
     c.alltoallv = allocations(alltoallv);
     c.allreduce = allocations(allreduce);
+    // Two receive buffers in turn: every call misses the slot, binds the
+    // plan the cache holds and rebinds the slot.
+    auto alltoall_into = [&](std::vector<int>& r) {
+      cartcomm::alltoall(sb.data(), 1, ints, r.data(), 1, ints, cc, combining);
+    };
+    alltoall_into(rb2);  // the buffers' first miss each
+    alltoall_into(rb);
+    for (int i = 0; i < 4; ++i) {
+      c.alltoall_miss.push_back(allocations([&] { alltoall_into(rb2); }));
+      c.alltoall_miss.push_back(allocations([&] { alltoall_into(rb); }));
+    }
   });
   return c;
 }
@@ -181,4 +194,72 @@ TEST(CompileAllocs, OneShotCallsOnAWarmSlotArePinnedAndFlatInT) {
   EXPECT_EQ(large.alltoall, small.alltoall);
   EXPECT_EQ(large.alltoallv, small.alltoallv);
   EXPECT_EQ(large.allreduce, small.allreduce);
+}
+
+TEST(CompileAllocs, OneShotSlotMissIsPinned) {
+  // A call whose receive buffer differs from the slot's binds the plan the
+  // cache holds: the two descriptor vectors, one plan key, the bound
+  // schedule's datatypes and a fresh execution scratch. The bind grows with
+  // the rounds C (10 at t = 243, 20 at t = 3125), as a compile does.
+  const OneShotCounts small = count_oneshot(3);
+  const OneShotCounts large = count_oneshot(5);
+  ASSERT_EQ(small.alltoall_miss.size(), 8u);
+  for (std::size_t i = 0; i < small.alltoall_miss.size(); ++i) {
+    EXPECT_EQ(small.alltoall_miss[i], 82u) << "call " << i;
+    EXPECT_EQ(large.alltoall_miss[i], 135u) << "call " << i;
+  }
+}
+
+TEST(CompileAllocs, PersistentTrivialExecutionsAllocateNothing) {
+  // bulk3d's shape: a 1x2x2 torus, Moore(3), 4 ranks, the trivial
+  // schedule. hard_sync() after start() has every rank's receives posted
+  // before any later phase sends, so each of those messages is copied
+  // straight into its posted receive; only phase 0's may be staged.
+  constexpr int kReps = 16;
+  const std::vector<int> dims{1, 2, 2};
+  const auto nb = cartcomm::Neighborhood::moore(3);
+  std::vector<std::size_t> execute(4), start_wait(4);
+  mpl::run(4, [&](mpl::Comm& world) {
+    auto cc = cartcomm::cart_neighborhood_create(world, dims, {}, nb);
+    const auto t = static_cast<std::size_t>(nb.count());
+    constexpr int m = 16;
+    std::vector<int> sb(t * m, 1), rb(t * m);
+    const mpl::Datatype ints = mpl::Datatype::of<int>();
+    const cartcomm::PersistentColl op = cartcomm::alltoall_init(
+        sb.data(), m, ints, rb.data(), m, ints, cc,
+        cartcomm::Algorithm::trivial);
+    auto start_wait_once = [&] {
+      cartcomm::CartRequest req = op.start();
+      world.hard_sync();
+      req.wait();
+    };
+    // Warm-up. Stage every message of one execution at once: each rank
+    // sends its blocks to the other ranks before any receive is posted, so
+    // the payload pools and unexpected queues hold as much as an execution
+    // can stage, whatever the interleaving.
+    const int me = world.rank();
+    for (std::size_t i = 0; i < t; ++i) {
+      const int to = cc.target_ranks()[i];
+      if (to != me) world.send(&sb[i * m], m, ints, to, 1);
+    }
+    world.hard_sync();
+    for (std::size_t i = 0; i < t; ++i) {
+      const int from = cc.source_ranks()[i];
+      if (from != me) world.recv(&rb[i * m], m, ints, from, 1);
+    }
+    world.hard_sync();
+    op.execute();  // the execution scratch
+    start_wait_once();
+    const auto r = static_cast<std::size_t>(me);
+    for (int i = 0; i < kReps; ++i) {
+      world.hard_sync();
+      execute[r] += allocations([&] { op.execute(); });
+      world.hard_sync();
+      start_wait[r] += allocations(start_wait_once);
+    }
+  });
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(execute[r], 0u) << "rank " << r;
+    EXPECT_EQ(start_wait[r], 0u) << "rank " << r;
+  }
 }

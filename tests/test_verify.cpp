@@ -62,10 +62,12 @@ SweepResult build_and_summarize(const std::vector<int>& dims,
           recvbuf.data() + static_cast<std::size_t>(i) * m, 1, block};
     }
     cartcomm::Schedule sched;
-    // An alltoall verifies against the offsets it was routed over.
+    // An alltoall verifies against the view route() gave it.
     const cartcomm::CartNeighborComm& rc =
         kind == ScheduleKind::alltoall
-            ? cc.alltoall_routing(alg, sizeof(int) * static_cast<std::size_t>(m))
+            ? cc.route(cartcomm::Collective::alltoall, alg,
+                       sizeof(int) * static_cast<std::size_t>(m))
+                  .view
             : cc;
     if (kind == ScheduleKind::alltoall) {
       sched = cartcomm::build_alltoall_schedule(cc, sends, recvs, alg);

@@ -107,19 +107,19 @@ int run_case(const Case& c, cartcomm::ScheduleKind kind, bool verbose,
       sends[i] = {sendbuf[i].data(), 1, block};
       recvs[i] = {recvbuf[i].data(), 1, block};
     }
-    // The allreduce is the neighbor reduce over the neighborhood with the
-    // zero vector appended when absent.
-    cartcomm::CartNeighborComm vcc = cc;
-    if (kind == cartcomm::ScheduleKind::alltoall) {
-      vcc = cc.alltoall_routing(alg, sizeof(int) * static_cast<std::size_t>(ints));
-    }
-    if (kind == cartcomm::ScheduleKind::reduce &&
-        !c.nb.contains_zero_vector()) {
-      std::vector<int> flat(c.nb.flat().size() + c.dims.size(), 0);
-      std::copy(c.nb.flat().begin(), c.nb.flat().end(), flat.begin());
-      vcc = cc.with_neighborhood(
-          cartcomm::Neighborhood(c.nb.ndims(), std::move(flat)));
-    }
+    // Verify against the view route() gives the call: for an alltoall as
+    // `alg` requests it; the allreduce is the neighbor reduce over
+    // with_self().
+    const cartcomm::CartNeighborComm& vcc =
+        kind == cartcomm::ScheduleKind::alltoall
+            ? cc.route(cartcomm::Collective::alltoall, alg,
+                       sizeof(int) * static_cast<std::size_t>(ints))
+                  .view
+        : kind == cartcomm::ScheduleKind::reduce
+            ? cc.route(cartcomm::Collective::allreduce,
+                       cartcomm::Algorithm::combining)
+                  .view
+            : cc;
     cartcomm::Schedule sched;
     switch (kind) {
       case cartcomm::ScheduleKind::alltoall:
